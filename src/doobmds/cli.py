@@ -115,7 +115,7 @@ def cmd_enumerate(args) -> int:
     params = _parse_params(args.m, args.n)
     started = time.monotonic()
     if args.count_only:
-        count = count_mds(params, jobs=args.jobs)
+        count = count_mds(params)
         _check_against_known(params, count)
         print(count)
         _note(f"counted {params} in {time.monotonic() - started:.2f}s")
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true", help="print the count, write nothing")
     p.add_argument("--out", help="write code files here instead of the cache")
     p.add_argument("--no-cache", action="store_true", help="ignore any cached result")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for materialized enumeration (default 1)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="check code files for the maximum independent set property")

@@ -6,7 +6,10 @@ palette shared between the two graphs.  Small graphs get their certified full
 automorphism group this way.  For product graphs the group is generated from
 per-factor automorphisms plus swaps of equal factors; that subgroup is the
 natural one but is not claimed to be the full automorphism group.  Codes are
-classified into orbits by closing the code list under the generators.
+classified into orbits by closing the code list under the generators, acting
+on vertex bitmasks: each generator is precomputed as a shift plan (vertices
+grouped by how far the permutation moves them), so the image of a mask is a
+handful of AND/shift/OR operations on Python ints.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Optional, Sequence, Union
 
 from .codes import Code
@@ -292,11 +296,13 @@ def doob_symmetries(params: DoobParams) -> AutomorphismGroup:
         gens.append(swap_slots_perm(params, slot, slot + 1))
     for slot in range(params.m, params.m + params.n - 1):
         gens.append(swap_slots_perm(params, slot, slot + 1))
-    elements = closure(gens, params.vertex_count, cap=ELEMENT_LIST_LIMIT)
-    kept = tuple(sorted(elements)) if elements is not None else None
-    return AutomorphismGroup(
-        params.vertex_count, tuple(gens), kept, certified_full=False
-    )
+    # The generated group is (Aut Sh wr S_m) x (S_4 wr S_n); its order is known
+    # in closed form, so the element list is built only when it will be kept.
+    order = 192**params.m * factorial(params.m) * 24**params.n * factorial(params.n)
+    elements = None
+    if order <= ELEMENT_LIST_LIMIT:
+        elements = tuple(sorted(closure(gens, params.vertex_count)))
+    return AutomorphismGroup(params.vertex_count, tuple(gens), elements, certified_full=False)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +329,68 @@ def apply_perm_to_code(code: Code, perm: Perm) -> Code:
     return Code.from_members(code.params, (perm[v] for v in code.members))
 
 
+def _shift_plan(perm: Perm) -> tuple[tuple[int, int], ...]:
+    """(selector, shift) pairs: perm moves the vertices in selector by shift."""
+    parts: dict[int, int] = {}
+    for v, image in enumerate(perm):
+        parts[image - v] = parts.get(image - v, 0) | 1 << v
+    return tuple((selector, shift) for shift, selector in parts.items())
+
+
+def _apply_plan(plan, mask: int) -> int:
+    """Image of a vertex mask under the permutation a shift plan was made from."""
+    image = 0
+    for selector, shift in plan:
+        part = mask & selector
+        image |= part << shift if shift >= 0 else part >> -shift
+    return image
+
+
+def orbits_of_masks(
+    masks: Sequence[int], perms: Sequence[Perm], degree: int
+) -> tuple[tuple[int, ...], ...]:
+    """Orbits of distinct vertex masks under the group the perms generate.
+
+    Returned as classes of list positions, each sorted, ordered by their
+    smallest position.  The list must be closed under every perm, which must
+    permute range(degree); a duplicate mask or an image outside the list is
+    an inconsistency.
+    """
+    position = {mask: i for i, mask in enumerate(masks)}
+    if len(position) != len(masks):
+        raise ConsistencyError("duplicate codes in the list to classify")
+    for perm in perms:
+        if len(perm) != degree:
+            raise ParameterMismatchError(
+                f"permutation on {len(perm)} points applied to codes on {degree} vertices"
+            )
+        if sorted(perm) != list(range(degree)):
+            raise ValueError(f"not a permutation of {degree} points")
+    plans = [_shift_plan(perm) for perm in perms]
+    parent = list(range(len(masks)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, mask in enumerate(masks):
+        for plan in plans:
+            j = position.get(_apply_plan(plan, mask))
+            if j is None:
+                raise ConsistencyError(
+                    f"a group generator maps code {i} outside the given list"
+                )
+            a, b = find(i), find(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    classes: dict[int, list[int]] = {}
+    for i in range(len(masks)):
+        classes.setdefault(find(i), []).append(i)
+    return tuple(tuple(cls) for cls in classes.values())
+
+
 def orbits_of_codes(
     codes: Sequence[Code], group: Union[AutomorphismGroup, Sequence[Perm]]
 ) -> OrbitPartition:
@@ -333,33 +401,10 @@ def orbits_of_codes(
     generators implies closure under the whole group.
     """
     perms = group.generators if isinstance(group, AutomorphismGroup) else tuple(group)
-    position = {code.members: i for i, code in enumerate(codes)}
-    if len(position) != len(codes):
-        raise ConsistencyError("duplicate codes in the list to classify")
-    neighbors: list[set[int]] = [set() for _ in codes]
-    for i, code in enumerate(codes):
-        for perm in perms:
-            image = apply_perm_to_code(code, perm)
-            j = position.get(image.members)
-            if j is None:
-                raise ConsistencyError(
-                    f"a group generator maps code {i} outside the given list"
-                )
-            neighbors[i].add(j)
-    seen = [False] * len(codes)
-    classes = []
-    for start in range(len(codes)):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        component = []
-        while stack:
-            v = stack.pop()
-            component.append(v)
-            for w in neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        classes.append(tuple(sorted(component)))
-    return OrbitPartition(tuple(classes))
+    if not codes:
+        return OrbitPartition(())
+    degrees = {code.params.vertex_count for code in codes}
+    if len(degrees) != 1:
+        raise ParameterMismatchError("codes to classify lie in graphs of different sizes")
+    masks = [code.mask for code in codes]
+    return OrbitPartition(orbits_of_masks(masks, perms, degrees.pop()))

@@ -11,12 +11,22 @@ from doobmds import (
     enumerate_mds,
     shrikhande,
 )
+from doobmds import search
 from doobmds.search import PUBLISHED_COUNTS, independent_sets_of_size
 
 import oracles
 
 # Counts not stated in the source material, pinned after independent derivation.
-DERIVED_COUNTS = {(1, 1): 240, (0, 3): 576, (2, 0): 5856, (1, 2): 16128}
+# (2, 1) and (1, 3) come from the exhaustive leaf walk that preceded
+# orbit-weighted counting, so count_mds reproduces them by a second method.
+DERIVED_COUNTS = {
+    (1, 1): 240,
+    (0, 3): 576,
+    (2, 0): 5856,
+    (1, 2): 16128,
+    (2, 1): 3707136,
+    (1, 3): 11377152,
+}
 
 
 def test_stated_counts(codes_by_params):
@@ -27,7 +37,8 @@ def test_stated_counts(codes_by_params):
 def test_derived_counts_are_stable(codes_by_params):
     for key in [(1, 1), (0, 3), (2, 0)]:
         assert len(codes_by_params[key]) == DERIVED_COUNTS[key]
-    assert count_mds(DoobParams(1, 2)) == DERIVED_COUNTS[(1, 2)]
+    for key in [(1, 2), (2, 1), (1, 3)]:
+        assert count_mds(DoobParams(*key)) == DERIVED_COUNTS[key]
 
 
 def test_oracle_equivalence_subset_scan_16_vertices(codes_by_params):
@@ -76,8 +87,19 @@ def test_output_is_sorted_and_deduplicated(codes_by_params):
 
 
 def test_counts_match_materialization(codes_by_params):
-    for (m, n), codes in codes_by_params.items():
+    materialized = dict(codes_by_params)
+    materialized[(1, 2)] = enumerate_mds(DoobParams(1, 2)).codes
+    for (m, n), codes in materialized.items():
         assert count_mds(DoobParams(m, n)) == len(codes)
+
+
+def test_disjoint_rows_match_pairwise_test(codes_by_params):
+    # 5856 sub-codes span several transpose blocks of the incidence bitsets.
+    masks = [code.mask for code in codes_by_params[(2, 0)]]
+    rows = search._compatibility(masks)
+    for i in list(range(0, len(masks), 397)) + [len(masks) - 1]:
+        expected = sum(1 << j for j, other in enumerate(masks) if not masks[i] & other)
+        assert rows[i] == expected
 
 
 def test_count_only_result_has_no_codes():
@@ -94,6 +116,35 @@ def test_parallel_enumeration_identical(codes_by_params):
             c.members for c in codes_by_params[key]
         ]
         assert count_mds(DoobParams(*key), jobs=4) == len(codes_by_params[key])
+
+
+def test_worker_pool_is_clamped(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(search.multiprocessing, "get_context", lambda method: Context)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    result = enumerate_mds(DoobParams(1, 1), jobs=1000, verify=False)
+    assert started == [3]
+    assert result.count == 240
+    assert search._worker_count(1000, 2) == 2
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert search._worker_count(1000, 5856) == 1
 
 
 def test_desk_scale_guard_message():

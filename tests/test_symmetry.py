@@ -20,6 +20,8 @@ from doobmds import (
     orbits_of_codes,
 )
 from doobmds.symmetry import (
+    _apply_plan,
+    _shift_plan,
     closure,
     compose,
     generating_subset,
@@ -212,6 +214,24 @@ def test_apply_perm_to_code_checks_degree(codes_by_params):
     code = codes_by_params[(0, 1)][0]
     with pytest.raises(ParameterMismatchError):
         apply_perm_to_code(code, identity_perm(16))
+
+
+def test_shift_plan_matches_code_action(codes_by_params):
+    cases = [
+        (codes_by_params[(1, 1)], doob_symmetries(DoobParams(1, 1)).generators),
+        (codes_by_params[(1, 0)], doob_symmetries(DoobParams(1, 0)).elements),
+    ]
+    for codes, perms in cases:
+        for perm in perms:
+            plan = _shift_plan(perm)
+            for code in codes:
+                assert _apply_plan(plan, code.mask) == apply_perm_to_code(code, perm).mask
+
+
+def test_orbits_check_permutation_degree(codes_by_params):
+    codes = codes_by_params[(0, 1)]
+    with pytest.raises(ParameterMismatchError):
+        orbits_of_codes(codes, [identity_perm(16)])
 
 
 def test_group_dataclass_order_property():
