@@ -2,17 +2,26 @@
 
 A code is a subset of the vertices of D(m,n), stored as a strictly increasing
 tuple of vertex indices plus a membership bitmask.  The on-disk form is one
-JSON object: {"m": m, "n": n, "members": [...]} where each member lists its m
+JSON object: {"m": m, "members": [...], "n": n} where each member lists its m
 Shrikhande coordinates as [a, b] pairs followed by its n K4 values, and the
 members appear in increasing index order.  Serialization is canonical (sorted
 keys, no whitespace, single trailing newline) so equal codes produce
 byte-identical files.
+
+Loading reads byte-canonical text (exactly what dump_code writes) by slicing
+it at the fixed member width and looking each member up in a per-parameter
+table of member texts.  Any other text goes through the full JSON parse and
+validation, which also gives every error message; both ways give the same
+code for the same document.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import ConsistencyError, FormatError, ParameterMismatchError
@@ -28,6 +37,18 @@ class Code:
     mask: int = field(default=-1, compare=False, repr=False)
 
     def __post_init__(self):
+        members = self.members
+        if (
+            isinstance(members, tuple)
+            and members
+            and set(map(type, members)) <= {int}
+            and members[0] >= 0
+            and members[-1] < self.params.vertex_count
+            and all(map(operator.lt, members, members[1:]))
+        ):
+            # Plain increasing in-range ints: the loop below would accept them.
+            object.__setattr__(self, "mask", sum(map((1).__lshift__, members)))
+            return
         mask = 0
         prev = -1
         for v in self.members:
@@ -186,7 +207,47 @@ def dump_code(code: Code) -> str:
     return canonical_json(code_to_obj(code))
 
 
+# The exact text dump_code writes at word length 2m + n <= 6, so m and n are
+# single digits; longer numbers are left to the JSON parse.
+_CANONICAL_CODE = re.compile(r'\{"m":([0-9]),"members":\[(.*)\],"n":([0-9])\}\n')
+
+
+@lru_cache(maxsize=None)
+def _member_indices(params: DoobParams) -> dict[str, int]:
+    """Canonical JSON text of every member of D(m,n), mapped to its index."""
+    return {
+        json.dumps(member_to_obj(v, params), separators=(",", ":")): v
+        for v in range(params.vertex_count)
+    }
+
+
+def _load_canonical(text: str) -> Optional[Code]:
+    """The code whose dump_code is text, or None if text is not such a dump."""
+    match = _CANONICAL_CODE.fullmatch(text)
+    if match is None:
+        return None
+    m, body, n = int(match[1]), match[2], int(match[3])
+    # Word length first, so 4 ** (2m + n) is never computed past the desk scale 4^6.
+    if m + n == 0 or 2 * m + n > 6:
+        return None
+    params = DoobParams(m, n)
+    width = 1 + 6 * m + 2 * n  # "[", m "[a,b]," and n "k,", the last comma as "]"
+    tokens = [body[i : i + width] for i in range(0, len(body), width + 1)]
+    if ",".join(tokens) != body:
+        return None
+    try:
+        indices = tuple(map(_member_indices(params).__getitem__, tokens))
+    except KeyError:
+        return None
+    if not all(map(operator.lt, indices, indices[1:])):
+        return None
+    return Code(params, indices)
+
+
 def load_code(text: str) -> Code:
+    code = _load_canonical(text)
+    if code is not None:
+        return code
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

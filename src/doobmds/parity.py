@@ -85,9 +85,6 @@ class ParityRule:
     def constant(cls, params: DoobParams, bit: int) -> "ParityRule":
         return cls(params, (bit,) * rule_domain_size(params))
 
-    def value_at(self, point: Sequence[int]) -> int:
-        return self.bits[point_index(self.params, point)]
-
     def bit_string(self) -> str:
         return "".join(str(bit) for bit in self.bits)
 
@@ -204,14 +201,15 @@ def bounds_report(params: DoobParams) -> BoundsReport:
     """Lower and upper bounds on the number of codes, with exact values when cheap.
 
     The upper reference count |MDS(0,2m+n)| and the actual count are attached
-    only for word length 2m+n up to 3, where enumeration takes well under a
-    second; deeper counts are available through the enumeration interface.
+    only for word length 2m+n up to 4, where each count_mds call takes well
+    under a second; deeper counts are available through the enumeration
+    interface.
     """
     classes = count_essential_classes(params)
     upper_params = DoobParams(0, params.word_length)
     upper_exact = None
     actual = None
-    if params.word_length <= 3:
+    if params.word_length <= 4:
         upper_exact = count_mds(upper_params)
         actual = count_mds(params)
     return BoundsReport(

@@ -192,7 +192,10 @@ def _run_assembly(factor: Graph, sub_masks, jobs):
         return _assemble(factor.neighbor_masks, _compatibility(sub_masks))
     firsts = [sum(1 << i for i in range(start, sub_count, jobs)) for start in range(jobs)]
     tasks = [(factor.neighbor_masks, tuple(sub_masks), first) for first in firsts]
-    context = multiprocessing.get_context("fork")
+    # fork where the platform has it (workers inherit the imported package);
+    # elsewhere the default method, as tasks and worker pickle by reference.
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    context = multiprocessing.get_context(method)
     with context.Pool(jobs) as pool:
         parts = pool.map(_assembly_worker, tasks)
     return [assignment for part in parts for assignment in part]

@@ -225,7 +225,7 @@ def test_bounds_lines(capsys):
         "lower 2, upper 4 (=|MDS(0,1)|), actual 4\n"
     )
     assert run(capsys, "bounds", "2", "0")[1] == (
-        "lower 256, upper |MDS(0,4)| (not computed at desk scale), actual not computed\n"
+        "lower 256, upper 55296 (=|MDS(0,4)|), actual 5856\n"
     )
     assert run(capsys, "bounds", "3", "1")[1] == (
         "lower 2^2^6, upper |MDS(0,7)| (not computed at desk scale), actual not computed\n"

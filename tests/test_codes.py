@@ -1,4 +1,6 @@
 import json
+import time
+from enum import IntEnum
 
 import pytest
 
@@ -17,20 +19,45 @@ from doobmds import (
     sort_codes,
     write_code,
 )
+from doobmds import codes
 from doobmds.codes import intersection_profile, member_from_obj, member_to_obj
+
+
+class Vertex(IntEnum):
+    A = 0
+    B = 2
 
 
 def test_code_construction_validates():
     p = DoobParams(1, 0)
-    Code(p, (0, 2, 8, 10))
-    with pytest.raises(ValueError):
-        Code(p, (2, 0))  # not increasing
-    with pytest.raises(ValueError):
-        Code(p, (0, 0))  # duplicate
-    with pytest.raises(ValueError):
-        Code(p, (0, 16))  # out of range
-    with pytest.raises(ValueError):
-        Code(p, (0, True))  # bool is not an index
+    assert Code(p, (0, 2, 8, 10)).mask == 0b10100000101
+    cases = [
+        ((2, 0), "members must be strictly increasing"),
+        ((0, 0), "members must be strictly increasing"),
+        ((0, 16), "member 16 out of range for D(1,0)"),
+        ((0, True), "member True is not an integer index"),
+        # The first bad member decides the error.
+        ((16, True), "member 16 out of range"),
+        ((True, 16), "member True is not"),
+        ((5, 3, 99), "members must be strictly increasing"),
+        ((0, 2.0), "member 2.0 is not"),
+        ((-1, 2), "member -1 out of range"),
+    ]
+    for members, message in cases:
+        with pytest.raises(ValueError) as info:
+            Code(p, members)
+        assert str(info.value).startswith(message), (members, info.value)
+
+
+def test_code_accepts_int_subclasses_and_lists():
+    p = DoobParams(1, 0)
+    code = Code(p, (Vertex.A, Vertex.B))
+    assert code.members == (0, 2) and code.mask == 0b101
+    listed = Code(p, [0, 2, 8, 10])  # a list is kept as given
+    assert listed.members == [0, 2, 8, 10] and listed.mask == 0b10100000101
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Code(p, [2, 0])
+    assert Code(p, ()).mask == 0
 
 
 def test_from_members_sorts_and_rejects_duplicates():
@@ -144,6 +171,86 @@ def test_load_rejects_malformed_documents():
     for text in cases:
         with pytest.raises(FormatError):
             load_code(text)
+
+
+def test_canonical_files_skip_the_json_parse(codes_by_params, monkeypatch):
+    texts = {
+        key: [dump_code(code) for code in codes_by_params[key]]
+        for key in [(1, 0), (0, 2), (1, 1), (0, 3)]
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical text reached json.loads")
+
+    monkeypatch.setattr(codes.json, "loads", refuse)
+    for key, dumped in texts.items():
+        for code, text in zip(codes_by_params[key], dumped):
+            loaded = load_code(text)
+            assert loaded.members == code.members and loaded.mask == code.mask
+
+
+def test_canonical_layout_errors_match_the_json_path(monkeypatch):
+    """Malformed documents in dump_code's key order and spacing get the JSON
+    path's message, and a huge m never has 4^(2m+n) computed."""
+    real_vertex_count = DoobParams.vertex_count.fget
+
+    def guarded_vertex_count(params):
+        assert params.word_length <= 6, f"vertex count of {params} computed"
+        return real_vertex_count(params)
+
+    monkeypatch.setattr(DoobParams, "vertex_count", property(guarded_vertex_count))
+    cases = [
+        ('{"m":0,"members":[[4]],"n":1}\n', "bad K4 coordinate 4 in member [4]"),
+        ('{"m":0,"members":[[true]],"n":1}\n', "bad K4 coordinate True in member [True]"),
+        ('{"m":1,"members":[[[0,4]]],"n":0}\n', "bad Shrikhande coordinate [0, 4] in member"),
+        (
+            '{"m":0,"members":[[0,1],[0,0]],"n":2}\n',
+            "members are not in strictly increasing index order",
+        ),
+        (
+            '{"m":0,"members":[[0,0],[0,0]],"n":2}\n',
+            "members are not in strictly increasing index order",
+        ),
+        (
+            '{"m":01,"members":[[[0,0]]],"n":0}\n',
+            "invalid JSON: Expecting ',' delimiter: line 1 column 7 (char 6)",
+        ),
+        (
+            '{"m":0,"members":[[0,1] [0,2]],"n":2}\n',
+            "invalid JSON: Expecting ',' delimiter: line 1 column 25 (char 24)",
+        ),
+        ('{"m":0,"members":[],"n":0}\n', "empty parameter set: need m + n >= 1"),
+        (
+            '{"m":9,"members":[[[0,0]]],"n":0}\n',
+            "member [[0, 0]] does not have 9 Shrikhande + 0 K4 coordinates",
+        ),
+        (
+            '{"m":1000000,"members":[[[0,0]]],"n":0}\n',
+            "member [[0, 0]] does not have 1000000 Shrikhande + 0 K4 coordinates",
+        ),
+        ('{"m":0,"members":[[1]],"n":1}\nx', "invalid JSON: Extra data: line 2 column 1"),
+    ]
+    for text, message in cases:
+        start = time.perf_counter()
+        with pytest.raises(FormatError) as info:
+            load_code(text)
+        assert time.perf_counter() - start < 1.0, text
+        assert str(info.value).startswith(message), (text, info.value)
+
+
+def test_non_canonical_text_loads_the_same_code(codes_by_params):
+    for code in codes_by_params[(1, 1)][:3] + codes_by_params[(0, 3)][:3]:
+        text = dump_code(code)
+        obj = code_to_obj(code)
+        variants = [
+            json.dumps(obj, indent=2),
+            text.rstrip("\n"),
+            text + "\n",
+            json.dumps({"m": obj["m"], "n": obj["n"], "members": obj["members"]}),
+        ]
+        for variant in variants:
+            loaded = load_code(variant)
+            assert loaded.members == code.members and loaded.mask == code.mask
 
 
 def test_load_accepts_minimal_document():

@@ -199,10 +199,12 @@ def test_bounds_reports():
     r = bounds_report(DoobParams(0, 1))
     assert (r.lower_exact, r.actual) == (2, 4)
     r = bounds_report(DoobParams(2, 0))
-    assert r.lower_exact == 256
-    assert r.upper_exact is None and r.actual is None
+    assert (r.lower_exact, r.upper_exact, r.actual) == (256, 55296, 5856)
     assert r.upper_params == DoobParams(0, 4)
     assert r.lower_log2_log2 == 3
+    r = bounds_report(DoobParams(2, 1))
+    assert r.upper_exact is None and r.actual is None
+    assert r.upper_params == DoobParams(0, 5)
 
 
 def test_rule_files_round_trip(tmp_path):

@@ -118,13 +118,13 @@ def test_parallel_enumeration_identical(codes_by_params):
         assert count_mds(DoobParams(*key), jobs=4) == len(codes_by_params[key])
 
 
-def test_worker_pool_is_clamped(monkeypatch):
-    started = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Worker pools that run their tasks in this process, recorded as
+    (start method, processes)."""
+    pools = []
 
     class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
-
         def __enter__(self):
             return self
 
@@ -135,16 +135,34 @@ def test_worker_pool_is_clamped(monkeypatch):
             return [fn(task) for task in tasks]
 
     class Context:
-        Pool = SerialPool
+        def __init__(self, method):
+            self.method = method
 
-    monkeypatch.setattr(search.multiprocessing, "get_context", lambda method: Context)
+        def Pool(self, processes):
+            pools.append((self.method, processes))
+            return SerialPool()
+
+    monkeypatch.setattr(search.multiprocessing, "get_context", Context)
+    return pools
+
+
+def test_worker_pool_is_clamped(monkeypatch, serial_pool):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     result = enumerate_mds(DoobParams(1, 1), jobs=1000, verify=False)
-    assert started == [3]
+    assert [processes for _, processes in serial_pool] == [3]
     assert result.count == 240
     assert search._worker_count(1000, 2) == 2
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert search._worker_count(1000, 5856) == 1
+
+
+@pytest.mark.parametrize("methods, expected", [(["fork", "spawn"], "fork"), (["spawn"], None)])
+def test_worker_start_method_is_portable(monkeypatch, serial_pool, methods, expected):
+    monkeypatch.setattr(search.multiprocessing, "get_all_start_methods", lambda: methods)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    result = enumerate_mds(DoobParams(1, 1), jobs=2, verify=False)
+    assert serial_pool == [(expected, 2)]
+    assert result.count == 240
 
 
 def test_desk_scale_guard_message():
