@@ -25,7 +25,7 @@ from .errors import (
     FormatError,
     ParameterMismatchError,
 )
-from .graphs import DoobParams, doob_graph
+from .graphs import DoobParams
 from .parity import bounds_report, build_parity_code, read_rule, rule_from_hex
 from .reduction import derive_pairing, pairing_violations, reduce_sh_coordinates
 from .search import PUBLISHED_COUNTS, count_mds, enumerate_mds
@@ -156,12 +156,9 @@ def _certificate(code) -> tuple[str, bool]:
     expected = code.params.code_size
     if len(code.members) != expected:
         return f"wrong cardinality {len(code.members)} != {expected}", False
-    graph = doob_graph(code.params)
-    for v in code.members:
-        hit = graph.neighbor_masks[v] & code.mask
-        if hit:
-            w = (hit & -hit).bit_length() - 1
-            return f"not independent: ({v},{w})", False
+    pair = code.first_adjacent_pair()
+    if pair is not None:
+        return f"not independent: ({pair[0]},{pair[1]})", False
     return f"MDS ok, |M|={expected}", True
 
 

@@ -13,6 +13,12 @@ it at the fixed member width and looking each member up in a per-parameter
 table of member texts.  Any other text goes through the full JSON parse and
 validation, which also gives every error message; both ways give the same
 code for the same document.
+
+Independence is checked on the mask, with no loop over members: for each
+distinct index difference d > 0 of an edge, the graph keeps the vertices u
+with u ~ u + d as a selector mask (Graph.edge_shifts), and a code is
+independent iff (mask & selector) << d & mask is 0 for every d.  Only a code
+that fails is walked member by member, to name its first adjacent pair.
 """
 
 from __future__ import annotations
@@ -95,8 +101,19 @@ class Code:
         return graph
 
     def is_independent(self, graph: Optional[Graph] = None) -> bool:
+        return _independent(self.mask, self._resolve_graph(graph))
+
+    def first_adjacent_pair(self, graph: Optional[Graph] = None) -> Optional[tuple[int, int]]:
+        """The first member v (in index order) with a neighbor in the code, and
+        that neighbor's lowest index w; None if the code is independent."""
         g = self._resolve_graph(graph)
-        return all(not (g.neighbor_masks[v] & self.mask) for v in self.members)
+        if _independent(self.mask, g):
+            return None
+        for v in self.members:
+            hit = g.neighbor_masks[v] & self.mask
+            if hit:
+                return v, (hit & -hit).bit_length() - 1
+        return None  # not reached: the edge the shift check found is in a member's row
 
     def is_mds(self, graph: Optional[Graph] = None) -> bool:
         """True iff this is a maximum independent set (a distance-2 MDS code)."""
@@ -108,15 +125,20 @@ class Code:
             raise ConsistencyError(
                 f"{context}: {len(self.members)} members, expected {self.params.code_size}"
             )
-        g = self._resolve_graph(graph)
-        for v in self.members:
-            hit = g.neighbor_masks[v] & self.mask
-            if hit:
-                other = (hit & -hit).bit_length() - 1
-                raise ConsistencyError(f"{context}: adjacent members {v} and {other}")
+        pair = self.first_adjacent_pair(graph)
+        if pair is not None:
+            raise ConsistencyError(f"{context}: adjacent members {pair[0]} and {pair[1]}")
 
     def vertices(self) -> tuple[DoobVertex, ...]:
         return tuple(decode_vertex(v, self.params) for v in self.members)
+
+
+def _independent(mask: int, graph: Graph) -> bool:
+    """No edge u ~ u + d of graph has both ends in mask: one shift per distinct d."""
+    for d, selector in graph.edge_shifts:
+        if (mask & selector) << d & mask:
+            return False
+    return True
 
 
 def sort_codes(codes: Iterable[Code]) -> list[Code]:

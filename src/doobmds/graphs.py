@@ -11,7 +11,7 @@ is rejected outright instead of degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Optional
 
 from .errors import DeskScaleError
@@ -96,6 +96,27 @@ class Graph:
         """Common degree if the graph is regular, else None."""
         degrees = {self.degree(u) for u in range(self.vertex_count)}
         return degrees.pop() if len(degrees) == 1 else None
+
+    @cached_property
+    def edge_shifts(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (d, selector), d ascending: u ~ u + d exactly for the u in selector.
+
+        Every edge {u, u + d} with d > 0 is in exactly one selector, so a
+        vertex set is independent iff (mask & selector) << d & mask is 0 for
+        every pair.  Each bit w != u of row u counts, with d = |w - u| and the
+        selector bit at min(u, w), so an edge stored in only one row is kept.
+        Doob graphs have few distinct d (13 for D(1,2)).
+        """
+        selectors: dict[int, int] = {}
+        for u, row in enumerate(self.neighbor_masks):
+            while row:
+                low = row & -row
+                w = low.bit_length() - 1
+                d = abs(w - u)
+                if d:
+                    selectors[d] = selectors.get(d, 0) | 1 << min(u, w)
+                row ^= low
+        return tuple(sorted(selectors.items()))
 
     def common_neighbor_count(self, u: int, v: int) -> int:
         return (self.neighbor_masks[u] & self.neighbor_masks[v]).bit_count()

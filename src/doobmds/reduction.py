@@ -10,18 +10,35 @@ lexicographically least valid assignment under the canonical orderings of
 both code lists.  The end result of the iteration can depend on the order in
 which Shrikhande coordinates are consumed; the order is therefore an explicit
 argument.
+
+The reduction works on the code's mask.  Written out as one byte per vertex
+(1 for a member), the fiber at the last Shrikhande coordinate through a
+vertex is the 16-byte slice at stride 4^n, and the partner code's bytes go
+into the same slice of the output, because vertex (prefix, s, suffix) of
+D(m,n) and vertex (prefix, z, suffix) of D(m-1,n+2) have the same index when
+s = z.  Permuting Shrikhande coordinates rewrites each member's base-16
+digits directly, without decoding it to a vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Optional, Sequence
 
 from .codes import Code
 from .errors import ConsistencyError
-from .graphs import DoobParams, DoobVertex, decode_vertex, encode_vertex
+from .graphs import DoobParams
 from .search import enumerate_mds
+
+
+_BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_bytes(mask: int, size: int) -> bytes:
+    """Byte v is 1 if bit v of mask is set, else 0; size bytes (more if mask is wider)."""
+    return format(mask, f"0{size}b").encode().translate(_BIT_BYTE)[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -47,9 +64,14 @@ class PairingTable:
     domain: tuple[Code, ...]
     image: tuple[Code, ...]
 
-    def image_lookup(self) -> dict[tuple[int, ...], Code]:
-        """Map from a domain code's member tuple to its partner code."""
-        return {dom.members: img for dom, img in zip(self.domain, self.image)}
+    @cached_property
+    def partner_fibers(self) -> dict[bytes, bytes]:
+        """Bit bytes (byte s is 1 iff s is a member) of each domain code, mapped
+        to those of its partner."""
+        return {
+            _bit_bytes(dom.mask, 16): _bit_bytes(img.mask, 16)
+            for dom, img in zip(self.domain, self.image)
+        }
 
 
 def pairing_violations(table: PairingTable) -> list[tuple[int, int]]:
@@ -108,22 +130,21 @@ def derive_pairing() -> PairingTable:
     return PairingTable(domain, tuple(candidates[c] for c in assignment))
 
 
-def last_sh_fibers(code: Code) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Fibers at the last Shrikhande coordinate.
-
-    Keys are (prefix, suffix) where prefix is the packed value of the other
-    Shrikhande coordinates and suffix the packed value of the K4 coordinates;
-    values are the sorted Shrikhande vertex indices appearing there.
-    """
-    if code.params.m < 1:
-        raise ValueError("code has no Shrikhande coordinate")
-    suffix_size = 4 ** code.params.n
-    fibers: dict[tuple[int, int], list[int]] = {}
-    for index in code.members:
-        rest, suffix = divmod(index, suffix_size)
-        prefix, s = divmod(rest, 16)
-        fibers.setdefault((prefix, suffix), []).append(s)
-    return {key: tuple(sorted(values)) for key, values in fibers.items()}
+def _fiber_error(bits: bytes, partners: dict, stride: int) -> ConsistencyError:
+    """The error naming the non-Shrikhande fiber that holds the lowest member."""
+    span = 16 * stride
+    bad = []
+    for row in range(0, len(bits), span):
+        for base in range(row, row + stride):
+            fiber = bits[base : base + span : stride]
+            if fiber not in partners:
+                bad.append((base + stride * fiber.index(1), base, fiber))
+    _, base, fiber = min(bad)
+    prefix, suffix = divmod(base, span)
+    values = tuple(s for s in range(16) if fiber[s])
+    return ConsistencyError(
+        f"fiber {values} at prefix {prefix}, suffix {suffix} is not a Shrikhande code"
+    )
 
 
 def reduce_last_sh_coordinate(code: Code, table: Optional[PairingTable] = None) -> Code:
@@ -141,34 +162,41 @@ def reduce_last_sh_coordinate(code: Code, table: Optional[PairingTable] = None) 
     code.assert_mds(context="reduction input")
     if table is None:
         table = derive_pairing()
-    lookup = table.image_lookup()
-    suffix_size = 4 ** params.n
-    out_params = DoobParams(params.m - 1, params.n + 2)
-    members = []
-    for (prefix, suffix), fiber in last_sh_fibers(code).items():
-        image = lookup.get(fiber)
-        if image is None:
-            raise ConsistencyError(
-                f"fiber {fiber} at prefix {prefix}, suffix {suffix} "
-                f"is not a Shrikhande code"
-            )
-        for z in image.members:
-            members.append(prefix * 16 * suffix_size + z * suffix_size + suffix)
-    return Code.from_members(out_params, members)
+    partners = table.partner_fibers
+    size = params.vertex_count
+    stride = 4 ** params.n
+    span = 16 * stride
+    bits = _bit_bytes(code.mask, size)
+    out = bytearray(size)
+    for row in range(0, size, span):
+        for base in range(row, row + stride):
+            image = partners.get(bits[base : base + span : stride])
+            if image is None:
+                raise _fiber_error(bits, partners, stride)
+            out[base : base + span : stride] = image
+    members = list(compress(range(size), out))
+    return Code(DoobParams(params.m - 1, params.n + 2), tuple(members))
 
 
 def permute_sh_coordinates(code: Code, perm: Sequence[int]) -> Code:
     """Relabel so that new Shrikhande slot p holds old coordinate perm[p]."""
     params = code.params
+    perm = tuple(perm)
     if sorted(perm) != list(range(params.m)):
-        raise ValueError(f"{tuple(perm)!r} is not a permutation of {params.m} coordinates")
-    if tuple(perm) == tuple(range(params.m)):
+        raise ValueError(f"{perm!r} is not a permutation of {params.m} coordinates")
+    if perm == tuple(range(params.m)):
         return code
+    stride = 4 ** params.n
+    digits = [0] * params.m
     members = []
     for index in code.members:
-        vertex = decode_vertex(index, params)
-        shuffled = tuple(vertex.sh[p] for p in perm)
-        members.append(encode_vertex(DoobVertex(shuffled, vertex.k), params))
+        rest, suffix = divmod(index, stride)
+        for slot in range(params.m - 1, -1, -1):
+            rest, digits[slot] = divmod(rest, 16)
+        new = 0
+        for p in perm:
+            new = new * 16 + digits[p]
+        members.append(new * stride + suffix)
     return Code.from_members(params, members)
 
 

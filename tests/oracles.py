@@ -7,6 +7,8 @@ literally tests every candidate subset on 16-vertex graphs; the bounded
 search adds only a greedy clique-cover feasibility bound so 64-vertex graphs
 finish; latin squares are counted row by row; the two 16-vertex symmetry
 groups are built from their geometric descriptions rather than searched for.
+The reference Shrikhande reduction regroups members fiber by fiber with
+divmod and takes the pairing table as a dict of plain member tuples.
 """
 
 import itertools
@@ -233,3 +235,67 @@ def pattern_preserving_assignments(domain_sets, candidate_sets):
 
     walk()
     return out
+
+
+def last_sh_fibers(members, n):
+    """Fibers at the last Shrikhande coordinate, grouped member by member.
+
+    Keys are (prefix, suffix): the packed other Shrikhande coordinates and the
+    packed K4 coordinates.  Values are the sorted Shrikhande vertex indices
+    there.  Keys appear in the order of each fiber's lowest member.
+    """
+    suffix_size = 4**n
+    fibers = {}
+    for index in members:
+        rest, suffix = divmod(index, suffix_size)
+        prefix, s = divmod(rest, 16)
+        fibers.setdefault((prefix, suffix), []).append(s)
+    return {key: tuple(sorted(values)) for key, values in fibers.items()}
+
+
+class NotAShrikhandeFiber(LookupError):
+    """A fiber with no partner: args are (fiber, prefix, suffix)."""
+
+
+def reduce_last_sh(members, n, partner_of):
+    """Reference reduction of the last Shrikhande coordinate, member by member.
+
+    partner_of maps a Shrikhande code's sorted member tuple to its partner's.
+    Raises NotAShrikhandeFiber for the first fiber, in order of lowest member,
+    that has no partner.
+    """
+    suffix_size = 4**n
+    out = []
+    for (prefix, suffix), fiber in last_sh_fibers(members, n).items():
+        if fiber not in partner_of:
+            raise NotAShrikhandeFiber(fiber, prefix, suffix)
+        for z in partner_of[fiber]:
+            out.append(prefix * 16 * suffix_size + z * suffix_size + suffix)
+    return tuple(sorted(out))
+
+
+def permute_sh(members, m, n, perm):
+    """New Shrikhande slot p holds old coordinate perm[p]; digit arithmetic."""
+    suffix_size = 4**n
+    out = []
+    for index in members:
+        rest, suffix = divmod(index, suffix_size)
+        digits = []
+        for _ in range(m):
+            rest, d = divmod(rest, 16)
+            digits.append(d)
+        digits.reverse()
+        new = 0
+        for p in perm:
+            new = new * 16 + digits[p]
+        out.append(new * suffix_size + suffix)
+    return tuple(sorted(out))
+
+
+def reduce_sh(members, m, n, partner_of, order):
+    """Reference for consuming every Shrikhande coordinate in the given order."""
+    perm = tuple(order[m - 1 - p] for p in range(m))
+    members = permute_sh(members, m, n, perm)
+    for step in range(m):
+        members = reduce_last_sh(members, n + 2 * step, partner_of)
+    return members

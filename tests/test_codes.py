@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from enum import IntEnum
 
@@ -12,6 +13,7 @@ from doobmds import (
     ParameterMismatchError,
     canonical_json,
     code_from_obj,
+    doob_graph,
     code_to_obj,
     dump_code,
     load_code,
@@ -99,6 +101,42 @@ def test_independence_checks(codes_by_params):
     short = Code(DoobParams(1, 0), (0, 2))
     with pytest.raises(ConsistencyError, match="2 members"):
         short.assert_mds()
+
+
+def member_loop_pair(code, graph):
+    """First adjacent pair by walking the members' neighbor masks in order."""
+    for v in code.members:
+        hit = graph.neighbor_masks[v] & code.mask
+        if hit:
+            return v, (hit & -hit).bit_length() - 1
+    return None
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (0, 3), (1, 1), (2, 0)])
+def test_independence_checks_match_member_loop(codes_by_params, m, n):
+    # Full-size codes with one member moved, so assert_mds reaches the
+    # adjacency check: every mismatch of result or message would show.
+    params = DoobParams(m, n)
+    graph = doob_graph(params)
+    rng = random.Random(m * 10 + n)
+    seen = set()
+    for code in codes_by_params[(m, n)][:100]:
+        for _ in range(5):
+            members = set(code.members)
+            members.remove(rng.choice(code.members))
+            members.add(rng.choice([v for v in range(params.vertex_count) if v not in members]))
+            moved = Code.from_members(params, members)
+            expected = member_loop_pair(moved, graph)
+            seen.add(expected is None)
+            assert moved.is_independent() == (expected is None)
+            assert moved.first_adjacent_pair() == expected
+            if expected is None:
+                moved.assert_mds()
+                continue
+            with pytest.raises(ConsistencyError) as info:
+                moved.assert_mds(context="moved")
+            assert str(info.value) == f"moved: adjacent members {expected[0]} and {expected[1]}"
+    assert False in seen
 
 
 def test_graph_parameter_guard(codes_by_params, sh_graph, rook_graph):

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from doobmds import (
     DESK_SCALE_LIMIT,
+    Code,
+    ConsistencyError,
     DeskScaleError,
     DoobParams,
     DoobVertex,
@@ -206,3 +210,102 @@ def test_edgeless_graph_helpers():
     assert g.edge_count() == 0
     assert g.regular_degree() == 0
     assert clique_number(g) == 1
+
+
+WORD_LENGTH_UP_TO_4 = [(m, n) for m in range(3) for n in range(5) if 0 < m + n and 2 * m + n <= 4]
+
+
+def oracle_edges_by_index(m, n):
+    """Oracle adjacency translated to index pairs (u, w) with u < w."""
+    edges = set()
+    for a, neighbors in oracles.doob_adjacency(m, n).items():
+        u = oracles.encode_label(a, m, n)
+        for b in neighbors:
+            w = oracles.encode_label(b, m, n)
+            if u < w:
+                edges.add((u, w))
+    return edges
+
+
+def shift_edges(graph):
+    """Every pair (u, u + d) that Graph.edge_shifts names."""
+    return {
+        (u, u + d)
+        for d, selector in graph.edge_shifts
+        for u in range(graph.vertex_count)
+        if selector >> u & 1
+    }
+
+
+def check_random_sets(graph, params, edges, seed):
+    """Code.is_independent on graph agrees with a pair test over edges, on
+    random vertex sets and on random independent sets with and without one
+    extra vertex."""
+    rng = random.Random(seed)
+    outcomes = set()
+    for trial in range(300):
+        size = rng.randint(1, max(2, graph.vertex_count // 4))
+        members = rng.sample(range(graph.vertex_count), size)
+        if trial % 2:
+            kept = []
+            for v in members:
+                if not any((min(u, v), max(u, v)) in edges for u in kept):
+                    kept.append(v)
+            if trial % 4 == 1:
+                kept.append(members[-1])
+            members = set(kept)
+        independent = not any((u, w) in edges for u in members for w in members)
+        assert Code(params, tuple(sorted(members))).is_independent(graph) == independent
+        outcomes.add(independent)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m, n", WORD_LENGTH_UP_TO_4)
+def test_edge_shifts_match_oracle_adjacency(m, n):
+    params = DoobParams(m, n)
+    graph = doob_graph(params)
+    edges = oracle_edges_by_index(m, n)
+    assert shift_edges(graph) == edges
+    assert [d for d, _ in graph.edge_shifts] == sorted({w - u for u, w in edges})
+    check_random_sets(graph, params, edges, seed=2 * m + n)
+
+
+def test_edge_shift_counts():
+    assert len(doob_graph(DoobParams(1, 2)).edge_shifts) == 13
+    assert len(doob_graph(DoobParams(3, 0)).edge_shifts) == 21
+
+
+@pytest.mark.parametrize(
+    "graph, m, n",
+    [
+        (shrikhande(), 1, 0),
+        (cartesian_product(complete_graph(4), complete_graph(4)), 0, 2),
+    ],
+    ids=["Sh", "K4xK4"],
+)
+def test_edge_shifts_without_params(graph, m, n):
+    assert graph.params is None
+    edges = oracle_edges_by_index(m, n)
+    assert shift_edges(graph) == edges
+    check_random_sets(graph, DoobParams(m, n), edges, seed=m + n)
+
+
+@pytest.mark.parametrize("keep", ["higher", "lower", "mixed"])
+def test_edge_shifts_on_one_sided_adjacency(sh_graph, keep):
+    """Each edge stored in one row only still gives the same shifts and checks."""
+    rows = [0] * sh_graph.vertex_count
+    for u, w in oracle_edges_by_index(1, 0):
+        if keep == "lower" or (keep == "mixed" and (u + w) % 2):
+            rows[u] |= 1 << w
+        else:
+            rows[w] |= 1 << u
+    one_sided = Graph(sh_graph.vertex_count, tuple(rows))
+    assert one_sided.edge_shifts == sh_graph.edge_shifts
+    params = DoobParams(1, 0)
+    check_random_sets(one_sided, params, oracle_edges_by_index(1, 0), seed=len(keep))
+    u, w = min(oracle_edges_by_index(1, 0))
+    spread = Code(params, tuple(sorted({u, w, 10, 15})))
+    pair = spread.first_adjacent_pair(one_sided)
+    assert pair is not None and (min(pair), max(pair)) in oracle_edges_by_index(1, 0)
+    with pytest.raises(ConsistencyError, match=f"adjacent members {pair[0]} and {pair[1]}"):
+        spread.assert_mds(one_sided)

@@ -6,6 +6,7 @@ from doobmds import (
     DoobParams,
     PairingTable,
     derive_pairing,
+    enumerate_mds,
     k4_pair_codes,
     pairing_violations,
     permute_sh_coordinates,
@@ -13,9 +14,13 @@ from doobmds import (
     reduce_sh_coordinates,
     sh_codes,
 )
-from doobmds.reduction import last_sh_fibers
 
 import oracles
+
+
+def partner_tuples(table):
+    """The pairing table as the oracles take it: member tuple -> member tuple."""
+    return {dom.members: img.members for dom, img in zip(table.domain, table.image)}
 
 
 def test_code_lists_are_canonical(codes_by_params):
@@ -93,7 +98,7 @@ def test_reduction_preserves_cardinality_and_is_injective(codes_by_params):
 def test_reduction_fibers_are_shrikhande_codes(codes_by_params):
     sh_sets = {c.members for c in sh_codes()}
     for code in codes_by_params[(1, 1)][:40]:
-        for fiber in last_sh_fibers(code).values():
+        for fiber in oracles.last_sh_fibers(code.members, code.params.n).values():
             assert fiber in sh_sets
 
 
@@ -158,3 +163,44 @@ def test_reduced_codes_verify_everywhere(codes_by_params):
         reduce_sh_coordinates(code).assert_mds()
     for code in codes_by_params[(1, 1)][:25]:
         reduce_sh_coordinates(code).assert_mds()
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 0)])
+def test_reduction_matches_member_by_member_reference(codes_by_params, m, n):
+    params = DoobParams(m, n)
+    codes = codes_by_params[(m, n)] if (m, n) in codes_by_params else enumerate_mds(params).codes
+    partner_of = partner_tuples(derive_pairing())
+    orders = [(1, 0), (0, 1)] if m == 2 else [(0,)]
+    for order in orders:
+        for code in codes:
+            reduced = reduce_sh_coordinates(code, order=order)
+            expected = oracles.reduce_sh(code.members, m, n, partner_of, order)
+            assert reduced.members == expected
+            assert reduced.mask == sum(1 << v for v in expected)
+            assert reduced.params == DoobParams(0, n + 2 * m)
+
+
+def test_wrong_pairing_table_names_the_lowest_bad_fiber(codes_by_params):
+    table = derive_pairing()
+    # Drop every other partner, so that many codes have several fibers with
+    # none, and the first of them by offset is often not the one holding the
+    # lowest member.
+    broken = PairingTable(table.domain[::2], table.image[::2])
+    partner_of = partner_tuples(broken)
+    checked = 0
+    for m, n in [(1, 0), (1, 1), (2, 0)]:
+        for code in codes_by_params[(m, n)][:300]:
+            try:
+                oracles.reduce_last_sh(code.members, n, partner_of)
+            except oracles.NotAShrikhandeFiber as exc:
+                fiber, prefix, suffix = exc.args
+                message = f"fiber {fiber} at prefix {prefix}, suffix {suffix} is not a Shrikhande code"
+                with pytest.raises(ConsistencyError) as info:
+                    reduce_last_sh_coordinate(code, broken)
+                assert str(info.value) == message
+                checked += 1
+            else:
+                assert reduce_last_sh_coordinate(code, broken).members == (
+                    oracles.reduce_last_sh(code.members, n, partner_of)
+                )
+    assert checked > 100
