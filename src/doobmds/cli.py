@@ -154,8 +154,8 @@ def _check_against_known(params: DoobParams, count: int):
 
 def _certificate(code) -> tuple[str, bool]:
     expected = code.params.code_size
-    if len(code.members) != expected:
-        return f"wrong cardinality {len(code.members)} != {expected}", False
+    if len(code) != expected:
+        return f"wrong cardinality {len(code)} != {expected}", False
     pair = code.first_adjacent_pair()
     if pair is not None:
         return f"not independent: ({pair[0]},{pair[1]})", False
@@ -276,7 +276,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_classify(args) -> int:
     directory = Path(args.directory)
-    files = sorted(directory.glob("*.code"))
+    # Same order as sorting the paths, as they share one directory, but
+    # comparing strings skips pathlib's comparison.
+    files = sorted(directory.glob("*.code"), key=str)
     if not files:
         raise FormatError(f"no .code files in {directory}")
     codes = [read_code(path) for path in files]

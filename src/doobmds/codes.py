@@ -1,7 +1,10 @@
 """Vertex codes in Doob graphs: validation, intersections, and file round-trips.
 
-A code is a subset of the vertices of D(m,n), stored as a strictly increasing
-tuple of vertex indices plus a membership bitmask.  The on-disk form is one
+A code is a subset of the vertices of D(m,n), stored as its membership
+bitmask: bit v is set iff vertex v is a member.  The mask is the code's
+identity (equality, hashing, size); the strictly increasing tuple of member
+indices is derived from it on first read and kept, unless the code was built
+from members, which are then kept as given.  The on-disk form is one
 JSON object: {"m": m, "members": [...], "n": n} where each member lists its m
 Shrikhande coordinates as [a, b] pairs followed by its n K4 values, and the
 members appear in increasing index order.  Serialization is canonical (sorted
@@ -9,10 +12,12 @@ keys, no whitespace, single trailing newline) so equal codes produce
 byte-identical files.
 
 Loading reads byte-canonical text (exactly what dump_code writes) by slicing
-it at the fixed member width and looking each member up in a per-parameter
-table of member texts.  Any other text goes through the full JSON parse and
-validation, which also gives every error message; both ways give the same
-code for the same document.
+it at the fixed member width and summing each member's bit from a
+per-parameter table of member texts.  Any other text goes through the full
+JSON parse and validation, which also gives every error message; both ways
+give the same code for the same document.  Parameters of word length
+2m + n over MAX_WORD_LENGTH are a format error, found before any
+4^(2m+n) is computed.
 
 Independence is checked on the mask, with no loop over members: for each
 distinct index difference d > 0 of an edge, the graph keeps the vertices u
@@ -26,24 +31,49 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
-from typing import Iterable, Optional
+from itertools import compress, count
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, FormatError, ParameterMismatchError
-from .graphs import DoobParams, DoobVertex, Graph, decode_vertex, doob_graph, encode_vertex
+from .graphs import DoobParams, DoobVertex, Graph, decode_vertex, encode_vertex, graph_of
 
 
-@dataclass(frozen=True)
 class Code:
-    """An immutable vertex subset of D(m,n)."""
+    """An immutable vertex subset of D(m,n), stored as its membership mask.
 
-    params: DoobParams
-    members: tuple[int, ...]
-    mask: int = field(default=-1, compare=False, repr=False)
+    Code(params, members) validates a strictly increasing sequence of vertex
+    indices and keeps it as given; Code.from_mask(params, mask) checks only
+    the mask's type, sign and width.  Both run __post_init__.  Equality and
+    hashing use (params, mask), and a mask-built code derives its members
+    tuple from the mask on first read.
+    """
 
-    def __post_init__(self):
-        members = self.members
+    __slots__ = ("params", "mask", "_members")
+
+    def __init__(
+        self, params: DoobParams, members: Optional[Sequence[int]] = None, *, mask=None
+    ):
+        object.__setattr__(self, "params", params)
+        self.__post_init__(members, mask)
+
+    def __post_init__(self, members, mask):
+        if mask is not None:
+            if members is not None:
+                raise TypeError("give a code's members or its mask, not both")
+            if type(mask) is not int:
+                raise ValueError(f"mask {mask!r} is not an int")
+            if mask < 0:
+                raise ValueError("mask is negative")
+            if mask.bit_length() > self.params.vertex_count:
+                raise ValueError(
+                    f"mask has bit {mask.bit_length() - 1}, out of range for {self.params}"
+                )
+            object.__setattr__(self, "mask", mask)
+            object.__setattr__(self, "_members", None)
+            return
+        object.__setattr__(self, "_members", members)
         if (
             isinstance(members, tuple)
             and members
@@ -57,7 +87,7 @@ class Code:
             return
         mask = 0
         prev = -1
-        for v in self.members:
+        for v in members:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"member {v!r} is not an integer index")
             if not 0 <= v < self.params.vertex_count:
@@ -69,13 +99,47 @@ class Code:
         object.__setattr__(self, "mask", mask)
 
     @classmethod
+    def from_mask(cls, params: DoobParams, mask: int) -> "Code":
+        """The code whose members are the set bits of mask."""
+        return cls(params, mask=mask)
+
+    @classmethod
     def from_members(cls, params: DoobParams, members: Iterable[int]) -> "Code":
         """Build a code from an unordered member iterable; duplicates are an error."""
         ordered = tuple(sorted(members))
         return cls(params, ordered)
 
+    @property
+    def members(self) -> Sequence[int]:
+        """Member vertex indices in increasing order."""
+        members = self._members
+        if members is None:
+            members = tuple(compress(count(), bit_bytes(self.mask, 0)))
+            object.__setattr__(self, "_members", members)
+        return members
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Code.from_mask, (self.params, self.mask)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and self.params == other.params
+
+    def __hash__(self):
+        return hash((self.params, self.mask))
+
+    def __repr__(self):
+        return f"Code(params={self.params!r}, members={self.members!r})"
+
     def __len__(self):
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, v):
         return isinstance(v, int) and 0 <= v < self.params.vertex_count and self.mask >> v & 1
@@ -89,7 +153,7 @@ class Code:
 
     def _resolve_graph(self, graph: Optional[Graph]) -> Graph:
         if graph is None:
-            return doob_graph(self.params)
+            return graph_of(self.params)
         if graph.params is not None and graph.params != self.params:
             raise ParameterMismatchError(
                 f"code over {self.params} checked against graph of {graph.params}"
@@ -117,13 +181,14 @@ class Code:
 
     def is_mds(self, graph: Optional[Graph] = None) -> bool:
         """True iff this is a maximum independent set (a distance-2 MDS code)."""
-        return len(self.members) == self.params.code_size and self.is_independent(graph)
+        return len(self) == self.params.code_size and self.is_independent(graph)
 
     def assert_mds(self, graph: Optional[Graph] = None, context: str = "code"):
         """Raise ConsistencyError with a reason if this is not an MDS code."""
-        if len(self.members) != self.params.code_size:
+        size = len(self)
+        if size != self.params.code_size:
             raise ConsistencyError(
-                f"{context}: {len(self.members)} members, expected {self.params.code_size}"
+                f"{context}: {size} members, expected {self.params.code_size}"
             )
         pair = self.first_adjacent_pair(graph)
         if pair is not None:
@@ -131,6 +196,14 @@ class Code:
 
     def vertices(self) -> tuple[DoobVertex, ...]:
         return tuple(decode_vertex(v, self.params) for v in self.members)
+
+
+_BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_bytes(mask: int, size: int) -> bytes:
+    """Byte v is 1 if bit v of mask is set, else 0; size bytes (more if mask is wider)."""
+    return format(mask, f"0{size}b").encode().translate(_BIT_BYTE)[::-1]
 
 
 def _independent(mask: int, graph: Graph) -> bool:
@@ -154,6 +227,10 @@ def intersection_profile(code: Code, family: Iterable[Code]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # JSON round-trip
 # ---------------------------------------------------------------------------
+
+
+# Largest word length 2m + n a file may declare: 4^6 vertices is the desk-scale limit.
+MAX_WORD_LENGTH = 6
 
 
 def canonical_json(obj) -> str:
@@ -208,6 +285,12 @@ def params_from_obj(obj) -> DoobParams:
             raise FormatError(f"missing key {key!r}")
         if not _plain_int(obj[key]) or obj[key] < 0:
             raise FormatError(f"key {key!r} must be a nonnegative integer")
+    # Before DoobParams, so no 4 ** (2m + n) is computed for parameters past desk scale.
+    if 2 * obj["m"] + obj["n"] > MAX_WORD_LENGTH:
+        raise FormatError(
+            f"parameters m = {obj['m']}, n = {obj['n']} have word length 2m + n "
+            f"over {MAX_WORD_LENGTH}"
+        )
     try:
         return DoobParams(obj["m"], obj["n"])
     except ValueError as exc:
@@ -229,16 +312,16 @@ def dump_code(code: Code) -> str:
     return canonical_json(code_to_obj(code))
 
 
-# The exact text dump_code writes at word length 2m + n <= 6, so m and n are
-# single digits; longer numbers are left to the JSON parse.
+# The exact text dump_code writes at word length 2m + n <= MAX_WORD_LENGTH, so
+# m and n are single digits; longer numbers are left to the JSON parse.
 _CANONICAL_CODE = re.compile(r'\{"m":([0-9]),"members":\[(.*)\],"n":([0-9])\}\n')
 
 
 @lru_cache(maxsize=None)
-def _member_indices(params: DoobParams) -> dict[str, int]:
-    """Canonical JSON text of every member of D(m,n), mapped to its index."""
+def _member_bits(params: DoobParams) -> dict[str, int]:
+    """Canonical JSON text of every member of D(m,n), mapped to its bit 1 << index."""
     return {
-        json.dumps(member_to_obj(v, params), separators=(",", ":")): v
+        json.dumps(member_to_obj(v, params), separators=(",", ":")): 1 << v
         for v in range(params.vertex_count)
     }
 
@@ -249,8 +332,8 @@ def _load_canonical(text: str) -> Optional[Code]:
     if match is None:
         return None
     m, body, n = int(match[1]), match[2], int(match[3])
-    # Word length first, so 4 ** (2m + n) is never computed past the desk scale 4^6.
-    if m + n == 0 or 2 * m + n > 6:
+    # Word length first, so 4 ** (2m + n) is never computed past desk scale.
+    if m + n == 0 or 2 * m + n > MAX_WORD_LENGTH:
         return None
     params = DoobParams(m, n)
     width = 1 + 6 * m + 2 * n  # "[", m "[a,b]," and n "k,", the last comma as "]"
@@ -258,12 +341,13 @@ def _load_canonical(text: str) -> Optional[Code]:
     if ",".join(tokens) != body:
         return None
     try:
-        indices = tuple(map(_member_indices(params).__getitem__, tokens))
+        bits = list(map(_member_bits(params).__getitem__, tokens))
     except KeyError:
         return None
-    if not all(map(operator.lt, indices, indices[1:])):
+    # Bits increase exactly when the member indices do.
+    if not all(map(operator.lt, bits, bits[1:])):
         return None
-    return Code(params, indices)
+    return Code.from_mask(params, sum(bits))
 
 
 def load_code(text: str) -> Code:
@@ -272,7 +356,7 @@ def load_code(text: str) -> Code:
         return code
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number over the int digit limit
         raise FormatError(f"invalid JSON: {exc}") from None
     return code_from_obj(obj)
 

@@ -10,6 +10,7 @@ is rejected outright instead of degrading.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Optional
@@ -53,6 +54,10 @@ class DoobParams:
 
     def __str__(self):
         return f"D({self.m},{self.n})"
+
+    def __getstate__(self):
+        # Only the fields: graph_of's weak reference cannot be pickled.
+        return {"m": self.m, "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -264,6 +269,21 @@ def doob_graph(params: DoobParams) -> Graph:
         params=params,
         label=str(params),
     )
+
+
+def graph_of(params: DoobParams) -> Graph:
+    """doob_graph(params), remembered on the params object by a weak reference.
+
+    A repeated call with the same object skips hashing it for the lru cache.
+    Only that cache holds the graph strongly, so clearing it still makes the
+    next call build the graph again.
+    """
+    ref = params.__dict__.get("_graph")
+    graph = None if ref is None else ref()
+    if graph is None:
+        graph = doob_graph(params)
+        params.__dict__["_graph"] = weakref.ref(graph)
+    return graph
 
 
 def encode_vertex(vertex: DoobVertex, params: DoobParams) -> int:

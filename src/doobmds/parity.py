@@ -16,6 +16,7 @@ graph H(2m+n,4).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -146,28 +147,28 @@ def representative_rules(params: DoobParams) -> Iterator[ParityRule]:
 
 
 @lru_cache(maxsize=None)
-def _vertex_profile(params: DoobParams):
-    """Per vertex: (first-component vector index, first-sum parity, second-sum parity)."""
+def _vertex_profile(params: DoobParams) -> tuple[tuple[int, int], ...]:
+    """Per first-component vector: the masks of its vertices with even first
+    sum and second-sum parity 0, and 1 (both 0 at an odd-sum vector)."""
     check_desk_scale(params)
-    profile = []
+    profile = [[0, 0] for _ in range(rule_domain_size(params))]
     for index in range(params.vertex_count):
         vertex = decode_vertex(index, params)
         first = tuple(a for a, _ in vertex.sh) + tuple(v >> 1 for v in vertex.k)
-        second_sum = sum(b for _, b in vertex.sh) + sum(v & 1 for v in vertex.k)
-        profile.append((point_index(params, first), sum(first) % 2, second_sum % 2))
-    return tuple(profile)
+        if sum(first) % 2 == 0:
+            second_sum = sum(b for _, b in vertex.sh) + sum(v & 1 for v in vertex.k)
+            profile[point_index(params, first)][second_sum % 2] |= 1 << index
+    return tuple(map(tuple, profile))
 
 
 def build_parity_code(rule: ParityRule) -> Code:
-    """The code selected by a rule: even first sum, prescribed second parity."""
-    members = tuple(
-        index
-        for index, (point, first_parity, second_parity) in enumerate(
-            _vertex_profile(rule.params)
-        )
-        if first_parity == 0 and second_parity == rule.bits[point]
-    )
-    return Code(rule.params, members)
+    """The code selected by a rule: even first sum, prescribed second parity.
+
+    It is the union over the first-component vectors p of the vertices on p
+    with second parity rule.bits[p]; the parts are disjoint, so their masks add.
+    """
+    profile = _vertex_profile(rule.params)
+    return Code.from_mask(rule.params, sum(map(operator.getitem, profile, rule.bits)))
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def dump_rule(rule: ParityRule) -> str:
 def load_rule(text: str) -> ParityRule:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number over the int digit limit
         raise FormatError(f"invalid JSON: {exc}") from None
     return rule_from_obj(obj)
 

@@ -16,29 +16,25 @@ The reduction works on the code's mask.  Written out as one byte per vertex
 vertex is the 16-byte slice at stride 4^n, and the partner code's bytes go
 into the same slice of the output, because vertex (prefix, s, suffix) of
 D(m,n) and vertex (prefix, z, suffix) of D(m-1,n+2) have the same index when
-s = z.  Permuting Shrikhande coordinates rewrites each member's base-16
-digits directly, without decoding it to a vertex.
+s = z.  The fibers are read and written by mapping over one cached tuple of
+slices per (size, stride), and the output bytes are parsed back into the new
+code's mask.  Permuting Shrikhande coordinates rewrites each member's
+base-16 digits directly, without decoding it to a vertex.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
 from typing import Optional, Sequence
 
-from .codes import Code
+from .codes import Code, bit_bytes
 from .errors import ConsistencyError
 from .graphs import DoobParams
 from .search import enumerate_mds
 
-
-_BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_bytes(mask: int, size: int) -> bytes:
-    """Byte v is 1 if bit v of mask is set, else 0; size bytes (more if mask is wider)."""
-    return format(mask, f"0{size}b").encode().translate(_BIT_BYTE)[::-1]
+_BYTE_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=None)
@@ -65,11 +61,12 @@ class PairingTable:
     image: tuple[Code, ...]
 
     @cached_property
-    def partner_fibers(self) -> dict[bytes, bytes]:
+    def partner_fibers(self) -> dict[bytes, bytearray]:
         """Bit bytes (byte s is 1 iff s is a member) of each domain code, mapped
-        to those of its partner."""
+        to those of its partner.  The partner's are a bytearray, which slice
+        assignment copies without converting it first."""
         return {
-            _bit_bytes(dom.mask, 16): _bit_bytes(img.mask, 16)
+            bit_bytes(dom.mask, 16): bytearray(bit_bytes(img.mask, 16))
             for dom, img in zip(self.domain, self.image)
         }
 
@@ -132,15 +129,14 @@ def derive_pairing() -> PairingTable:
 
 def _fiber_error(bits: bytes, partners: dict, stride: int) -> ConsistencyError:
     """The error naming the non-Shrikhande fiber that holds the lowest member."""
-    span = 16 * stride
     bad = []
-    for row in range(0, len(bits), span):
-        for base in range(row, row + stride):
-            fiber = bits[base : base + span : stride]
-            if fiber not in partners:
-                bad.append((base + stride * fiber.index(1), base, fiber))
+    for fiber_slice in _fiber_slices(len(bits), stride):
+        fiber = bits[fiber_slice]
+        if fiber not in partners:
+            base = fiber_slice.start
+            bad.append((base + stride * fiber.index(1), base, fiber))
     _, base, fiber = min(bad)
-    prefix, suffix = divmod(base, span)
+    prefix, suffix = divmod(base, 16 * stride)
     values = tuple(s for s in range(16) if fiber[s])
     return ConsistencyError(
         f"fiber {values} at prefix {prefix}, suffix {suffix} is not a Shrikhande code"
@@ -165,17 +161,33 @@ def reduce_last_sh_coordinate(code: Code, table: Optional[PairingTable] = None) 
     partners = table.partner_fibers
     size = params.vertex_count
     stride = 4 ** params.n
-    span = 16 * stride
-    bits = _bit_bytes(code.mask, size)
+    bits = bit_bytes(code.mask, size)
+    fibers = _fiber_slices(size, stride)
+    try:
+        images = list(map(partners.__getitem__, map(bits.__getitem__, fibers)))
+    except KeyError:
+        raise _fiber_error(bits, partners, stride) from None
     out = bytearray(size)
-    for row in range(0, size, span):
-        for base in range(row, row + stride):
-            image = partners.get(bits[base : base + span : stride])
-            if image is None:
-                raise _fiber_error(bits, partners, stride)
-            out[base : base + span : stride] = image
-    members = list(compress(range(size), out))
-    return Code(DoobParams(params.m - 1, params.n + 2), tuple(members))
+    deque(map(out.__setitem__, fibers, images), maxlen=0)
+    mask = int(out[::-1].translate(_BYTE_DIGIT), 2)
+    return Code.from_mask(_reduced_params(params), mask)
+
+
+@lru_cache(maxsize=None)
+def _fiber_slices(size: int, stride: int) -> tuple[slice, ...]:
+    """The slice of every fiber at the last Shrikhande coordinate, lowest base first."""
+    span = 16 * stride
+    return tuple(
+        slice(base, base + span, stride)
+        for row in range(0, size, span)
+        for base in range(row, row + stride)
+    )
+
+
+@lru_cache(maxsize=None)
+def _reduced_params(params: DoobParams) -> DoobParams:
+    """D(m-1, n+2), one object per D(m,n), so later checks find its graph on it."""
+    return DoobParams(params.m - 1, params.n + 2)
 
 
 def permute_sh_coordinates(code: Code, perm: Sequence[int]) -> Code:

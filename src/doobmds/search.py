@@ -6,9 +6,15 @@ the last coordinate: a maximum independent set of G x F restricts, for each
 vertex f of F, to a fiber in G, and a counting argument forces every fiber to
 be a maximum independent set of G.  Independence across fibers then says the
 fibers at adjacent factor vertices are disjoint, so enumeration reduces to
-assembling pairwise-compatible smaller codes.  Output order is lexicographic
-on the member tuples, independent of the search order and of the worker
-count.
+assembling pairwise-compatible smaller codes.
+
+Every code is handled as its vertex mask, sub-codes included: a product
+code's mask is the sum of its sub-code masks, each spread to the product's
+indexing and shifted to its factor vertex, and enumerate_mds builds each
+Code from its mask, so a member tuple exists only once something reads
+Code.members.  Output order is still lexicographic on the member tuples,
+independent of the search order and of the worker count: it is sorted by
+the bit-reversed mask, descending.
 
 Counting does not visit every assignment.  An automorphism g of G, applied to
 every fiber at once, maps an assignment (c_f) to (g c_f): fibers stay maximum
@@ -25,6 +31,7 @@ At the last factor vertex the remaining choices are counted as one popcount.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -201,21 +208,28 @@ def _run_assembly(factor: Graph, sub_masks, jobs):
     return [assignment for part in parts for assignment in part]
 
 
-def _member_tuples(params: DoobParams, jobs: int) -> list[tuple[int, ...]]:
+def _member_tuples(params: DoobParams, jobs: int) -> list[int]:
+    """The mask of every maximum independent set of D(m,n), in assembly order.
+
+    A product code is assembled from sub-code masks: the sub-code at factor
+    vertex f has its vertex g at product vertex g * width + f, so its mask is
+    spread (bit g to bit g * width) and shifted left by f.  The spread masks
+    are disjoint, so their sum is their union.  (The name is older than the
+    masks; bench/tracing.py wraps the function under it.)
+    """
     rest, factor = _decompose(params)
     if rest is None:
-        return independent_sets_of_size(factor, params.code_size)
-    sub_members = _member_tuples(rest, 1)
-    sub_masks = [_mask(t) for t in sub_members]
+        return [_mask(t) for t in independent_sets_of_size(factor, params.code_size)]
+    sub_masks = _member_tuples(rest, 1)
     assignments = _run_assembly(factor, sub_masks, jobs)
     width = factor.vertex_count
-    out = []
-    for assignment in assignments:
-        members = sorted(
-            g * width + f for f, i in enumerate(assignment) for g in sub_members[i]
-        )
-        out.append(tuple(members))
-    return out
+    spread_digits = str.maketrans({"0": "0" * width, "1": "0" * (width - 1) + "1"})
+    spreads = [int(format(mask, "b").translate(spread_digits), 2) for mask in sub_masks]
+    shifts = range(width)
+    return [
+        sum(map(operator.lshift, map(spreads.__getitem__, assignment), shifts))
+        for assignment in assignments
+    ]
 
 
 def _mask(members) -> int:
@@ -223,6 +237,18 @@ def _mask(members) -> int:
     for v in members:
         mask |= 1 << v
     return mask
+
+
+def _lexicographic_key(size: int):
+    """Sort key on masks of equal popcount: by it, descending, the member
+    tuples come out in increasing lexicographic order.
+
+    Of two such codes, the one holding the lowest vertex where they differ
+    has the smaller member tuple; reversing the size bits puts that vertex
+    at the highest differing bit, where that code has a 1.
+    """
+    spec = f"0{size}b"
+    return lambda mask: int(format(mask, spec)[::-1], 2)
 
 
 def enumerate_mds(
@@ -233,12 +259,15 @@ def enumerate_mds(
     With materialize=False only the count is produced (constant memory in the
     number of codes at the target parameters), by count_mds in this process.
     Otherwise jobs worker processes, at most one per core, split the search.
+    The codes are built from masks, in lexicographic order of their member
+    tuples.
     """
     check_desk_scale(params)
     if not materialize:
         return EnumerationResult(params, count_mds(params), None)
-    tuples = sorted(_member_tuples(params, jobs))
-    codes = tuple(Code(params, members) for members in tuples)
+    masks = _member_tuples(params, jobs)
+    masks.sort(key=_lexicographic_key(params.vertex_count), reverse=True)
+    codes = tuple(Code.from_mask(params, mask) for mask in masks)
     if verify:
         graph = doob_graph(params)
         for position, code in enumerate(codes):
@@ -259,7 +288,7 @@ def count_mds(params: DoobParams, jobs: int = 1) -> int:
     rest, factor = _decompose(params)
     if rest is None:
         return len(independent_sets_of_size(factor, params.code_size))
-    sub_masks = [_mask(t) for t in _member_tuples(rest, 1)]
+    sub_masks = _member_tuples(rest, 1)
     orbits = orbits_of_masks(sub_masks, doob_symmetries(rest).generators, rest.vertex_count)
     compat = _compatibility(sub_masks)
     return sum(

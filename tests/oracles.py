@@ -8,7 +8,8 @@ search adds only a greedy clique-cover feasibility bound so 64-vertex graphs
 finish; latin squares are counted row by row; the two 16-vertex symmetry
 groups are built from their geometric descriptions rather than searched for.
 The reference Shrikhande reduction regroups members fiber by fiber with
-divmod and takes the pairing table as a dict of plain member tuples.
+divmod and takes the pairing table as a dict of plain member tuples; the
+reference parity code tests every labeled vertex against the rule.
 """
 
 import itertools
@@ -299,3 +300,27 @@ def reduce_sh(members, m, n, partner_of, order):
     for step in range(m):
         members = reduce_last_sh(members, n + 2 * step, partner_of)
     return members
+
+
+def parity_members(m, n, bits):
+    """Reference parity code, vertex by vertex over labeled tuples.
+
+    A Shrikhande pair (a, b) gives first component a and second b; a K4 value
+    v gives v // 2 and v % 2.  The members are the vertices whose first
+    components sum to an even number and whose second components sum to
+    bits[p] mod 2, where p indexes the first-component vector with Shrikhande
+    positions as base-4 digits and K4 positions as base-2 digits.
+    """
+    sh_labels = [(a, b) for a in range(4) for b in range(4)]
+    out = []
+    for label in itertools.product(*([sh_labels] * m + [range(4)] * n)):
+        firsts = [a for a, _ in label[:m]] + [v // 2 for v in label[m:]]
+        seconds = [b for _, b in label[:m]] + [v % 2 for v in label[m:]]
+        if sum(firsts) % 2:
+            continue
+        point = 0
+        for position, value in enumerate(firsts):
+            point = point * (4 if position < m else 2) + value
+        if sum(seconds) % 2 == bits[point]:
+            out.append(encode_label(label, m, n))
+    return tuple(sorted(out))

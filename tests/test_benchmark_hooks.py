@@ -1,0 +1,84 @@
+"""The program names the benchmark under bench/ wraps, clears or calls.
+
+bench/tracing.py times Code construction and verification by replacing
+Code.__post_init__ and Code.assert_mds on the class, and wraps or counts a few
+private functions; this pins each of them, and that every way a Code is built
+runs __post_init__, so the traced construction time covers them all.
+"""
+
+import pytest
+
+from doobmds import (
+    Code,
+    DoobParams,
+    build_parity_code,
+    dump_code,
+    enumerate_mds,
+    load_code,
+    reduce_last_sh_coordinate,
+    reduce_sh_coordinates,
+    representative_rules,
+)
+from doobmds import codes, graphs, parity, reduction, search, symmetry
+
+
+def test_wrapped_methods_are_defined_on_code():
+    assert "__post_init__" in vars(Code)
+    assert "assert_mds" in vars(Code)
+
+
+def test_wrapped_and_cleared_functions_exist():
+    for function in (search._member_tuples, search._compatibility, symmetry.apply_perm_to_code):
+        assert callable(function)
+    cached = [
+        graphs.doob_graph,
+        graphs.shrikhande,
+        graphs.complete_graph,
+        symmetry.doob_symmetries,
+        reduction.derive_pairing,
+        reduction.sh_codes,
+        reduction.k4_pair_codes,
+        parity.even_point_indices,
+        parity._vertex_profile,
+    ]
+    for function in cached:
+        assert callable(function.cache_clear), function
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """A list that grows by one for every Code.__post_init__ call."""
+    calls = []
+    original = vars(Code)["__post_init__"]
+
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(Code, "__post_init__", counting)
+    return calls
+
+
+def test_every_construction_path_runs_post_init(constructions):
+    p = DoobParams(1, 0)
+    Code(p, (0, 2, 8, 10))
+    assert len(constructions) == 1
+    Code.from_mask(p, 0b10100000101)
+    assert len(constructions) == 2
+
+    result = enumerate_mds(DoobParams(1, 1), verify=False)
+    code = result.codes[7]
+    assert constructions[-result.count :] == list(result.codes)
+
+    loaded = load_code(dump_code(code))  # the canonical fast path
+    assert loaded == code and constructions[-1] is loaded
+
+    image = reduce_last_sh_coordinate(code)
+    assert constructions[-1] is image
+
+    rule = next(iter(representative_rules(DoobParams(2, 0))))
+    built = build_parity_code(rule)
+    assert constructions[-1] is built
+
+    reduced = reduce_sh_coordinates(enumerate_mds(DoobParams(2, 0), verify=False).codes[3])
+    assert constructions[-1] is reduced

@@ -139,6 +139,28 @@ def test_verify_parse_problems(tmp_path, capsys):
     assert code == 3
 
 
+def test_files_past_desk_scale_or_the_digit_limit_are_parse_errors(tmp_path, capsys):
+    huge_m = tmp_path / "huge_m.code"
+    huge_m.write_text('{"m":100000,"members":[],"n":0}\n')
+    digits = tmp_path / "digits.code"
+    digits.write_text('{"m":' + "1" * 5000 + ',"members":[],"n":0}\n')
+    code, out, _ = run(capsys, "verify", str(huge_m), str(digits))
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0].endswith(
+        "parse error: parameters m = 100000, n = 0 have word length 2m + n over 6"
+    )
+    assert "parse error: invalid JSON: Exceeds the limit (4300 digits)" in lines[1]
+    rule = tmp_path / "rule.json"
+    rule.write_text('{"bits":"0","m":' + "1" * 5000 + ',"n":0}\n')
+    code, out, err = run(capsys, "lambda", str(rule))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+    rule.write_text('{"bits":"0","m":100000,"n":0}\n')
+    code, _, err = run(capsys, "lambda", str(rule))
+    assert code == 3 and "word length 2m + n over 6" in err
+
+
 def test_xi_table(tmp_path, capsys):
     code, out, _ = run(capsys, "xi")
     assert code == 0

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import time
 from enum import IntEnum
@@ -60,6 +61,52 @@ def test_code_accepts_int_subclasses_and_lists():
     with pytest.raises(ValueError, match="strictly increasing"):
         Code(p, [2, 0])
     assert Code(p, ()).mask == 0
+
+
+def test_mask_constructor_validates():
+    p = DoobParams(1, 0)
+    assert Code.from_mask(p, 0b10100000101).members == (0, 2, 8, 10)
+    assert Code.from_mask(p, 0).members == ()
+    assert len(Code.from_mask(p, (1 << 16) - 1)) == 16
+    cases = [
+        (-1, "mask is negative"),
+        (True, "mask True is not an int"),
+        (5.0, "mask 5.0 is not an int"),
+        (1 << 16, "mask has bit 16, out of range for D(1,0)"),
+    ]
+    for mask, message in cases:
+        with pytest.raises(ValueError) as info:
+            Code.from_mask(p, mask)
+        assert str(info.value) == message, (mask, info.value)
+    with pytest.raises(TypeError):
+        Code(p, (0, 2), mask=0b101)
+
+
+def test_mask_built_and_member_built_codes_agree(codes_by_params):
+    for key in [(1, 0), (0, 2), (1, 1)]:
+        for code in codes_by_params[key][:20]:
+            by_members = Code(code.params, tuple(code.members))
+            by_mask = Code.from_mask(code.params, by_members.mask)
+            assert by_mask == by_members and hash(by_mask) == hash(by_members)
+            assert by_mask.members == by_members.members
+            assert type(by_mask.members) is tuple
+            assert len(by_mask) == len(by_members) == code.params.code_size
+            assert repr(by_mask) == repr(by_members)
+            assert repr(by_mask).startswith("Code(params=DoobParams(m=")
+    p = DoobParams(1, 0)
+    assert Code(p, [0, 2]) == Code(p, (0, 2)) == Code.from_mask(p, 0b101)
+    assert Code(p, (0, 2)) != Code(DoobParams(0, 2), (0, 2))
+    assert Code(p, (0, 2)) != Code(p, (0, 3))
+
+
+def test_code_is_immutable_and_pickles():
+    code = Code.from_mask(DoobParams(1, 0), 0b101)
+    with pytest.raises(AttributeError):
+        code.mask = 1
+    with pytest.raises(AttributeError):
+        del code.params
+    copy = pickle.loads(pickle.dumps(code))
+    assert copy == code and copy.members == (0, 2)
 
 
 def test_from_members_sorts_and_rejects_duplicates():
@@ -260,11 +307,11 @@ def test_canonical_layout_errors_match_the_json_path(monkeypatch):
         ('{"m":0,"members":[],"n":0}\n', "empty parameter set: need m + n >= 1"),
         (
             '{"m":9,"members":[[[0,0]]],"n":0}\n',
-            "member [[0, 0]] does not have 9 Shrikhande + 0 K4 coordinates",
+            "parameters m = 9, n = 0 have word length 2m + n over 6",
         ),
         (
             '{"m":1000000,"members":[[[0,0]]],"n":0}\n',
-            "member [[0, 0]] does not have 1000000 Shrikhande + 0 K4 coordinates",
+            "parameters m = 1000000, n = 0 have word length 2m + n over 6",
         ),
         ('{"m":0,"members":[[1]],"n":1}\nx', "invalid JSON: Extra data: line 2 column 1"),
     ]

@@ -1,4 +1,6 @@
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +25,7 @@ from doobmds import (
 from doobmds.graphs import (
     SHRIKHANDE_CONNECTION_SET,
     cartesian_product,
+    graph_of,
     k4_pair,
     k4_value,
     sh_index,
@@ -309,3 +312,15 @@ def test_edge_shifts_on_one_sided_adjacency(sh_graph, keep):
     assert pair is not None and (min(pair), max(pair)) in oracle_edges_by_index(1, 0)
     with pytest.raises(ConsistencyError, match=f"adjacent members {pair[0]} and {pair[1]}"):
         spread.assert_mds(one_sided)
+
+
+def test_graph_of_remembers_the_cached_graph_weakly():
+    params = DoobParams(1, 1)
+    graph = graph_of(params)
+    assert graph is doob_graph(params) and graph_of(params) is graph
+    assert pickle.loads(pickle.dumps(params)) == params
+    ref = weakref.ref(graph)
+    del graph
+    doob_graph.cache_clear()
+    assert ref() is None  # the params object kept no strong reference
+    assert graph_of(params) is doob_graph(params)

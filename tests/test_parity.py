@@ -30,6 +30,8 @@ from doobmds.parity import (
     write_rule,
 )
 
+import oracles
+
 SMALL = [DoobParams(1, 0), DoobParams(0, 2)]
 MEDIUM = SMALL + [DoobParams(1, 1)]
 
@@ -239,3 +241,14 @@ def test_rule_from_hex():
         rule_from_hex(DoobParams(1, 0), "zz")
     with pytest.raises(FormatError):
         rule_from_hex(DoobParams(1, 0), "100")  # 9 bits into a 4-entry table
+
+
+WORD_LENGTH_AT_MOST_4 = [(0, 1), (1, 0), (0, 2), (1, 1), (0, 3), (2, 0), (1, 2), (0, 4)]
+
+
+@pytest.mark.parametrize("m, n", WORD_LENGTH_AT_MOST_4)
+def test_parity_code_matches_member_by_member_reference(m, n):
+    for rule in representative_rules(DoobParams(m, n)):
+        code = build_parity_code(rule)
+        assert code.members == oracles.parity_members(m, n, rule.bits), rule
+        assert len(code) == code.params.code_size

@@ -219,3 +219,11 @@ def test_code_objects_carry_parameters(codes_by_params):
             assert code.params == DoobParams(m, n)
             assert isinstance(code, Code)
             assert len(code) == DoobParams(m, n).code_size
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("m, n", [(0, 3), (1, 1), (1, 2), (2, 0)])
+def test_enumeration_order_is_lexicographic_in_members(m, n, jobs):
+    members = [code.members for code in enumerate_mds(DoobParams(m, n), jobs=jobs).codes]
+    assert members == sorted(members)
+    assert len(set(members)) == len(members)
