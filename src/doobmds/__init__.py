@@ -33,7 +33,6 @@ from .graphs import (
     DoobVertex,
     Graph,
     check_desk_scale,
-    clique_number,
     complete_graph,
     decode_vertex,
     doob_graph,
@@ -50,7 +49,6 @@ from .parity import (
     build_parity_code,
     count_essential_classes,
     essential_key,
-    essentially_equal,
     representative_rules,
 )
 from .reduction import (
@@ -68,12 +66,7 @@ from .symmetry import (
     AutomorphismGroup,
     OrbitPartition,
     apply_perm_to_code,
-    are_isomorphic,
-    automorphism_group,
     doob_symmetries,
-    identity_perm,
-    is_automorphism,
-    isomorphisms,
     orbits_of_codes,
 )
 
@@ -98,13 +91,10 @@ __all__ = [
     "ParityRule",
     "all_parity_rules",
     "apply_perm_to_code",
-    "are_isomorphic",
-    "automorphism_group",
     "bounds_report",
     "build_parity_code",
     "canonical_json",
     "check_desk_scale",
-    "clique_number",
     "code_from_obj",
     "code_to_obj",
     "complete_graph",
@@ -118,11 +108,7 @@ __all__ = [
     "encode_vertex",
     "enumerate_mds",
     "essential_key",
-    "essentially_equal",
     "graph_from_predicate",
-    "identity_perm",
-    "is_automorphism",
-    "isomorphisms",
     "k4_pair_codes",
     "load_code",
     "orbits_of_codes",

@@ -356,7 +356,7 @@ def load_code(text: str) -> Code:
         return code
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or a number over the int digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise FormatError(f"invalid JSON: {exc}") from None
     return code_from_obj(obj)
 

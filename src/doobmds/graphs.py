@@ -97,11 +97,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.neighbor_masks) // 2
 
-    def regular_degree(self) -> Optional[int]:
-        """Common degree if the graph is regular, else None."""
-        degrees = {self.degree(u) for u in range(self.vertex_count)}
-        return degrees.pop() if len(degrees) == 1 else None
-
     @cached_property
     def edge_shifts(self) -> tuple[tuple[int, int], ...]:
         """Pairs (d, selector), d ascending: u ~ u + d exactly for the u in selector.
@@ -123,16 +118,6 @@ class Graph:
                 row ^= low
         return tuple(sorted(selectors.items()))
 
-    def common_neighbor_count(self, u: int, v: int) -> int:
-        return (self.neighbor_masks[u] & self.neighbor_masks[v]).bit_count()
-
-    def summary(self) -> str:
-        name = self.label or "graph"
-        deg = self.regular_degree()
-        shape = f"{deg}-regular" if deg is not None else "irregular"
-        tag = f" [{self.params}]" if self.params is not None else ""
-        return f"{name}: {self.vertex_count} vertices, {self.edge_count()} edges, {shape}{tag}"
-
 
 def check_desk_scale(params: DoobParams):
     """Refuse parameters whose graph exceeds the desk-scale vertex limit."""
@@ -141,26 +126,6 @@ def check_desk_scale(params: DoobParams):
             f"{params} has 4^{params.word_length} = {params.vertex_count} vertices, "
             f"over the desk-scale limit {DESK_SCALE_LIMIT}"
         )
-
-
-def clique_number(graph: Graph) -> int:
-    """Size of a largest clique, by branch and bound on candidate bitmasks."""
-    masks = graph.neighbor_masks
-    best = 0
-
-    def extend(candidates, size):
-        nonlocal best
-        if size > best:
-            best = size
-        while candidates:
-            if size + candidates.bit_count() <= best:
-                return
-            low = candidates & -candidates
-            candidates ^= low
-            extend(candidates & masks[low.bit_length() - 1], size + 1)
-
-    extend((1 << graph.vertex_count) - 1, 0)
-    return best
 
 
 def graph_from_predicate(n, adjacent, params=None, label=""):
@@ -179,25 +144,6 @@ def sh_index(a: int, b: int) -> int:
     if not (0 <= a <= 3 and 0 <= b <= 3):
         raise ValueError(f"Shrikhande coordinate out of range: ({a}, {b})")
     return 4 * a + b
-
-
-def sh_pair(i: int) -> tuple[int, int]:
-    if not 0 <= i <= 15:
-        raise ValueError(f"Shrikhande index out of range: {i}")
-    return divmod(i, 4)
-
-
-def k4_pair(v: int) -> tuple[int, int]:
-    """Two-bit view (a, b) of a K4 value, v = 2a + b with a, b in {0, 1}."""
-    if not 0 <= v <= 3:
-        raise ValueError(f"K4 value out of range: {v}")
-    return divmod(v, 2)
-
-
-def k4_value(a: int, b: int) -> int:
-    if a not in (0, 1) or b not in (0, 1):
-        raise ValueError(f"K4 pair out of range: ({a}, {b})")
-    return 2 * a + b
 
 
 @lru_cache(maxsize=None)
@@ -229,10 +175,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     if g.vertex_count == 0 or h.vertex_count == 0:
         raise ValueError("cartesian product of an empty graph")
     n = g.vertex_count * h.vertex_count
-    if n > DESK_SCALE_LIMIT:
-        raise DeskScaleError(
-            f"product would have {n} vertices, over the desk-scale limit {DESK_SCALE_LIMIT}"
-        )
     hn = h.vertex_count
     masks = []
     for u in range(g.vertex_count):
@@ -256,11 +198,7 @@ def doob_graph(params: DoobParams) -> Graph:
     Built as the left-to-right Cartesian product of m Shrikhande factors and
     n K4 factors, so coordinate 0 is the most significant digit.
     """
-    if params.vertex_count > DESK_SCALE_LIMIT:
-        raise DeskScaleError(
-            f"{params} has 4^{params.word_length} = {params.vertex_count} vertices, "
-            f"over the desk-scale limit {DESK_SCALE_LIMIT}"
-        )
+    check_desk_scale(params)
     factors = [shrikhande()] * params.m + [complete_graph(4)] * params.n
     product = reduce(cartesian_product, factors)
     return Graph(

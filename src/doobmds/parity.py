@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .codes import Code, canonical_json, params_from_obj
-from .errors import DeskScaleError, FormatError, ParameterMismatchError
+from .errors import DeskScaleError, FormatError
 from .graphs import DoobParams, check_desk_scale, decode_vertex
 from .search import count_mds
 
@@ -100,21 +100,14 @@ def even_point_indices(params: DoobParams) -> tuple[int, ...]:
     )
 
 
-def essentially_equal(rule_a: ParityRule, rule_b: ParityRule) -> bool:
-    """True iff the rules agree at every even-sum vector."""
-    if rule_a.params != rule_b.params:
-        raise ParameterMismatchError(
-            f"comparing rules over {rule_a.params} and {rule_b.params}"
-        )
-    return all(
-        rule_a.bits[index] == rule_b.bits[index]
-        for index in even_point_indices(rule_a.params)
-    )
-
-
 def essential_key(rule: ParityRule) -> tuple[int, ...]:
     """Restriction to the even-sum vectors; a class invariant for essential equality."""
     return tuple(rule.bits[index] for index in even_point_indices(rule.params))
+
+
+def _unpack_bits(packed: int, width: int) -> tuple[int, ...]:
+    """The width binary digits of 0 <= packed < 2^width, most significant first."""
+    return tuple(map(int, format(packed, f"0{width}b")))
 
 
 def all_parity_rules(params: DoobParams) -> Iterator[ParityRule]:
@@ -126,8 +119,7 @@ def all_parity_rules(params: DoobParams) -> Iterator[ParityRule]:
             f"enumeration is capped at {_RULE_ENUMERATION_LIMIT}"
         )
     for packed in range(2 ** size):
-        bits = tuple(packed >> (size - 1 - position) & 1 for position in range(size))
-        yield ParityRule(params, bits)
+        yield ParityRule(params, _unpack_bits(packed, size))
 
 
 def representative_rules(params: DoobParams) -> Iterator[ParityRule]:
@@ -141,8 +133,8 @@ def representative_rules(params: DoobParams) -> Iterator[ParityRule]:
     size = rule_domain_size(params)
     for packed in range(2 ** len(even)):
         bits = [0] * size
-        for position, index in enumerate(even):
-            bits[index] = packed >> (len(even) - 1 - position) & 1
+        for index, bit in zip(even, _unpack_bits(packed, len(even))):
+            bits[index] = bit
         yield ParityRule(params, tuple(bits))
 
 
@@ -255,8 +247,7 @@ def rule_from_hex(params: DoobParams, text: str) -> ParityRule:
         raise FormatError(f"not a hex string: {text!r}") from None
     if value < 0 or value >= 2 ** size:
         raise FormatError(f"hex value {text!r} out of range for a {size}-bit table")
-    bits = tuple(value >> (size - 1 - position) & 1 for position in range(size))
-    return ParityRule(params, bits)
+    return ParityRule(params, _unpack_bits(value, size))
 
 
 def dump_rule(rule: ParityRule) -> str:
@@ -266,7 +257,7 @@ def dump_rule(rule: ParityRule) -> str:
 def load_rule(text: str) -> ParityRule:
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or a number over the int digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise FormatError(f"invalid JSON: {exc}") from None
     return rule_from_obj(obj)
 

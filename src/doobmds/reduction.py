@@ -152,13 +152,17 @@ def reduce_last_sh_coordinate(code: Code, table: Optional[PairingTable] = None) 
     remaining Shrikhande block and the old K4 block.  Requires a maximum
     independent set; preserves cardinality and the property of being one.
     """
-    params = code.params
-    if params.m < 1:
+    if code.params.m < 1:
         raise ValueError("code has no Shrikhande coordinate to reduce")
     code.assert_mds(context="reduction input")
-    if table is None:
-        table = derive_pairing()
-    partners = table.partner_fibers
+    return _reduce_last(code, table)
+
+
+def _reduce_last(code: Code, table: Optional[PairingTable]) -> Code:
+    """reduce_last_sh_coordinate without the input check, for codes already
+    known to be maximum independent sets."""
+    params = code.params
+    partners = (table or derive_pairing()).partner_fibers
     size = params.vertex_count
     stride = 4 ** params.n
     bits = bit_bytes(code.mask, size)
@@ -229,12 +233,11 @@ def reduce_sh_coordinates(
     order = tuple(order)
     if sorted(order) != list(range(m)):
         raise ValueError(f"{order!r} is not a consumption order for {m} coordinates")
-    if m == 0:
-        code.assert_mds(context="reduction input")
-        return code
     # Arrange slots so plain last-coordinate reduction consumes them in order.
     perm = tuple(order[m - 1 - p] for p in range(m))
     current = permute_sh_coordinates(code, perm)
-    while current.params.m:
-        current = reduce_last_sh_coordinate(current, table)
+    # Checked once: each step maps a maximum independent set to another.
+    current.assert_mds(context="reduction input")
+    for _ in range(m):
+        current = _reduce_last(current, table)
     return current

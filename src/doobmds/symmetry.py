@@ -1,11 +1,11 @@
-"""Automorphisms at desk scale and orbit classification of code lists.
+"""Automorphisms of Doob graphs, and orbit classification of code lists.
 
-Isomorphisms are found by backtracking over a vertex order chosen to keep
-constraints tight, pruned by iterated neighborhood color refinement with a
-palette shared between the two graphs.  Small graphs get their certified full
-automorphism group this way.  For product graphs the group is generated from
-per-factor automorphisms plus swaps of equal factors; that subgroup is the
-natural one but is not claimed to be the full automorphism group.  Codes are
+The Shrikhande graph and K4 are Cartesian-prime, so the automorphism group of
+D(m,n) = Sh^m x K4^n is (Aut Sh wr S_m) x (S_4 wr S_n), of order
+192^m m! 24^n n! (Imrich & Klavzar, Product Graphs, 2000).  Its generators
+are written down in closed form: three Shrikhande symmetries at the first
+Shrikhande slot, two permutations of K4 at the first K4 slot, and swaps of
+adjacent like slots, which carry those to every other slot.  Codes are
 classified into orbits by closing the code list under the generators, acting
 on vertex bitmasks: each generator is precomputed as a shift plan (vertices
 grouped by how far the permutation moves them), so the image of a mask is a
@@ -14,225 +14,51 @@ handful of AND/shift/OR operations on Python ints.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .codes import Code
-from .errors import ConsistencyError, DeskScaleError, ParameterMismatchError
-from .graphs import DoobParams, Graph, complete_graph, doob_graph, shrikhande
+from .errors import ConsistencyError, ParameterMismatchError
+from .graphs import DoobParams
 
 Perm = tuple[int, ...]
 
-# Backtracking group search is restricted to graphs this small.
-GROUP_SEARCH_LIMIT = 64
 
-# Full element lists are materialized only up to this group order.
-ELEMENT_LIST_LIMIT = 10_000
-
-
-def identity_perm(size: int) -> Perm:
-    return tuple(range(size))
+def _sh_perm(image) -> Perm:
+    """Shrikhande vertex permutation (a, b) -> image(a, b) mod 4, indices 4a + b."""
+    return tuple(
+        4 * (a % 4) + b % 4 for a, b in (image(*divmod(v, 4)) for v in range(16))
+    )
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Apply p first, then q."""
-    if len(p) != len(q):
-        raise ValueError("composing permutations of different sizes")
-    return tuple(q[p[v]] for v in range(len(p)))
+# Generators of Aut Sh (order 192): the translation by (1,0), the order-6
+# rotation and a reflection.  The rotation and the reflection generate the 12
+# linear maps that permute the connection set {+-(1,0), +-(0,1), +-(1,1)};
+# conjugating the translation by the rotation gives the translation by (1,1),
+# so all 16 translations are there too.
+_SH_GENERATORS = (
+    _sh_perm(lambda a, b: (a + 1, b)),
+    _sh_perm(lambda a, b: (a - b, a)),
+    _sh_perm(lambda a, b: (b, a)),
+)
 
-
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for v, image in enumerate(p):
-        out[image] = v
-    return tuple(out)
-
-
-def is_automorphism(graph: Graph, perm: Perm) -> bool:
-    """Exact check: perm is a bijection preserving adjacency both ways."""
-    n = graph.vertex_count
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        return False
-    for u in range(n):
-        image_mask = 0
-        for w in graph.neighbors(u):
-            image_mask |= 1 << perm[w]
-        if image_mask != graph.neighbor_masks[perm[u]]:
-            return False
-    return True
-
-
-def _joint_colors(g: Graph, h: Graph):
-    """Refined vertex colors for both graphs over a shared palette.
-
-    Every round is isomorphism-invariant, so the coloring is sound for
-    pruning whether or not the fixpoint was reached at the iteration cap.
-    """
-    cg = [g.degree(v) for v in range(g.vertex_count)]
-    ch = [h.degree(v) for v in range(h.vertex_count)]
-    for _ in range(g.vertex_count + 2):
-        sig_g = [
-            (cg[v], tuple(sorted(cg[w] for w in g.neighbors(v))))
-            for v in range(g.vertex_count)
-        ]
-        sig_h = [
-            (ch[v], tuple(sorted(ch[w] for w in h.neighbors(v))))
-            for v in range(h.vertex_count)
-        ]
-        palette = {sig: i for i, sig in enumerate(sorted(set(sig_g) | set(sig_h)))}
-        new_g = [palette[s] for s in sig_g]
-        new_h = [palette[s] for s in sig_h]
-        if new_g == cg and new_h == ch:
-            break
-        cg, ch = new_g, new_h
-    return cg, ch
-
-
-def _branch_order(g: Graph, colors) -> list[int]:
-    """Source vertex order: maximize already-placed neighbors, break ties by
-    scarcer color class, then index."""
-    n = g.vertex_count
-    class_size = Counter(colors)
-    placed_mask = 0
-    order = []
-    remaining = set(range(n))
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda v: (
-                -(g.neighbor_masks[v] & placed_mask).bit_count(),
-                class_size[colors[v]],
-                v,
-            ),
-        )
-        order.append(best)
-        remaining.remove(best)
-        placed_mask |= 1 << best
-    return order
-
-
-def isomorphisms(g: Graph, h: Graph, limit: Optional[int] = None) -> list[Perm]:
-    """Adjacency-preserving bijections from g onto h, at most limit of them.
-
-    Returned as vertex-indexed tuples in a deterministic order.
-    """
-    n = g.vertex_count
-    if n != h.vertex_count or g.edge_count() != h.edge_count():
-        return []
-    if n > GROUP_SEARCH_LIMIT:
-        raise DeskScaleError(
-            f"isomorphism search limited to {GROUP_SEARCH_LIMIT} vertices, got {n}"
-        )
-    cg, ch = _joint_colors(g, h)
-    if sorted(cg) != sorted(ch):
-        return []
-    full = (1 << n) - 1
-    color_masks: dict[int, int] = {}
-    for v in range(n):
-        color_masks[ch[v]] = color_masks.get(ch[v], 0) | 1 << v
-    order = _branch_order(g, cg)
-    mapping = [-1] * n
-    used = 0
-    out: list[Perm] = []
-
-    def walk(depth) -> bool:
-        nonlocal used
-        if depth == n:
-            out.append(tuple(mapping))
-            return limit is not None and len(out) >= limit
-        v = order[depth]
-        allowed = color_masks.get(cg[v], 0) & ~used
-        for u in order[:depth]:
-            if not allowed:
-                return False
-            if g.adjacent(u, v):
-                allowed &= h.neighbor_masks[mapping[u]]
-            else:
-                allowed &= full & ~h.neighbor_masks[mapping[u]]
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            target = low.bit_length() - 1
-            mapping[v] = target
-            used |= low
-            stop = walk(depth + 1)
-            used &= ~low
-            mapping[v] = -1
-            if stop:
-                return True
-        return False
-
-    walk(0)
-    return out
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return bool(isomorphisms(g, h, limit=1))
+# Generators of Aut K4 = S_4: the transposition (0 1) and the 4-cycle (0 1 2 3).
+_K4_GENERATORS = ((1, 0, 2, 3), (1, 2, 3, 0))
 
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """A permutation group on graph vertices.
-
-    elements is the full list when the order is at most ELEMENT_LIST_LIMIT,
-    else None.  certified_full records whether the group was proved to be the
-    whole automorphism group (by exhaustive search) rather than generated
-    from factor symmetries.
-    """
+    """The automorphism group of a graph on degree vertices, by generators and order."""
 
     degree: int
     generators: tuple[Perm, ...]
-    elements: Optional[tuple[Perm, ...]]
-    certified_full: bool
-
-    @property
-    def order(self) -> Optional[int]:
-        return None if self.elements is None else len(self.elements)
-
-
-def closure(generators: Sequence[Perm], degree: int, cap: Optional[int] = None):
-    """All products of the generators; None if the cap is exceeded."""
-    ident = identity_perm(degree)
-    known = {ident}
-    frontier = [ident]
-    while frontier:
-        next_frontier = []
-        for p in frontier:
-            for gen in generators:
-                q = compose(p, gen)
-                if q not in known:
-                    known.add(q)
-                    next_frontier.append(q)
-                    if cap is not None and len(known) > cap:
-                        return None
-        frontier = next_frontier
-    return known
-
-
-def generating_subset(elements: Sequence[Perm], degree: int) -> tuple[Perm, ...]:
-    """Small generating set extracted greedily from a full element list."""
-    gens: list[Perm] = []
-    known = {identity_perm(degree)}
-    for element in sorted(set(elements)):
-        if element not in known:
-            gens.append(element)
-            known = closure(gens, degree)
-    return tuple(gens)
-
-
-def automorphism_group(graph: Graph) -> AutomorphismGroup:
-    """Certified full automorphism group by exhaustive backtracking."""
-    elements = tuple(sorted(isomorphisms(graph, graph)))
-    generators = generating_subset(elements, graph.vertex_count)
-    kept = elements if len(elements) <= ELEMENT_LIST_LIMIT else None
-    return AutomorphismGroup(graph.vertex_count, generators, kept, certified_full=True)
+    order: int
 
 
 # ---------------------------------------------------------------------------
-# Generated symmetries of product graphs
+# Factor and slot-swap permutations
 # ---------------------------------------------------------------------------
 
 
@@ -275,34 +101,21 @@ def swap_slots_perm(params: DoobParams, a: int, b: int) -> Perm:
 
 @lru_cache(maxsize=None)
 def doob_symmetries(params: DoobParams) -> AutomorphismGroup:
-    """Symmetries of D(m,n) for orbit work.
+    """The full automorphism group of D(m,n), by closed-form generators.
 
-    Single factors get the certified group.  Products get the subgroup
-    generated by factor automorphisms and swaps of like factors, with the
-    element list materialized only while it stays small.
+    The factor generators act at slot 0 (Shrikhande) and slot m (K4); the
+    swaps of adjacent like slots conjugate them to every other slot.
     """
-    if params.m + params.n == 1:
-        return automorphism_group(doob_graph(params))
+    m, n = params.m, params.n
     gens: list[Perm] = []
-    sh_gens = automorphism_group(shrikhande()).generators
-    k4_gens = automorphism_group(complete_graph(4)).generators
-    for slot in range(params.m):
-        for gen in sh_gens:
-            gens.append(lift_factor_perm(params, slot, gen))
-    for slot in range(params.m, params.m + params.n):
-        for gen in k4_gens:
-            gens.append(lift_factor_perm(params, slot, gen))
-    for slot in range(params.m - 1):
+    if m:
+        gens += [lift_factor_perm(params, 0, gen) for gen in _SH_GENERATORS]
+    if n:
+        gens += [lift_factor_perm(params, m, gen) for gen in _K4_GENERATORS]
+    for slot in [*range(m - 1), *range(m, m + n - 1)]:
         gens.append(swap_slots_perm(params, slot, slot + 1))
-    for slot in range(params.m, params.m + params.n - 1):
-        gens.append(swap_slots_perm(params, slot, slot + 1))
-    # The generated group is (Aut Sh wr S_m) x (S_4 wr S_n); its order is known
-    # in closed form, so the element list is built only when it will be kept.
-    order = 192**params.m * factorial(params.m) * 24**params.n * factorial(params.n)
-    elements = None
-    if order <= ELEMENT_LIST_LIMIT:
-        elements = tuple(sorted(closure(gens, params.vertex_count)))
-    return AutomorphismGroup(params.vertex_count, tuple(gens), elements, certified_full=False)
+    order = 192**m * factorial(m) * 24**n * factorial(n)
+    return AutomorphismGroup(params.vertex_count, tuple(gens), order)
 
 
 # ---------------------------------------------------------------------------

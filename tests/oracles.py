@@ -10,8 +10,13 @@ groups are built from their geometric descriptions rather than searched for.
 The reference Shrikhande reduction regroups members fiber by fiber with
 divmod and takes the pairing table as a dict of plain member tuples; the
 reference parity code tests every labeled vertex against the rule.
+
+The last section works on the package's Graph objects: graph invariants,
+permutation arithmetic, and an exhaustive backtracking automorphism search,
+the reference for the closed-form generators of doob_symmetries.
 """
 
+import collections
 import itertools
 
 SH_DIFFS = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
@@ -324,3 +329,287 @@ def parity_members(m, n, bits):
         if sum(seconds) % 2 == bits[point]:
             out.append(encode_label(label, m, n))
     return tuple(sorted(out))
+
+
+def essentially_equal(rule_a, rule_b):
+    """True iff two parity rules agree at every first-component vector with
+    even coordinate sum.
+
+    The vectors are listed with itertools.product in table order (Shrikhande
+    positions base 4, K4 positions base 2, most significant first).
+    """
+    if rule_a.params != rule_b.params:
+        raise ValueError(f"comparing rules over {rule_a.params} and {rule_b.params}")
+    m, n = rule_a.params.m, rule_a.params.n
+    points = itertools.product(*([range(4)] * m + [range(2)] * n))
+    return all(
+        a == b
+        for point, a, b in zip(points, rule_a.bits, rule_b.bits)
+        if sum(point) % 2 == 0
+    )
+
+
+# ---------------------------------------------------------------------------
+# Graph invariants and the symmetry search, on the package's Graph objects
+# ---------------------------------------------------------------------------
+#
+# These read only a graph's vertex_count, neighbor_masks, neighbors(),
+# degree() and edge_count().  The backtracking search finds whole
+# automorphism groups of graphs up to 64 vertices, the reference that the
+# closed-form generators of doob_symmetries are checked against.
+
+# Backtracking group search is restricted to graphs this small.
+GROUP_SEARCH_LIMIT = 64
+
+# Full element lists are materialized only up to this group order.
+ELEMENT_LIST_LIMIT = 10_000
+
+
+def sh_pair(i):
+    if not 0 <= i <= 15:
+        raise ValueError(f"Shrikhande index out of range: {i}")
+    return divmod(i, 4)
+
+
+def k4_pair(v):
+    """Two-bit view (a, b) of a K4 value, v = 2a + b with a, b in {0, 1}."""
+    if not 0 <= v <= 3:
+        raise ValueError(f"K4 value out of range: {v}")
+    return divmod(v, 2)
+
+
+def k4_value(a, b):
+    if a not in (0, 1) or b not in (0, 1):
+        raise ValueError(f"K4 pair out of range: ({a}, {b})")
+    return 2 * a + b
+
+
+def regular_degree(graph):
+    """Common degree if the graph is regular, else None."""
+    degrees = {graph.degree(u) for u in range(graph.vertex_count)}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def common_neighbor_count(graph, u, v):
+    return (graph.neighbor_masks[u] & graph.neighbor_masks[v]).bit_count()
+
+
+def summary(graph):
+    name = graph.label or "graph"
+    deg = regular_degree(graph)
+    shape = f"{deg}-regular" if deg is not None else "irregular"
+    tag = f" [{graph.params}]" if graph.params is not None else ""
+    return f"{name}: {graph.vertex_count} vertices, {graph.edge_count()} edges, {shape}{tag}"
+
+
+def clique_number(graph):
+    """Size of a largest clique, by branch and bound on candidate bitmasks."""
+    masks = graph.neighbor_masks
+    best = 0
+
+    def extend(candidates, size):
+        nonlocal best
+        if size > best:
+            best = size
+        while candidates:
+            if size + candidates.bit_count() <= best:
+                return
+            low = candidates & -candidates
+            candidates ^= low
+            extend(candidates & masks[low.bit_length() - 1], size + 1)
+
+    extend((1 << graph.vertex_count) - 1, 0)
+    return best
+
+
+def identity_perm(size):
+    return tuple(range(size))
+
+
+def compose(p, q):
+    """Apply p first, then q."""
+    if len(p) != len(q):
+        raise ValueError("composing permutations of different sizes")
+    return tuple(q[p[v]] for v in range(len(p)))
+
+
+def invert(p):
+    out = [0] * len(p)
+    for v, image in enumerate(p):
+        out[image] = v
+    return tuple(out)
+
+
+def is_automorphism(graph, perm):
+    """Exact check: perm is a bijection preserving adjacency both ways."""
+    n = graph.vertex_count
+    if len(perm) != n or sorted(perm) != list(range(n)):
+        return False
+    for u in range(n):
+        image_mask = 0
+        for w in graph.neighbors(u):
+            image_mask |= 1 << perm[w]
+        if image_mask != graph.neighbor_masks[perm[u]]:
+            return False
+    return True
+
+
+def _joint_colors(g, h):
+    """Refined vertex colors for both graphs over a shared palette.
+
+    Every round is isomorphism-invariant, so the coloring is sound for
+    pruning whether or not the fixpoint was reached at the iteration cap.
+    """
+    cg = [g.degree(v) for v in range(g.vertex_count)]
+    ch = [h.degree(v) for v in range(h.vertex_count)]
+    for _ in range(g.vertex_count + 2):
+        sig_g = [
+            (cg[v], tuple(sorted(cg[w] for w in g.neighbors(v))))
+            for v in range(g.vertex_count)
+        ]
+        sig_h = [
+            (ch[v], tuple(sorted(ch[w] for w in h.neighbors(v))))
+            for v in range(h.vertex_count)
+        ]
+        palette = {sig: i for i, sig in enumerate(sorted(set(sig_g) | set(sig_h)))}
+        new_g = [palette[s] for s in sig_g]
+        new_h = [palette[s] for s in sig_h]
+        if new_g == cg and new_h == ch:
+            break
+        cg, ch = new_g, new_h
+    return cg, ch
+
+
+def _branch_order(g, colors):
+    """Source vertex order: maximize already-placed neighbors, break ties by
+    scarcer color class, then index."""
+    n = g.vertex_count
+    class_size = collections.Counter(colors)
+    placed_mask = 0
+    order = []
+    remaining = set(range(n))
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda v: (
+                -(g.neighbor_masks[v] & placed_mask).bit_count(),
+                class_size[colors[v]],
+                v,
+            ),
+        )
+        order.append(best)
+        remaining.remove(best)
+        placed_mask |= 1 << best
+    return order
+
+
+def isomorphisms(g, h, limit=None):
+    """Adjacency-preserving bijections from g onto h, at most limit of them.
+
+    Backtracking over a vertex order chosen to keep constraints tight, pruned
+    by iterated neighborhood color refinement with a palette shared between
+    the two graphs.  Returned as vertex-indexed tuples in a deterministic
+    order.
+    """
+    n = g.vertex_count
+    if n != h.vertex_count or g.edge_count() != h.edge_count():
+        return []
+    if n > GROUP_SEARCH_LIMIT:
+        raise ValueError(
+            f"isomorphism search limited to {GROUP_SEARCH_LIMIT} vertices, got {n}"
+        )
+    cg, ch = _joint_colors(g, h)
+    if sorted(cg) != sorted(ch):
+        return []
+    full = (1 << n) - 1
+    color_masks = {}
+    for v in range(n):
+        color_masks[ch[v]] = color_masks.get(ch[v], 0) | 1 << v
+    order = _branch_order(g, cg)
+    mapping = [-1] * n
+    used = 0
+    out = []
+
+    def walk(depth):
+        nonlocal used
+        if depth == n:
+            out.append(tuple(mapping))
+            return limit is not None and len(out) >= limit
+        v = order[depth]
+        allowed = color_masks.get(cg[v], 0) & ~used
+        for u in order[:depth]:
+            if not allowed:
+                return False
+            if g.adjacent(u, v):
+                allowed &= h.neighbor_masks[mapping[u]]
+            else:
+                allowed &= full & ~h.neighbor_masks[mapping[u]]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            target = low.bit_length() - 1
+            mapping[v] = target
+            used |= low
+            stop = walk(depth + 1)
+            used &= ~low
+            mapping[v] = -1
+            if stop:
+                return True
+        return False
+
+    walk(0)
+    return out
+
+
+def are_isomorphic(g, h):
+    return bool(isomorphisms(g, h, limit=1))
+
+
+def closure(generators, degree, cap=None):
+    """All products of the generators; None if the cap is exceeded."""
+    ident = identity_perm(degree)
+    known = {ident}
+    frontier = [ident]
+    while frontier:
+        next_frontier = []
+        for p in frontier:
+            for gen in generators:
+                q = compose(p, gen)
+                if q not in known:
+                    known.add(q)
+                    next_frontier.append(q)
+                    if cap is not None and len(known) > cap:
+                        return None
+        frontier = next_frontier
+    return known
+
+
+def generating_subset(elements, degree):
+    """Small generating set extracted greedily from a full element list."""
+    gens = []
+    known = {identity_perm(degree)}
+    for element in sorted(set(elements)):
+        if element not in known:
+            gens.append(element)
+            known = closure(gens, degree)
+    return tuple(gens)
+
+
+class SearchedGroup(collections.namedtuple("SearchedGroup", "generators elements")):
+    """An automorphism group found by exhaustive search.
+
+    elements is the sorted full list when the order is at most
+    ELEMENT_LIST_LIMIT, else None.
+    """
+
+    @property
+    def order(self):
+        return None if self.elements is None else len(self.elements)
+
+
+def automorphism_group(graph):
+    """The full automorphism group by exhaustive backtracking."""
+    elements = tuple(sorted(isomorphisms(graph, graph)))
+    generators = generating_subset(elements, graph.vertex_count)
+    kept = elements if len(elements) <= ELEMENT_LIST_LIMIT else None
+    return SearchedGroup(generators, kept)

@@ -161,6 +161,36 @@ def test_files_past_desk_scale_or_the_digit_limit_are_parse_errors(tmp_path, cap
     assert code == 3 and "word length 2m + n over 6" in err
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_json_is_a_parse_error_in_verify(tmp_path, capsys):
+    deep = tmp_path / "deep.code"
+    deep.write_text(DEEP)
+    good = write_code_file(tmp_path / "good.code", 0, 2, (0, 5, 10, 15))
+    code, out, _ = run(capsys, "verify", str(deep), good)
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0].startswith(f"{deep}: parse error: invalid JSON: maximum recursion depth")
+    assert lines[1] == f"{good}: MDS ok, |M|=4"
+
+
+def test_deeply_nested_json_is_a_parse_error_in_kappa(tmp_path, capsys):
+    deep = tmp_path / "deep.code"
+    deep.write_text(DEEP)
+    code, out, err = run(capsys, "kappa", str(deep))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: invalid JSON: maximum recursion depth")
+
+
+def test_deeply_nested_json_is_a_parse_error_in_lambda(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    code, out, err = run(capsys, "lambda", str(deep))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: invalid JSON: maximum recursion depth")
+
+
 def test_xi_table(tmp_path, capsys):
     code, out, _ = run(capsys, "xi")
     assert code == 0

@@ -13,9 +13,7 @@ from doobmds import (
     DoobParams,
     DoobVertex,
     Graph,
-    are_isomorphic,
     check_desk_scale,
-    clique_number,
     complete_graph,
     decode_vertex,
     doob_graph,
@@ -26,13 +24,20 @@ from doobmds.graphs import (
     SHRIKHANDE_CONNECTION_SET,
     cartesian_product,
     graph_of,
-    k4_pair,
-    k4_value,
     sh_index,
-    sh_pair,
 )
 
 import oracles
+from oracles import (
+    are_isomorphic,
+    clique_number,
+    common_neighbor_count,
+    k4_pair,
+    k4_value,
+    regular_degree,
+    sh_pair,
+    summary,
+)
 
 
 def test_params_validation():
@@ -54,7 +59,7 @@ def test_connection_set_is_symmetric():
 
 def test_shrikhande_basics(sh_graph):
     assert sh_graph.vertex_count == 16
-    assert sh_graph.regular_degree() == 6
+    assert regular_degree(sh_graph) == 6
     assert sh_graph.edge_count() == 48
     for u in range(16):
         assert not sh_graph.adjacent(u, u)
@@ -74,15 +79,15 @@ def test_shrikhande_is_strongly_regular_2_2(sh_graph):
     # Common neighbor counts 2 and 2: identical to those of K4 x K4.
     for u in range(16):
         for v in range(u + 1, 16):
-            assert sh_graph.common_neighbor_count(u, v) == 2
+            assert common_neighbor_count(sh_graph, u, v) == 2
 
 
 def test_rook_graph_shares_parameters(rook_graph):
     assert rook_graph.vertex_count == 16
-    assert rook_graph.regular_degree() == 6
+    assert regular_degree(rook_graph) == 6
     for u in range(16):
         for v in range(u + 1, 16):
-            assert rook_graph.common_neighbor_count(u, v) == 2
+            assert common_neighbor_count(rook_graph, u, v) == 2
 
 
 def test_clique_number_separates_the_two_16_vertex_graphs(sh_graph, rook_graph):
@@ -108,7 +113,7 @@ def test_doob_graph_degree_and_size():
     for m, n in [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2)]:
         g = doob_graph(DoobParams(m, n))
         assert g.vertex_count == 4 ** (2 * m + n)
-        assert g.regular_degree() == 6 * m + 3 * n
+        assert regular_degree(g) == 6 * m + 3 * n
 
 
 def test_doob_adjacency_matches_oracle():
@@ -123,8 +128,13 @@ def test_doob_adjacency_matches_oracle():
 
 
 def test_desk_scale_guard():
-    with pytest.raises(DeskScaleError, match="4096"):
+    with pytest.raises(DeskScaleError) as from_graph:
         doob_graph(DoobParams(3, 1))
+    with pytest.raises(DeskScaleError) as from_check:
+        check_desk_scale(DoobParams(3, 1))
+    assert str(from_graph.value) == str(from_check.value) == (
+        "D(3,1) has 4^7 = 16384 vertices, over the desk-scale limit 4096"
+    )
     with pytest.raises(DeskScaleError, match="16384"):
         check_desk_scale(DoobParams(0, 7))
     check_desk_scale(DoobParams(3, 0))  # 4096 exactly is allowed
@@ -195,7 +205,7 @@ def test_small_codecs():
 
 
 def test_graph_summary_mentions_shape(sh_graph):
-    text = sh_graph.summary()
+    text = summary(sh_graph)
     assert "16 vertices" in text and "6-regular" in text
 
 
@@ -211,7 +221,7 @@ def test_neighbors_iteration_matches_masks(sh_graph):
 def test_edgeless_graph_helpers():
     g = Graph(2, (0, 0))
     assert g.edge_count() == 0
-    assert g.regular_degree() == 0
+    assert regular_degree(g) == 0
     assert clique_number(g) == 1
 
 

@@ -6,7 +6,6 @@ from doobmds import (
     DeskScaleError,
     DoobParams,
     FormatError,
-    ParameterMismatchError,
     ParityRule,
     all_parity_rules,
     bounds_report,
@@ -14,7 +13,6 @@ from doobmds import (
     count_essential_classes,
     decode_vertex,
     essential_key,
-    essentially_equal,
     representative_rules,
     shrikhande,
 )
@@ -109,24 +107,24 @@ def test_code_equality_iff_essential_equality():
         rules = list(all_parity_rules(params))
         built = [build_parity_code(rule).members for rule in rules]
         for i, j in itertools.combinations(range(len(rules)), 2):
-            same_class = essentially_equal(rules[i], rules[j])
+            same_class = oracles.essentially_equal(rules[i], rules[j])
             assert same_class == (built[i] == built[j])
 
 
 def test_essential_equality_basics():
     params = DoobParams(1, 0)
     zero = ParityRule.constant(params, 0)
-    assert essentially_equal(zero, zero)
+    assert oracles.essentially_equal(zero, zero)
     # (1,) has odd sum: flipping there changes nothing essential
     odd_flip = ParityRule(params, (0, 1, 0, 0))
-    assert essentially_equal(zero, odd_flip)
+    assert oracles.essentially_equal(zero, odd_flip)
     assert build_parity_code(zero) == build_parity_code(odd_flip)
     # (2,) has even sum: flipping there is essential and changes the code
     even_flip = ParityRule(params, (0, 0, 1, 0))
-    assert not essentially_equal(zero, even_flip)
+    assert not oracles.essentially_equal(zero, even_flip)
     assert build_parity_code(zero) != build_parity_code(even_flip)
-    with pytest.raises(ParameterMismatchError):
-        essentially_equal(zero, ParityRule.constant(DoobParams(0, 2), 0))
+    with pytest.raises(ValueError):
+        oracles.essentially_equal(zero, ParityRule.constant(DoobParams(0, 2), 0))
 
 
 def test_even_point_counts():
@@ -241,6 +239,27 @@ def test_rule_from_hex():
         rule_from_hex(DoobParams(1, 0), "zz")
     with pytest.raises(FormatError):
         rule_from_hex(DoobParams(1, 0), "100")  # 9 bits into a 4-entry table
+
+
+def packed_bits(packed, width):
+    return tuple(packed >> (width - 1 - position) & 1 for position in range(width))
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (0, 2), (1, 1), (0, 3), (2, 0)])
+def test_rule_tables_read_packed_integers_most_significant_first(m, n):
+    params = DoobParams(m, n)
+    size = rule_domain_size(params)
+    if size <= 8:
+        rules = list(all_parity_rules(params))
+        assert [rule.bits for rule in rules] == [packed_bits(p, size) for p in range(2**size)]
+        for packed in (0, 1, 2**size // 3, 2**size - 1):
+            assert rule_from_hex(params, format(packed, "x")) == rules[packed]
+    even = even_point_indices(params)
+    for packed, rule in enumerate(representative_rules(params)):
+        expected = [0] * size
+        for index, bit in zip(even, packed_bits(packed, len(even))):
+            expected[index] = bit
+        assert rule.bits == tuple(expected)
 
 
 WORD_LENGTH_AT_MOST_4 = [(0, 1), (1, 0), (0, 2), (1, 1), (0, 3), (2, 0), (1, 2), (0, 4)]

@@ -204,3 +204,24 @@ def test_wrong_pairing_table_names_the_lowest_bad_fiber(codes_by_params):
                     oracles.reduce_last_sh(code.members, n, partner_of)
                 )
     assert checked > 100
+
+
+def test_reduction_checks_its_input_once(codes_by_params, monkeypatch):
+    """A two-step reduction verifies the D(2,0) input, not the D(1,2) code in between."""
+    checked = []
+    assert_mds = Code.assert_mds
+
+    def counting(self, *args, **kwargs):
+        checked.append(self.params)
+        return assert_mds(self, *args, **kwargs)
+
+    monkeypatch.setattr(Code, "assert_mds", counting)
+    for code in codes_by_params[(2, 0)][:50]:
+        for order in [(1, 0), (0, 1)]:
+            checked.clear()
+            reduced = reduce_sh_coordinates(code, order=order)
+            assert checked == [DoobParams(2, 0)]
+            assert reduced.params == DoobParams(0, 4)
+    checked.clear()
+    reduce_last_sh_coordinate(codes_by_params[(2, 0)][0])
+    assert checked == [DoobParams(2, 0)]  # the public single step still checks

@@ -1,34 +1,53 @@
+import dataclasses
+import itertools
+from math import factorial
+
 import pytest
 
 import oracles
 from doobmds import (
     AutomorphismGroup,
     ConsistencyError,
-    DeskScaleError,
     DoobParams,
+    Graph,
     ParameterMismatchError,
     apply_perm_to_code,
-    are_isomorphic,
-    automorphism_group,
     complete_graph,
     doob_graph,
     doob_symmetries,
     graph_from_predicate,
-    identity_perm,
-    is_automorphism,
-    isomorphisms,
     orbits_of_codes,
 )
-from doobmds.symmetry import (
-    _apply_plan,
-    _shift_plan,
+from doobmds.symmetry import _apply_plan, _shift_plan, lift_factor_perm, swap_slots_perm
+from oracles import (
+    ELEMENT_LIST_LIMIT,
+    are_isomorphic,
+    automorphism_group,
     closure,
     compose,
     generating_subset,
+    identity_perm,
     invert,
-    lift_factor_perm,
-    swap_slots_perm,
+    is_automorphism,
+    isomorphisms,
 )
+
+WORD_LENGTH_UP_TO_6 = [
+    (m, n) for m in range(4) for n in range(7) if 0 < m + n and 2 * m + n <= 6
+]
+
+# len(doob_symmetries(D(m,n)).generators) when the factor groups were found
+# by search, generated per slot: the closed form must use no more.
+SEARCHED_GENERATOR_COUNTS = {
+    (0, 1): 3, (0, 2): 7, (0, 3): 11, (0, 4): 15, (0, 5): 19, (0, 6): 23,
+    (1, 0): 4, (1, 1): 7, (1, 2): 11, (1, 3): 15, (1, 4): 19,
+    (2, 0): 9, (2, 1): 12, (2, 2): 16, (3, 0): 14,
+}
+
+
+def group_elements(params):
+    """Every element of doob_symmetries(params), closed from its generators."""
+    return closure(doob_symmetries(params).generators, params.vertex_count)
 
 
 def test_compose_applies_left_then_right():
@@ -44,12 +63,12 @@ def test_compose_applies_left_then_right():
 
 def test_shrikhande_group(sh_graph):
     group = automorphism_group(sh_graph)
-    assert group.certified_full
     assert group.order == 192
     elements = set(group.elements)
     assert elements == oracles.shrikhande_geometric_group()
     assert all(is_automorphism(sh_graph, p) for p in group.elements)
     assert closure(group.generators, 16) == elements
+    assert group_elements(DoobParams(1, 0)) == elements
     # closed under composition and inversion
     sample = group.elements[::17]
     for p in sample:
@@ -60,21 +79,18 @@ def test_shrikhande_group(sh_graph):
 
 def test_rook_group(rook_graph):
     group = automorphism_group(rook_graph)
-    assert group.certified_full
     assert group.order == 1152
     assert set(group.elements) == oracles.rook_symmetry_group()
+    assert group_elements(DoobParams(0, 2)) == oracles.rook_symmetry_group()
 
 
 def test_k4_group_is_all_permutations():
-    import itertools
-
-    group = automorphism_group(complete_graph(4))
-    assert set(group.elements) == set(itertools.permutations(range(4)))
+    everything = set(itertools.permutations(range(4)))
+    assert set(automorphism_group(complete_graph(4)).elements) == everything
+    assert group_elements(DoobParams(0, 1)) == everything
 
 
 def test_edgeless_pair_group():
-    from doobmds import Graph
-
     group = automorphism_group(Graph(2, (0, 0)))
     assert group.order == 2
     assert set(group.elements) == {(0, 1), (1, 0)}
@@ -102,7 +118,7 @@ def test_relabeled_shrikhande_is_isomorphic(sh_graph):
 
 def test_isomorphism_guard():
     big = doob_graph(DoobParams(0, 4))
-    with pytest.raises(DeskScaleError):
+    with pytest.raises(ValueError, match="limited to 64 vertices"):
         isomorphisms(big, big)
     # 64 vertices is exactly the limit and must still work
     assert are_isomorphic(doob_graph(DoobParams(1, 1)), doob_graph(DoobParams(1, 1)))
@@ -117,17 +133,19 @@ def test_closure_and_generating_subset(sh_graph):
 
 
 def test_single_factor_symmetries_are_certified():
+    """The closed form is the whole group the search finds."""
     for params, order in [(DoobParams(1, 0), 192), (DoobParams(0, 1), 24)]:
         group = doob_symmetries(params)
-        assert group.certified_full
         assert group.order == order
+        searched = automorphism_group(doob_graph(params))
+        assert group_elements(params) == set(searched.elements)
 
 
 def test_product_symmetries():
     params = DoobParams(1, 1)
     group = doob_symmetries(params)
-    assert not group.certified_full
     assert group.order == 192 * 24
+    assert len(group_elements(params)) == 4608
     graph = doob_graph(params)
     for gen in group.generators:
         assert is_automorphism(graph, gen)
@@ -135,9 +153,26 @@ def test_product_symmetries():
 
 def test_product_symmetries_beyond_element_cap():
     group = doob_symmetries(DoobParams(2, 0))
-    assert group.elements is None and group.order is None
+    assert group.order == 192**2 * 2 > ELEMENT_LIST_LIMIT
     graph = doob_graph(DoobParams(2, 0))
     for gen in group.generators:
+        assert is_automorphism(graph, gen)
+
+
+@pytest.mark.parametrize("m, n", WORD_LENGTH_UP_TO_6)
+def test_closed_form_order_and_generator_count(m, n):
+    group = doob_symmetries(DoobParams(m, n))
+    assert group.order == 192**m * factorial(m) * 24**n * factorial(n)
+    assert group.degree == 4 ** (2 * m + n)
+    # three Shrikhande and two K4 generators, plus the adjacent slot swaps
+    assert len(group.generators) == (m and m + 2) + (n and n + 1)
+    assert len(group.generators) <= SEARCHED_GENERATOR_COUNTS[(m, n)]
+
+
+@pytest.mark.parametrize("m, n", [p for p in WORD_LENGTH_UP_TO_6 if 2 * p[0] + p[1] <= 4])
+def test_every_generator_is_an_automorphism(m, n):
+    graph = doob_graph(DoobParams(m, n))
+    for gen in doob_symmetries(DoobParams(m, n)).generators:
         assert is_automorphism(graph, gen)
 
 
@@ -167,10 +202,11 @@ def test_orbit_census_of_small_families(codes_by_params):
 
 def test_orbit_census_against_oracle(codes_by_params):
     for key in [(1, 0), (0, 2)]:
-        group = doob_symmetries(DoobParams(*key))
+        params = DoobParams(*key)
+        group = doob_symmetries(params)
         ours = orbits_of_codes(codes_by_params[key], group).sizes
         theirs = oracles.orbit_size_multiset(
-            [set(code.members) for code in codes_by_params[key]], group.elements
+            [set(code.members) for code in codes_by_params[key]], group_elements(params)
         )
         assert ours == tuple(theirs)
         for size in ours:
@@ -179,9 +215,9 @@ def test_orbit_census_against_oracle(codes_by_params):
 
 def test_generators_and_full_element_list_agree(codes_by_params):
     codes = codes_by_params[(1, 0)]
-    group = doob_symmetries(DoobParams(1, 0))
-    via_generators = orbits_of_codes(codes, group)
-    via_elements = orbits_of_codes(codes, group.elements)
+    params = DoobParams(1, 0)
+    via_generators = orbits_of_codes(codes, doob_symmetries(params))
+    via_elements = orbits_of_codes(codes, sorted(group_elements(params)))
     assert via_generators.classes == via_elements.classes
 
 
@@ -219,7 +255,7 @@ def test_apply_perm_to_code_checks_degree(codes_by_params):
 def test_shift_plan_matches_code_action(codes_by_params):
     cases = [
         (codes_by_params[(1, 1)], doob_symmetries(DoobParams(1, 1)).generators),
-        (codes_by_params[(1, 0)], doob_symmetries(DoobParams(1, 0)).elements),
+        (codes_by_params[(1, 0)], sorted(group_elements(DoobParams(1, 0)))),
     ]
     for codes, perms in cases:
         for perm in perms:
@@ -235,5 +271,11 @@ def test_orbits_check_permutation_degree(codes_by_params):
 
 
 def test_group_dataclass_order_property():
-    group = AutomorphismGroup(3, ((0, 1, 2),), None, certified_full=False)
-    assert group.order is None
+    """A group is its degree, generators and order: no element list is kept."""
+    group = AutomorphismGroup(3, ((1, 2, 0),), 3)
+    assert group.order == 3
+    assert [field.name for field in dataclasses.fields(AutomorphismGroup)] == [
+        "degree",
+        "generators",
+        "order",
+    ]
