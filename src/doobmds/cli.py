@@ -274,11 +274,24 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _code_files(directory: Path) -> list[str]:
+    """Paths of the names in directory ending in .code, hidden ones too, sorted
+    by name: the set Path.glob("*.code") gives, and none if the directory
+    cannot be listed."""
+    try:
+        with os.scandir(directory) as entries:
+            names = [entry.name for entry in entries if entry.name.endswith(".code")]
+    except OSError:
+        return []
+    names.sort()
+    # The text str(directory / name) puts before name: "" for ".", as pathlib drops it.
+    prefix = str(directory / "_")[:-1]
+    return [prefix + name for name in names]
+
+
 def cmd_classify(args) -> int:
     directory = Path(args.directory)
-    # Same order as sorting the paths, as they share one directory, but
-    # comparing strings skips pathlib's comparison.
-    files = sorted(directory.glob("*.code"), key=str)
+    files = _code_files(directory)
     if not files:
         raise FormatError(f"no .code files in {directory}")
     codes = [read_code(path) for path in files]
@@ -292,20 +305,16 @@ def cmd_classify(args) -> int:
     partition = orbits_of_codes(codes, group)
     print("orbits: " + ", ".join(str(size) for size in partition.sizes))
     if args.out:
-        keyed = sorted(
-            (
-                len(cls),
-                min((codes[i] for i in cls), key=lambda c: c.members).members,
-                cls,
-            )
-            for cls in partition.classes
-        )
+        # Each class by size, then by its least member tuple, which is also its
+        # representative's; members are distinct, so the index never decides.
+        keyed = []
+        for cls in partition.classes:
+            least = min(cls, key=lambda i: codes[i].members)
+            keyed.append((len(cls), codes[least].members, least))
+        keyed.sort()
         payload = {
             "sizes": [size for size, _, _ in keyed],
-            "representatives": [
-                code_to_obj(next(c for c in codes if c.members == members))
-                for _, members, _ in keyed
-            ],
+            "representatives": [code_to_obj(codes[i]) for _, _, i in keyed],
         }
         Path(args.out).write_text(canonical_json(payload))
     return EXIT_OK

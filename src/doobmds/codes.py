@@ -11,11 +11,16 @@ members appear in increasing index order.  Serialization is canonical (sorted
 keys, no whitespace, single trailing newline) so equal codes produce
 byte-identical files.
 
-Loading reads byte-canonical text (exactly what dump_code writes) by slicing
-it at the fixed member width and summing each member's bit from a
-per-parameter table of member texts.  Any other text goes through the full
-JSON parse and validation, which also gives every error message; both ways
-give the same code for the same document.  Parameters of word length
+Files are read as bytes and decoded as UTF-8 with universal newlines; bytes
+that are not UTF-8 are a FormatError.  Loading reads byte-canonical text
+(exactly what dump_code writes) with one split of the member list at the
+text where one member ends and the next begins, "],[[" (or "],[" when
+m = 0), which occurs inside no member.  Each piece is looked up in a
+per-parameter table of member texts, built once per (m, n), and the code's
+mask is the sum of their bits; the pieces must increase as strings, which
+for texts of one shape is index order.  Any other text goes through the
+full JSON parse and validation, which also gives every error message; both
+ways give the same code for the same document.  Parameters of word length
 2m + n over MAX_WORD_LENGTH are a format error, found before any
 4^(2m+n) is computed.
 
@@ -318,12 +323,27 @@ _CANONICAL_CODE = re.compile(r'\{"m":([0-9]),"members":\[(.*)\],"n":([0-9])\}\n'
 
 
 @lru_cache(maxsize=None)
-def _member_bits(params: DoobParams) -> dict[str, int]:
-    """Canonical JSON text of every member of D(m,n), mapped to its bit 1 << index."""
-    return {
-        json.dumps(member_to_obj(v, params), separators=(",", ":")): 1 << v
+def _canonical_decoder(m: str, n: str):
+    """(params, head, separator, member bits) for canonical dumps over D(m,n),
+    or None.
+
+    Members are written "[" + "[a,b]," * m + "k," * n with the last comma as
+    "]", so each begins with head, "[[" (m >= 1) or "[" (m = 0), and
+    consecutive members meet at the separator "]," + head, which occurs
+    inside no member's text.  Member bits maps each member's text between
+    head and its closing "]" to its bit 1 << index.
+    """
+    m, n = int(m), int(n)
+    # Word length first, so 4 ** (2m + n) is never computed past desk scale.
+    if m + n == 0 or 2 * m + n > MAX_WORD_LENGTH:
+        return None
+    params = DoobParams(m, n)
+    head = "[[" if m else "["
+    bits = {
+        json.dumps(member_to_obj(v, params), separators=(",", ":"))[len(head) : -1]: 1 << v
         for v in range(params.vertex_count)
     }
+    return params, head, "]," + head, bits
 
 
 def _load_canonical(text: str) -> Optional[Code]:
@@ -331,23 +351,23 @@ def _load_canonical(text: str) -> Optional[Code]:
     match = _CANONICAL_CODE.fullmatch(text)
     if match is None:
         return None
-    m, body, n = int(match[1]), match[2], int(match[3])
-    # Word length first, so 4 ** (2m + n) is never computed past desk scale.
-    if m + n == 0 or 2 * m + n > MAX_WORD_LENGTH:
+    decoder = _canonical_decoder(match[1], match[3])
+    if decoder is None:
         return None
-    params = DoobParams(m, n)
-    width = 1 + 6 * m + 2 * n  # "[", m "[a,b]," and n "k,", the last comma as "]"
-    tokens = [body[i : i + width] for i in range(0, len(body), width + 1)]
-    if ",".join(tokens) != body:
+    params, head, separator, bits = decoder
+    body = match[2]
+    if not body.startswith(head) or not body.endswith("]"):
+        return None
+    tokens = body[len(head) : -1].split(separator)
+    # All member texts of one D(m,n) have their digits at the same places, so
+    # string order is index order.
+    if not all(map(operator.lt, tokens, tokens[1:])):
         return None
     try:
-        bits = list(map(_member_bits(params).__getitem__, tokens))
+        mask = sum(map(bits.__getitem__, tokens))
     except KeyError:
         return None
-    # Bits increase exactly when the member indices do.
-    if not all(map(operator.lt, bits, bits[1:])):
-        return None
-    return Code.from_mask(params, sum(bits))
+    return Code.from_mask(params, mask)
 
 
 def load_code(text: str) -> Code:
@@ -366,6 +386,19 @@ def write_code(code: Code, path):
         handle.write(dump_code(code))
 
 
+def _read_text(path) -> str:
+    """A file's contents decoded as UTF-8, with universal newlines; bad bytes
+    are a FormatError."""
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_code(path) -> Code:
-    with open(path) as handle:
-        return load_code(handle.read())
+    return load_code(_read_text(path))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .codes import Code, canonical_json, params_from_obj
+from .codes import Code, _read_text, canonical_json, params_from_obj
 from .errors import DeskScaleError, FormatError
 from .graphs import DoobParams, check_desk_scale, decode_vertex
 from .search import count_mds
@@ -268,5 +268,4 @@ def write_rule(rule: ParityRule, path):
 
 
 def read_rule(path) -> ParityRule:
-    with open(path) as handle:
-        return load_rule(handle.read())
+    return load_rule(_read_text(path))

@@ -30,7 +30,6 @@ At the last factor vertex the remaining choices are counted as one popcount.
 
 from __future__ import annotations
 
-import multiprocessing
 import operator
 import os
 from dataclasses import dataclass
@@ -199,6 +198,8 @@ def _run_assembly(factor: Graph, sub_masks, jobs):
         return _assemble(factor.neighbor_masks, _compatibility(sub_masks))
     firsts = [sum(1 << i for i in range(start, sub_count, jobs)) for start in range(jobs)]
     tasks = [(factor.neighbor_masks, tuple(sub_masks), first) for first in firsts]
+    import multiprocessing  # here, as only jobs >= 2 needs it
+
     # fork where the platform has it (workers inherit the imported package);
     # elsewhere the default method, as tasks and worker pickle by reference.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None

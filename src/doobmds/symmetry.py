@@ -180,28 +180,31 @@ def orbits_of_masks(
         if sorted(perm) != list(range(degree)):
             raise ValueError(f"not a permutation of {degree} points")
     plans = [_shift_plan(perm) for perm in perms]
-    parent = list(range(len(masks)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, mask in enumerate(masks):
-        for plan in plans:
-            j = position.get(_apply_plan(plan, mask))
-            if j is None:
-                raise ConsistencyError(
-                    f"a group generator maps code {i} outside the given list"
-                )
-            a, b = find(i), find(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    classes: dict[int, list[int]] = {}
-    for i in range(len(masks)):
-        classes.setdefault(find(i), []).append(i)
-    return tuple(tuple(cls) for cls in classes.values())
+    seen = bytearray(len(masks))
+    outside = []
+    classes = []
+    for start in range(len(masks)):
+        if seen[start]:
+            continue
+        # Breadth-first from the least position not yet in a class.
+        seen[start] = 1
+        cls = [start]
+        for i in cls:
+            mask = masks[i]
+            for plan in plans:
+                j = position.get(_apply_plan(plan, mask))
+                if j is None:
+                    outside.append(i)
+                elif not seen[j]:
+                    seen[j] = 1
+                    cls.append(j)
+        cls.sort()
+        classes.append(tuple(cls))
+    if outside:
+        raise ConsistencyError(
+            f"a group generator maps code {min(outside)} outside the given list"
+        )
+    return tuple(classes)
 
 
 def orbits_of_codes(

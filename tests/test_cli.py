@@ -1,9 +1,20 @@
 import filecmp
 import json
+import random
 
 import pytest
 
-from doobmds import Code, DoobParams, dump_code, load_code, read_code
+from doobmds import (
+    Code,
+    DoobParams,
+    canonical_json,
+    code_to_obj,
+    doob_symmetries,
+    dump_code,
+    load_code,
+    orbits_of_codes,
+    read_code,
+)
 from doobmds.cli import cache_root, main
 
 
@@ -191,6 +202,25 @@ def test_deeply_nested_json_is_a_parse_error_in_lambda(tmp_path, capsys):
     assert err.startswith("error: invalid JSON: maximum recursion depth")
 
 
+def test_files_that_are_not_utf8_are_parse_errors(tmp_path, capsys):
+    bad_code = tmp_path / "bad.code"
+    bad_code.write_bytes(b'{"m":0,"members":[[0],[1]],"n":1}\xff\n')
+    code, out, _ = run(capsys, "verify", str(bad_code))
+    assert code == 3
+    assert out.startswith(f"{bad_code}: parse error: not UTF-8 text")
+    code, out, err = run(capsys, "kappa", str(bad_code))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: not UTF-8 text")
+    code, out, err = run(capsys, "classify", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: not UTF-8 text")
+    rule = tmp_path / "rule.json"
+    rule.write_bytes(b'{"bits":"0000","m":1,"n":0}\n\xc3')
+    code, out, err = run(capsys, "lambda", str(rule))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: not UTF-8 text")
+
+
 def test_xi_table(tmp_path, capsys):
     code, out, _ = run(capsys, "xi")
     assert code == 0
@@ -316,6 +346,62 @@ def test_classify_errors(tmp_path, capsys):
     for extra in sorted(partial.glob("code_*.code"))[5:]:
         extra.unlink()
     assert run(capsys, "classify", str(partial))[0] == 4
+
+
+def test_classify_reads_the_files_a_code_glob_matches(tmp_path, capsys):
+    """Every name ending in .code, hidden ones too; nothing else."""
+    directory = tmp_path / "d10"
+    run(capsys, "enumerate", "1", "0", "--out", str(directory))
+    # Without this file the list is not closed under the group (exit 4).
+    (directory / "code_00.code").rename(directory / ".x.code")
+    (directory / "X.CODE").write_text("not json")
+    (directory / "x.code.bak").write_text("not json")
+    assert run(capsys, "classify", str(directory))[:2] == (0, "orbits: 4, 12\n")
+    (directory / "x.code").mkdir()
+    code, _, err = run(capsys, "classify", str(directory) + "/")
+    assert code == 3 and str(directory / "x.code") in err
+    assert run(capsys, "classify", str(tmp_path / "missing"))[0] == 3
+
+
+def test_classify_report_keeps_the_least_member_representatives(
+    codes_by_params, tmp_path, capsys
+):
+    """The report on orbits of D(2,0) is byte for byte the one a linear search
+    for each class's least member tuple gives."""
+    params = DoobParams(2, 0)
+    group = doob_symmetries(params)
+    # Whole orbits of up to 144 codes: four have 144, so ties in size are
+    # broken by the least member tuple.
+    codes = [
+        codes_by_params[(2, 0)][i]
+        for cls in orbits_of_codes(codes_by_params[(2, 0)], group).classes
+        if len(cls) <= 144
+        for i in cls
+    ]
+    labels = list(range(len(codes)))
+    random.Random(5).shuffle(labels)
+    directory = tmp_path / "d20"
+    directory.mkdir()
+    for code, label in zip(codes, labels):
+        (directory / f"code_{label:03d}.code").write_text(dump_code(code))
+    report = tmp_path / "orbits.json"
+    code, out, _ = run(capsys, "classify", str(directory), "--out", str(report))
+    assert (code, out) == (0, "orbits: 24, 72, 144, 144, 144, 144\n")
+
+    listed = [read_code(path) for path in sorted(directory.glob("*.code"), key=str)]
+    partition = orbits_of_codes(listed, group)
+    keyed = sorted(
+        (len(cls), min((listed[i] for i in cls), key=lambda c: c.members).members, cls)
+        for cls in partition.classes
+    )
+    payload = {
+        "sizes": [size for size, _, _ in keyed],
+        "representatives": [
+            code_to_obj(next(c for c in listed if c.members == members))
+            for _, members, _ in keyed
+        ],
+    }
+    assert report.read_text() == canonical_json(payload)
 
 
 def test_usage_error_is_exit_two():

@@ -323,6 +323,60 @@ def test_canonical_layout_errors_match_the_json_path(monkeypatch):
         assert str(info.value).startswith(message), (text, info.value)
 
 
+def _outcome(text):
+    """What load_code makes of text: the code's fields, or the error message."""
+    try:
+        code = load_code(text)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "code", code.params, code.mask, tuple(code.members)
+
+
+def test_canonical_fast_path_matches_the_json_path_under_mutation(codes_by_params, monkeypatch):
+    """Every one-character substitution or deletion in canonical dumps loads to
+    the same code, or fails with the same message, with the fast path on and
+    off.  D(2,0) members contain "],[", and word length 6 is the largest a
+    file may declare."""
+    texts = [
+        dump_code(code)
+        for key in [(1, 0), (0, 2), (1, 1), (2, 0)]
+        for code in (codes_by_params[key][0], codes_by_params[key][-1])
+    ]
+    texts += [
+        dump_code(Code(DoobParams(3, 0), (0, 17, 300, 2049, 4095))),
+        dump_code(Code(DoobParams(2, 2), (1, 64, 1000, 4000))),
+        dump_code(Code(DoobParams(1, 0), ())),
+    ]
+    assert all(codes._load_canonical(text) is not None for text in texts[:-1])
+    mutants = set(texts)
+    for text in texts:
+        for i in range(len(text)):
+            mutants.add(text[:i] + text[i + 1 :])
+            for char in '[],0134"m':
+                mutants.add(text[:i] + char + text[i + 1 :])
+    mutants = sorted(mutants)
+    fast = [_outcome(text) for text in mutants]
+    canonical = sum(codes._load_canonical(text) is not None for text in mutants)
+    assert canonical > len(texts)  # some mutants are other canonical dumps
+    monkeypatch.setattr(codes, "_load_canonical", lambda text: None)
+    for text, outcome in zip(mutants, fast):
+        assert _outcome(text) == outcome, text
+
+
+def test_read_code_decodes_utf8_with_universal_newlines(codes_by_params, tmp_path, monkeypatch):
+    code = codes_by_params[(1, 1)][0]
+    text = dump_code(code)
+    path = tmp_path / "c.code"
+    # Read with its newline made "\n", the text is canonical: no JSON parse.
+    monkeypatch.setattr(codes.json, "loads", None)
+    for newline in ["\r\n", "\r"]:
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert read_code(path) == code
+    path.write_bytes(text.encode()[:-1] + b"\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        read_code(path)
+
+
 def test_non_canonical_text_loads_the_same_code(codes_by_params):
     for code in codes_by_params[(1, 1)][:3] + codes_by_params[(0, 3)][:3]:
         text = dump_code(code)

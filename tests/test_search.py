@@ -1,4 +1,8 @@
 import itertools
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -142,7 +146,7 @@ def serial_pool(monkeypatch):
             pools.append((self.method, processes))
             return SerialPool()
 
-    monkeypatch.setattr(search.multiprocessing, "get_context", Context)
+    monkeypatch.setattr(multiprocessing, "get_context", Context)
     return pools
 
 
@@ -158,11 +162,21 @@ def test_worker_pool_is_clamped(monkeypatch, serial_pool):
 
 @pytest.mark.parametrize("methods, expected", [(["fork", "spawn"], "fork"), (["spawn"], None)])
 def test_worker_start_method_is_portable(monkeypatch, serial_pool, methods, expected):
-    monkeypatch.setattr(search.multiprocessing, "get_all_start_methods", lambda: methods)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     result = enumerate_mds(DoobParams(1, 1), jobs=2, verify=False)
     assert serial_pool == [(expected, 2)]
     assert result.count == 240
+
+
+def test_only_worker_pools_import_multiprocessing():
+    """Every CLI command imports the package; only jobs >= 2 needs the module."""
+    probe = "import sys, doobmds.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.stdout == "False\n", done.stderr
 
 
 def test_desk_scale_guard_message():

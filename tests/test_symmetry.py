@@ -240,6 +240,20 @@ def test_orbits_reject_bad_input(codes_by_params):
         orbits_of_codes([codes[0], codes[0]], group)
 
 
+def test_closure_error_names_the_first_code_mapped_outside(codes_by_params):
+    group = doob_symmetries(DoobParams(1, 1))
+    listed = codes_by_params[(1, 1)][1:]
+    present = set(listed)
+    leaving = [
+        i
+        for i, code in enumerate(listed)
+        if any(apply_perm_to_code(code, perm) not in present for perm in group.generators)
+    ]
+    assert len(leaving) > 1
+    with pytest.raises(ConsistencyError, match=f"maps code {leaving[0]} outside the given list"):
+        orbits_of_codes(listed, group)
+
+
 def test_trivial_group_gives_singletons(codes_by_params):
     codes = codes_by_params[(0, 2)]
     partition = orbits_of_codes(codes, [identity_perm(16)])
