@@ -17,7 +17,6 @@ from .codes import (
     dump_code,
     load_code,
     read_code,
-    sort_codes,
     write_code,
 )
 from .errors import (
@@ -44,18 +43,15 @@ from .parity import (
     BoundsReport,
     EssentialClassCount,
     ParityRule,
-    all_parity_rules,
     bounds_report,
     build_parity_code,
     count_essential_classes,
-    essential_key,
     representative_rules,
 )
 from .reduction import (
     PairingTable,
     derive_pairing,
     k4_pair_codes,
-    pairing_violations,
     permute_sh_coordinates,
     reduce_last_sh_coordinate,
     reduce_sh_coordinates,
@@ -89,7 +85,6 @@ __all__ = [
     "PairingTable",
     "ParameterMismatchError",
     "ParityRule",
-    "all_parity_rules",
     "apply_perm_to_code",
     "bounds_report",
     "build_parity_code",
@@ -107,12 +102,10 @@ __all__ = [
     "dump_code",
     "encode_vertex",
     "enumerate_mds",
-    "essential_key",
     "graph_from_predicate",
     "k4_pair_codes",
     "load_code",
     "orbits_of_codes",
-    "pairing_violations",
     "permute_sh_coordinates",
     "read_code",
     "reduce_last_sh_coordinate",
@@ -120,6 +113,5 @@ __all__ = [
     "representative_rules",
     "sh_codes",
     "shrikhande",
-    "sort_codes",
     "write_code",
 ]

@@ -79,17 +79,6 @@ class Code:
             object.__setattr__(self, "_members", None)
             return
         object.__setattr__(self, "_members", members)
-        if (
-            isinstance(members, tuple)
-            and members
-            and set(map(type, members)) <= {int}
-            and members[0] >= 0
-            and members[-1] < self.params.vertex_count
-            and all(map(operator.lt, members, members[1:]))
-        ):
-            # Plain increasing in-range ints: the loop below would accept them.
-            object.__setattr__(self, "mask", sum(map((1).__lshift__, members)))
-            return
         mask = 0
         prev = -1
         for v in members:
@@ -199,9 +188,6 @@ class Code:
         if pair is not None:
             raise ConsistencyError(f"{context}: adjacent members {pair[0]} and {pair[1]}")
 
-    def vertices(self) -> tuple[DoobVertex, ...]:
-        return tuple(decode_vertex(v, self.params) for v in self.members)
-
 
 _BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -217,16 +203,6 @@ def _independent(mask: int, graph: Graph) -> bool:
         if (mask & selector) << d & mask:
             return False
     return True
-
-
-def sort_codes(codes: Iterable[Code]) -> list[Code]:
-    """Deterministic order: lexicographic by member tuple."""
-    return sorted(codes, key=lambda c: c.members)
-
-
-def intersection_profile(code: Code, family: Iterable[Code]) -> tuple[int, ...]:
-    """Intersection sizes of one code against a fixed ordered family."""
-    return tuple(code.intersection_size(other) for other in family)
 
 
 # ---------------------------------------------------------------------------

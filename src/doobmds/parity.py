@@ -26,7 +26,7 @@ from .errors import DeskScaleError, FormatError
 from .graphs import DoobParams, check_desk_scale, decode_vertex
 from .search import count_mds
 
-# Largest rule-table size we will enumerate rules over (2^16 rules).
+# Most even-sum vectors a rule enumeration ranges over (2^16 representative rules).
 _RULE_ENUMERATION_LIMIT = 16
 
 # Above this word length the class count 2^(2^(2m+n-1)) is left symbolic.
@@ -82,10 +82,6 @@ class ParityRule:
         if any(bit not in (0, 1) for bit in self.bits):
             raise ValueError("rule table entries must be 0 or 1")
 
-    @classmethod
-    def constant(cls, params: DoobParams, bit: int) -> "ParityRule":
-        return cls(params, (bit,) * rule_domain_size(params))
-
     def bit_string(self) -> str:
         return "".join(str(bit) for bit in self.bits)
 
@@ -100,26 +96,9 @@ def even_point_indices(params: DoobParams) -> tuple[int, ...]:
     )
 
 
-def essential_key(rule: ParityRule) -> tuple[int, ...]:
-    """Restriction to the even-sum vectors; a class invariant for essential equality."""
-    return tuple(rule.bits[index] for index in even_point_indices(rule.params))
-
-
 def _unpack_bits(packed: int, width: int) -> tuple[int, ...]:
     """The width binary digits of 0 <= packed < 2^width, most significant first."""
     return tuple(map(int, format(packed, f"0{width}b")))
-
-
-def all_parity_rules(params: DoobParams) -> Iterator[ParityRule]:
-    """Every rule over the given parameters, in table order."""
-    size = rule_domain_size(params)
-    if size > _RULE_ENUMERATION_LIMIT:
-        raise DeskScaleError(
-            f"rule table for {params} has {size} entries; "
-            f"enumeration is capped at {_RULE_ENUMERATION_LIMIT}"
-        )
-    for packed in range(2 ** size):
-        yield ParityRule(params, _unpack_bits(packed, size))
 
 
 def representative_rules(params: DoobParams) -> Iterator[ParityRule]:

@@ -71,26 +71,15 @@ class PairingTable:
         }
 
 
-def pairing_violations(table: PairingTable) -> list[tuple[int, int]]:
-    """Pairs (i, j), i <= j, where the meet-iff-partners-meet property fails."""
-    out = []
-    size = len(table.domain)
-    for i in range(size):
-        for j in range(i, size):
-            domain_meet = table.domain[i].intersection_size(table.domain[j]) > 0
-            image_meet = table.image[i].intersection_size(table.image[j]) > 0
-            if domain_meet != image_meet:
-                out.append((i, j))
-    return out
-
-
 @lru_cache(maxsize=None)
 def derive_pairing() -> PairingTable:
     """Search for the canonical intersection-preserving matching.
 
     Backtracking over domain slots in canonical order, trying candidate image
     codes in canonical order; the first complete assignment found is the
-    lexicographically least one.
+    lexicographically least one.  A candidate is placed only if it meets the
+    images of all earlier slots exactly as its domain code meets theirs, so
+    the complete table preserves meeting for every pair.
     """
     domain = sh_codes()
     candidates = k4_pair_codes()
@@ -232,7 +221,7 @@ def reduce_sh_coordinates(
         order = tuple(range(m - 1, -1, -1))
     order = tuple(order)
     if sorted(order) != list(range(m)):
-        raise ValueError(f"{order!r} is not a consumption order for {m} coordinates")
+        raise ValueError(f"{order!r} is not a permutation of the {m} Shrikhande coordinates")
     # Arrange slots so plain last-coordinate reduction consumes them in order.
     perm = tuple(order[m - 1 - p] for p in range(m))
     current = permute_sh_coordinates(code, perm)

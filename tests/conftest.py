@@ -21,7 +21,8 @@ def rook_graph():
 
 @pytest.fixture(scope="session")
 def codes_by_params():
-    """Verified enumerations for every parameter set the suite reuses."""
+    """Enumerations for every parameter set the suite reuses (each code is
+    checked against its graph by test_every_enumerated_code_is_verified)."""
     out = {}
     for m, n in [(0, 1), (1, 0), (0, 2), (1, 1), (0, 3), (2, 0)]:
         out[(m, n)] = enumerate_mds(DoobParams(m, n)).codes

@@ -11,13 +11,17 @@ The reference Shrikhande reduction regroups members fiber by fiber with
 divmod and takes the pairing table as a dict of plain member tuples; the
 reference parity code tests every labeled vertex against the rule.
 
-The last section works on the package's Graph objects: graph invariants,
-permutation arithmetic, and an exhaustive backtracking automorphism search,
-the reference for the closed-form generators of doob_symmetries.
+The section on rules and codes holds small helpers over the package's Code,
+ParityRule and PairingTable objects that only the tests use.  The last
+section works on the package's Graph objects: graph invariants, permutation
+arithmetic, and an exhaustive backtracking automorphism search, the
+reference for the closed-form generators of doob_symmetries.
 """
 
 import collections
 import itertools
+
+from doobmds import ParityRule, decode_vertex
 
 SH_DIFFS = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
 
@@ -333,20 +337,67 @@ def parity_members(m, n, bits):
 
 def essentially_equal(rule_a, rule_b):
     """True iff two parity rules agree at every first-component vector with
-    even coordinate sum.
+    even coordinate sum."""
+    if rule_a.params != rule_b.params:
+        raise ValueError(f"comparing rules over {rule_a.params} and {rule_b.params}")
+    return essential_key(rule_a) == essential_key(rule_b)
+
+
+# ---------------------------------------------------------------------------
+# Rules, codes and pairing tables, on the package's objects
+# ---------------------------------------------------------------------------
+
+
+def all_parity_rules(params):
+    """Every rule over the given parameters, in table order."""
+    size = 4**params.m * 2**params.n
+    for bits in itertools.product((0, 1), repeat=size):
+        yield ParityRule(params, bits)
+
+
+def constant_rule(params, bit):
+    """The rule with the same bit at every first-component vector."""
+    return ParityRule(params, (bit,) * (4**params.m * 2**params.n))
+
+
+def essential_key(rule):
+    """The rule's bits at the first-component vectors with even coordinate sum.
 
     The vectors are listed with itertools.product in table order (Shrikhande
     positions base 4, K4 positions base 2, most significant first).
     """
-    if rule_a.params != rule_b.params:
-        raise ValueError(f"comparing rules over {rule_a.params} and {rule_b.params}")
-    m, n = rule_a.params.m, rule_a.params.n
+    m, n = rule.params.m, rule.params.n
     points = itertools.product(*([range(4)] * m + [range(2)] * n))
-    return all(
-        a == b
-        for point, a, b in zip(points, rule_a.bits, rule_b.bits)
-        if sum(point) % 2 == 0
-    )
+    return tuple(bit for point, bit in zip(points, rule.bits) if sum(point) % 2 == 0)
+
+
+def sort_codes(codes):
+    """Codes in lexicographic order of their member tuples."""
+    return sorted(codes, key=lambda code: code.members)
+
+
+def intersection_profile(code, family):
+    """Intersection sizes of one code against a fixed ordered family."""
+    return tuple(code.intersection_size(other) for other in family)
+
+
+def code_vertices(code):
+    """The code's members as (Shrikhande pairs, K4 values) vertices."""
+    return tuple(decode_vertex(v, code.params) for v in code.members)
+
+
+def pairing_violations(table):
+    """Pairs (i, j), i <= j, of domain slots that meet while their images do
+    not, or the other way round."""
+    out = []
+    size = len(table.domain)
+    for i in range(size):
+        for j in range(i, size):
+            domain_meet = table.domain[i].intersection_size(table.domain[j]) > 0
+            image_meet = table.image[i].intersection_size(table.image[j]) > 0
+            if domain_meet != image_meet:
+                out.append((i, j))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,11 @@ from doobmds import (
     representative_rules,
 )
 from doobmds.cli import main
-from doobmds.codes import intersection_profile
 from doobmds.parity import (
     ParityRule,
-    all_parity_rules,
     build_parity_code,
-    essential_key,
     rule_domain_size,
 )
-from doobmds.reduction import pairing_violations
 
 
 def report(capsys, criterion: int, line: str):
@@ -86,9 +82,9 @@ def test_criterion_4_pairing_and_reduction_suite(capsys):
     injective on MDS(1,0) and MDS(1,1); |MDS(1,1)| respects the 576 bound; <5min."""
     started = time.monotonic()
     table = derive_pairing()
-    assert pairing_violations(table) == []
-    domain_matrix = [intersection_profile(code, table.domain) for code in table.domain]
-    image_matrix = [intersection_profile(code, table.image) for code in table.image]
+    assert oracles.pairing_violations(table) == []
+    domain_matrix = [oracles.intersection_profile(code, table.domain) for code in table.domain]
+    image_matrix = [oracles.intersection_profile(code, table.image) for code in table.image]
     assert domain_matrix == image_matrix
 
     sh_images = {reduce_sh_coordinates(c).members for c in enumerate_mds(DoobParams(1, 0)).codes}
@@ -121,7 +117,7 @@ def _criterion_5_rules(params: DoobParams):
     # representative per essential class gives the stated 256 constructions.
     if (params.m, params.n) == (2, 0):
         return representative_rules(params)
-    return all_parity_rules(params)
+    return oracles.all_parity_rules(params)
 
 
 def test_criterion_5_parity_family_suite(capsys):
@@ -156,7 +152,7 @@ def test_criterion_6_distinct_code_counts(capsys):
         params = DoobParams(m, n)
         size = rule_domain_size(params)
         keys = {
-            essential_key(
+            oracles.essential_key(
                 ParityRule(
                     params, tuple(packed >> (size - 1 - k) & 1 for k in range(size))
                 )

@@ -19,7 +19,6 @@ PUBLIC_NAMES = {
     "PairingTable",
     "ParameterMismatchError",
     "ParityRule",
-    "all_parity_rules",
     "apply_perm_to_code",
     "bounds_report",
     "build_parity_code",
@@ -37,12 +36,10 @@ PUBLIC_NAMES = {
     "dump_code",
     "encode_vertex",
     "enumerate_mds",
-    "essential_key",
     "graph_from_predicate",
     "k4_pair_codes",
     "load_code",
     "orbits_of_codes",
-    "pairing_violations",
     "permute_sh_coordinates",
     "read_code",
     "reduce_last_sh_coordinate",
@@ -50,13 +47,12 @@ PUBLIC_NAMES = {
     "representative_rules",
     "sh_codes",
     "shrikhande",
-    "sort_codes",
     "write_code",
 }
 
 
 def test_public_api_is_pinned():
-    assert len(doobmds.__all__) == len(PUBLIC_NAMES) == 51
+    assert len(doobmds.__all__) == len(PUBLIC_NAMES) == 47
     assert set(doobmds.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(doobmds, name), name

@@ -66,7 +66,7 @@ def test_every_construction_path_runs_post_init(constructions):
     Code.from_mask(p, 0b10100000101)
     assert len(constructions) == 2
 
-    result = enumerate_mds(DoobParams(1, 1), verify=False)
+    result = enumerate_mds(DoobParams(1, 1))
     code = result.codes[7]
     assert constructions[-result.count :] == list(result.codes)
 
@@ -80,5 +80,5 @@ def test_every_construction_path_runs_post_init(constructions):
     built = build_parity_code(rule)
     assert constructions[-1] is built
 
-    reduced = reduce_sh_coordinates(enumerate_mds(DoobParams(2, 0), verify=False).codes[3])
+    reduced = reduce_sh_coordinates(enumerate_mds(DoobParams(2, 0)).codes[3])
     assert constructions[-1] is reduced

@@ -80,10 +80,15 @@ def test_enumerate_cache_reuse(capsys):
     assert "enumerated" in err
 
 
-def test_enumerate_corrupt_cache_recomputes(capsys):
+@pytest.mark.parametrize(
+    "manifest",
+    [b"{broken", b"[]", b'"x"', b"\xff\xfe{}", b"[" * 3000 + b"]" * 3000],
+    ids=["bad-json", "list", "string", "not-utf8", "too-deep"],
+)
+def test_enumerate_corrupt_cache_recomputes(capsys, manifest):
     run(capsys, "enumerate", "0", "2")
     manifest_path = cache_root() / "d0_2" / "manifest.json"
-    manifest_path.write_text("{broken")
+    manifest_path.write_bytes(manifest)
     code, out, err = run(capsys, "enumerate", "0", "2")
     assert (code, out) == (0, "24\n")
     assert "enumerated" in err

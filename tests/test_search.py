@@ -76,11 +76,26 @@ def test_oracle_equivalence_bounded_search_64_vertices(codes_by_params):
 
 
 def test_every_enumerated_code_is_verified(codes_by_params):
-    # enumerate_mds verifies on the way out; re-check a sample against the graph
-    for key in [(1, 0), (0, 2), (1, 1)]:
+    # enumerate_mds does not re-check what it builds; every code is checked here.
+    enumerated = dict(codes_by_params)
+    for key in [(1, 2), (0, 4)]:
+        enumerated[key] = enumerate_mds(DoobParams(*key)).codes
+    for key, codes in enumerated.items():
         graph = doob_graph(DoobParams(*key))
-        for code in codes_by_params[key]:
-            assert code.is_mds(graph)
+        assert all(code.is_mds(graph) for code in codes), key
+
+
+def test_enumeration_does_not_recheck_its_codes(monkeypatch):
+    calls = []
+    original = Code.assert_mds
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Code, "assert_mds", counted)
+    assert enumerate_mds(DoobParams(1, 1)).count == 240
+    assert calls == []
 
 
 def test_output_is_sorted_and_deduplicated(codes_by_params):
@@ -106,20 +121,13 @@ def test_disjoint_rows_match_pairwise_test(codes_by_params):
         assert rows[i] == expected
 
 
-def test_count_only_result_has_no_codes():
-    result = enumerate_mds(DoobParams(0, 2), materialize=False)
-    assert result.count == 24
-    assert result.codes is None
-    assert not result.is_materialized()
-
-
 def test_parallel_enumeration_identical(codes_by_params):
     for key in [(1, 1), (2, 0)]:
-        parallel = enumerate_mds(DoobParams(*key), jobs=4, verify=False)
+        parallel = enumerate_mds(DoobParams(*key), jobs=4)
         assert [c.members for c in parallel.codes] == [
             c.members for c in codes_by_params[key]
         ]
-        assert count_mds(DoobParams(*key), jobs=4) == len(codes_by_params[key])
+        assert count_mds(DoobParams(*key)) == len(codes_by_params[key])
 
 
 @pytest.fixture
@@ -152,7 +160,7 @@ def serial_pool(monkeypatch):
 
 def test_worker_pool_is_clamped(monkeypatch, serial_pool):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    result = enumerate_mds(DoobParams(1, 1), jobs=1000, verify=False)
+    result = enumerate_mds(DoobParams(1, 1), jobs=1000)
     assert [processes for _, processes in serial_pool] == [3]
     assert result.count == 240
     assert search._worker_count(1000, 2) == 2
@@ -164,7 +172,7 @@ def test_worker_pool_is_clamped(monkeypatch, serial_pool):
 def test_worker_start_method_is_portable(monkeypatch, serial_pool, methods, expected):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    result = enumerate_mds(DoobParams(1, 1), jobs=2, verify=False)
+    result = enumerate_mds(DoobParams(1, 1), jobs=2)
     assert serial_pool == [(expected, 2)]
     assert result.count == 240
 
