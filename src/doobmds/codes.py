@@ -138,13 +138,6 @@ class Code:
     def __contains__(self, v):
         return isinstance(v, int) and 0 <= v < self.params.vertex_count and self.mask >> v & 1
 
-    def intersection_size(self, other: "Code") -> int:
-        if self.params != other.params:
-            raise ParameterMismatchError(
-                f"intersecting codes from {self.params} and {other.params}"
-            )
-        return (self.mask & other.mask).bit_count()
-
     def _resolve_graph(self, graph: Optional[Graph]) -> Graph:
         if graph is None:
             return graph_of(self.params)

@@ -16,16 +16,27 @@ Code.members.  Output order is still lexicographic on the member tuples,
 independent of the search order and of the worker count: it is sorted by
 the bit-reversed mask, descending.
 
-Counting does not visit every assignment.  An automorphism g of G, applied to
-every fiber at once, maps an assignment (c_f) to (g c_f): fibers stay maximum
-independent sets, and fibers that were disjoint stay disjoint, so valid
-assignments go to valid assignments, bijectively.  Hence the assignments with
-c_0 = c are as many as those with c_0 = g c, and
+Neither counting nor enumeration searches every first choice.  An
+automorphism g of G, applied to every fiber at once, maps an assignment (c_f)
+to (g c_f): fibers stay maximum independent sets, and fibers that were
+disjoint stay disjoint, so valid assignments go to valid assignments,
+bijectively.  With A(c) the valid assignments that have c at factor vertex 0,
 
-    count(G x F) = sum over orbits O of the sub-codes of |O| * completions(rep_O),
+    A(g c) = g A(c),
 
-where completions(c) counts the valid assignments with c at factor vertex 0.
-At the last factor vertex the remaining choices are counted as one popcount.
+so only one representative per orbit of G's codes is searched.  Counting
+weights it by its orbit:
+
+    count(G x F) = sum over orbits O of the sub-codes of |O| * |A(rep_O)|,
+
+and adds up the choices left at the last factor vertex as one popcount.
+Enumeration walks each orbit's Schreier tree, the breadth-first tree by
+which the generators reach every code of the orbit from its representative
+(Seress, Permutation Group Algorithms, 2003): the block of a code reached
+from code p by generator g is the image of p's block under g lifted to the
+product.  The lift sends product vertex u * |F| + f to g(u) * |F| + f, so its
+shift plan is g's plan with each selector spread over the |F| bits of every
+vertex u and each shift multiplied by |F|; an image costs one orbit step.
 """
 
 from __future__ import annotations
@@ -42,11 +53,22 @@ from .graphs import (
     complete_graph,
     shrikhande,
 )
-from .symmetry import doob_symmetries, orbits_of_masks
+from .symmetry import _apply_plan, _orbit_trees, _shift_plan, doob_symmetries
 
 # Externally published census counts; everything else this tool reports is
-# derived by its own search and flagged so.
-PUBLISHED_COUNTS = {(0, 1): 4, (0, 2): 24, (1, 0): 16}
+# derived by its own search and flagged so.  A code of the Hamming graph
+# D(0,n) = H(n,4) is the graph of an (n-1)-ary quasigroup of order 4; their
+# numbers through n = 5 are in McKay & Wanless, "A census of small Latin
+# hypercubes" (2008), and Potapov & Krotov, "On the number of n-ary
+# quasigroups of finite order" (2011).
+PUBLISHED_COUNTS = {
+    (0, 1): 4,
+    (0, 2): 24,
+    (1, 0): 16,
+    (0, 3): 576,
+    (0, 4): 55296,
+    (0, 5): 36972288,
+}
 
 # Sub-codes per block when building vertex-incidence bitsets.
 TRANSPOSE_BLOCK = 1024
@@ -55,8 +77,11 @@ TRANSPOSE_BLOCK = 1024
 @dataclass(frozen=True)
 class EnumerationResult:
     params: DoobParams
-    count: int
     codes: tuple[Code, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.codes)
 
 
 def independent_sets_of_size(graph: Graph, size: int) -> list[tuple[int, ...]]:
@@ -133,20 +158,18 @@ def _compatibility(sub_masks):
     return _DisjointRows(sub_masks)
 
 
-def _assemble(factor_masks, compat, first=None, count_only=False):
+def _assemble(factor_masks, compat, first, count_only=False):
     """Assign a sub-code to every factor vertex, disjoint across factor edges.
 
     Returns assignment tuples (sub-code index per factor vertex), or just
     their number when count_only; counting adds up the choices left at the
     last factor vertex instead of visiting them.  first, a bitmask over
-    sub-code indices, restricts the choice at factor vertex 0; the parallel
-    driver and the orbit-weighted count use it to split the search.
+    sub-code indices, restricts the choice at factor vertex 0: the searches
+    run one orbit representative at a time.
     """
     factor_count = len(factor_masks)
     last = factor_count - 1
     full = compat.full
-    if first is None:
-        first = full
     assignment = [0] * factor_count
     out = []
     total = 0
@@ -176,23 +199,25 @@ def _assemble(factor_masks, compat, first=None, count_only=False):
 
 
 def _assembly_worker(task):
-    factor_masks, sub_masks, first = task
-    return _assemble(factor_masks, _compatibility(sub_masks), first=first)
+    factor_masks, sub_masks, rep = task
+    return _assemble(factor_masks, _compatibility(sub_masks), 1 << rep)
 
 
-def _worker_count(jobs: int, sub_count: int) -> int:
-    """Worker processes worth starting: no more than asked, cores, or sub-codes."""
-    return min(jobs, os.cpu_count() or 1, sub_count)
+def _worker_count(jobs: int, searches: int) -> int:
+    """Worker processes worth starting: no more than asked, cores, or searches."""
+    return min(jobs, os.cpu_count() or 1, searches)
 
 
-def _run_assembly(factor: Graph, sub_masks, jobs):
-    """Every valid assignment, the first factor vertex split across workers."""
-    sub_count = len(sub_masks)
-    jobs = _worker_count(jobs, sub_count)
-    if jobs <= 1 or sub_count < 2 * jobs:
-        return _assemble(factor.neighbor_masks, _compatibility(sub_masks))
-    firsts = [sum(1 << i for i in range(start, sub_count, jobs)) for start in range(jobs)]
-    tasks = [(factor.neighbor_masks, tuple(sub_masks), first) for first in firsts]
+def _run_assembly(factor: Graph, sub_masks, reps, jobs):
+    """For each representative, the valid assignments with it at factor vertex 0.
+
+    The representatives are split across workers.
+    """
+    jobs = _worker_count(jobs, len(reps))
+    if jobs <= 1:
+        compat = _compatibility(sub_masks)
+        return [_assemble(factor.neighbor_masks, compat, 1 << rep) for rep in reps]
+    tasks = [(factor.neighbor_masks, tuple(sub_masks), rep) for rep in reps]
     import multiprocessing  # here, as only jobs >= 2 needs it
 
     # fork where the platform has it (workers inherit the imported package);
@@ -200,32 +225,56 @@ def _run_assembly(factor: Graph, sub_masks, jobs):
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     context = multiprocessing.get_context(method)
     with context.Pool(jobs) as pool:
-        parts = pool.map(_assembly_worker, tasks)
-    return [assignment for part in parts for assignment in part]
+        return pool.map(_assembly_worker, tasks)
+
+
+def _generator_plans(params: DoobParams):
+    """Shift plans of the generators of Aut D(m,n)."""
+    return [_shift_plan(perm) for perm in doob_symmetries(params).generators]
 
 
 def _member_tuples(params: DoobParams, jobs: int) -> list[int]:
-    """The mask of every maximum independent set of D(m,n), in assembly order.
+    """The mask of every maximum independent set of D(m,n), block by block.
 
-    A product code is assembled from sub-code masks: the sub-code at factor
-    vertex f has its vertex g at product vertex g * width + f, so its mask is
-    spread (bit g to bit g * width) and shifted left by f.  The spread masks
-    are disjoint, so their sum is their union.  (The name is older than the
-    masks; bench/tracing.py wraps the function under it.)
+    The codes with one sub-code c at factor vertex 0 form a block.  Only the
+    orbit representatives' blocks are searched; every other block is the
+    image of its parent's block in the orbit's Schreier tree, under the
+    generator lifted to the product.  (The name is older than the masks;
+    bench/tracing.py wraps the function under it.)
     """
     rest, factor = _decompose(params)
     if rest is None:
         return [_mask(t) for t in independent_sets_of_size(factor, params.code_size)]
     sub_masks = _member_tuples(rest, 1)
-    assignments = _run_assembly(factor, sub_masks, jobs)
+    plans = _generator_plans(rest)
+    trees, parent, via = _orbit_trees(sub_masks, plans)
     width = factor.vertex_count
     spread_digits = str.maketrans({"0": "0" * width, "1": "0" * (width - 1) + "1"})
-    spreads = [int(format(mask, "b").translate(spread_digits), 2) for mask in sub_masks]
+
+    def spread(mask):
+        return int(format(mask, "b").translate(spread_digits), 2)
+
+    # Vertex u of a spread mask sits at bit u * width, so times (2^width - 1)
+    # it fills u's whole block u * width + f, f < width.
+    block = (1 << width) - 1
+    lifted = [tuple((spread(sel) * block, shift * width) for sel, shift in plan) for plan in plans]
+    spreads = [spread(mask) for mask in sub_masks]
     shifts = range(width)
-    return [
-        sum(map(operator.lshift, map(spreads.__getitem__, assignment), shifts))
-        for assignment in assignments
-    ]
+    out = []
+    start = {}  # tree node -> index of its block's first mask in out
+    searched = _run_assembly(factor, sub_masks, [tree[0] for tree in trees], jobs)
+    for tree, assignments in zip(trees, searched):
+        size = len(assignments)
+        start[tree[0]] = len(out)
+        out += [
+            sum(map(operator.lshift, map(spreads.__getitem__, assignment), shifts))
+            for assignment in assignments
+        ]
+        for j in tree[1:]:
+            plan, source = lifted[via[j]], start[parent[j]]
+            start[j] = len(out)
+            out += [_apply_plan(plan, mask) for mask in out[source : source + size]]
+    return out
 
 
 def _mask(members) -> int:
@@ -259,7 +308,7 @@ def enumerate_mds(params: DoobParams, jobs: int = 1) -> EnumerationResult:
     masks = _member_tuples(params, jobs)
     masks.sort(key=_lexicographic_key(params.vertex_count), reverse=True)
     codes = tuple(Code.from_mask(params, mask) for mask in masks)
-    return EnumerationResult(params, len(codes), codes)
+    return EnumerationResult(params, codes)
 
 
 def count_mds(params: DoobParams) -> int:
@@ -274,10 +323,9 @@ def count_mds(params: DoobParams) -> int:
     if rest is None:
         return len(independent_sets_of_size(factor, params.code_size))
     sub_masks = _member_tuples(rest, 1)
-    orbits = orbits_of_masks(sub_masks, doob_symmetries(rest).generators, rest.vertex_count)
+    trees, _, _ = _orbit_trees(sub_masks, _generator_plans(rest))
     compat = _compatibility(sub_masks)
     return sum(
-        len(orbit)
-        * _assemble(factor.neighbor_masks, compat, first=1 << orbit[0], count_only=True)
-        for orbit in orbits
+        len(tree) * _assemble(factor.neighbor_masks, compat, 1 << tree[0], count_only=True)
+        for tree in trees
     )

@@ -33,14 +33,17 @@ def _sh_perm(image) -> Perm:
     )
 
 
-# Generators of Aut Sh (order 192): the translation by (1,0), the order-6
-# rotation and a reflection.  The rotation and the reflection generate the 12
-# linear maps that permute the connection set {+-(1,0), +-(0,1), +-(1,1)};
-# conjugating the translation by the rotation gives the translation by (1,1),
-# so all 16 translations are there too.
+# Generators of Aut Sh (order 192): the translation by (1,0) and two
+# reflections, (a,b) -> (a,a-b) and the swap (a,b) -> (b,a).  The swap after
+# the first reflection is the order-6 rotation (a,b) -> (a-b,a); rotation and
+# swap generate the 12 linear maps that permute the connection set
+# {+-(1,0), +-(0,1), +-(1,1)}, and conjugating the translation by the rotation
+# gives the translation by (1,1), so all 16 translations are there too.  The
+# first reflection fixes a and moves b, so its shift plan has 7 parts, where
+# the rotation's has 13.
 _SH_GENERATORS = (
     _sh_perm(lambda a, b: (a + 1, b)),
-    _sh_perm(lambda a, b: (a - b, a)),
+    _sh_perm(lambda a, b: (a, a - b)),
     _sh_perm(lambda a, b: (b, a)),
 )
 
@@ -159,6 +162,45 @@ def _apply_plan(plan, mask: int) -> int:
     return image
 
 
+def _orbit_trees(masks: Sequence[int], plans):
+    """Breadth-first (Schreier) trees of the orbits of distinct masks under plans.
+
+    Returns (trees, parent, via).  Each tree lists list positions in the
+    order the search reached them, rooted at the least position not in an
+    earlier tree; a non-root position j was reached as the image of
+    masks[parent[j]] under plans[via[j]].  A root is its own parent.  A
+    duplicate mask, or an image outside the list, is an inconsistency.
+    """
+    position = {mask: i for i, mask in enumerate(masks)}
+    if len(position) != len(masks):
+        raise ConsistencyError("duplicate codes in the list to classify")
+    parent = [-1] * len(masks)  # -1 until the position is reached
+    via = [0] * len(masks)
+    outside = []
+    trees = []
+    for start in range(len(masks)):
+        if parent[start] >= 0:
+            continue
+        parent[start] = start
+        tree = [start]
+        for i in tree:
+            mask = masks[i]
+            for k, plan in enumerate(plans):
+                j = position.get(_apply_plan(plan, mask))
+                if j is None:
+                    outside.append(i)
+                elif parent[j] < 0:
+                    parent[j] = i
+                    via[j] = k
+                    tree.append(j)
+        trees.append(tree)
+    if outside:
+        raise ConsistencyError(
+            f"a group generator maps code {min(outside)} outside the given list"
+        )
+    return trees, parent, via
+
+
 def orbits_of_masks(
     masks: Sequence[int], perms: Sequence[Perm], degree: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -169,9 +211,6 @@ def orbits_of_masks(
     permute range(degree); a duplicate mask or an image outside the list is
     an inconsistency.
     """
-    position = {mask: i for i, mask in enumerate(masks)}
-    if len(position) != len(masks):
-        raise ConsistencyError("duplicate codes in the list to classify")
     for perm in perms:
         if len(perm) != degree:
             raise ParameterMismatchError(
@@ -179,32 +218,8 @@ def orbits_of_masks(
             )
         if sorted(perm) != list(range(degree)):
             raise ValueError(f"not a permutation of {degree} points")
-    plans = [_shift_plan(perm) for perm in perms]
-    seen = bytearray(len(masks))
-    outside = []
-    classes = []
-    for start in range(len(masks)):
-        if seen[start]:
-            continue
-        # Breadth-first from the least position not yet in a class.
-        seen[start] = 1
-        cls = [start]
-        for i in cls:
-            mask = masks[i]
-            for plan in plans:
-                j = position.get(_apply_plan(plan, mask))
-                if j is None:
-                    outside.append(i)
-                elif not seen[j]:
-                    seen[j] = 1
-                    cls.append(j)
-        cls.sort()
-        classes.append(tuple(cls))
-    if outside:
-        raise ConsistencyError(
-            f"a group generator maps code {min(outside)} outside the given list"
-        )
-    return tuple(classes)
+    trees, _, _ = _orbit_trees(masks, [_shift_plan(perm) for perm in perms])
+    return tuple(tuple(sorted(tree)) for tree in trees)
 
 
 def orbits_of_codes(

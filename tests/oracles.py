@@ -12,7 +12,10 @@ divmod and takes the pairing table as a dict of plain member tuples; the
 reference parity code tests every labeled vertex against the rule.
 
 The section on rules and codes holds small helpers over the package's Code,
-ParityRule and PairingTable objects that only the tests use.  The last
+ParityRule and PairingTable objects that only the tests use, and the
+reference for the search's symmetry shortcut: the plain fibered assembly,
+which runs the search's own _assemble with every sub-code tried at the first
+fiber, and so checks the shortcut, not the assembly.  The last
 section works on the package's Graph objects: graph invariants, permutation
 arithmetic, and an exhaustive backtracking automorphism search, the
 reference for the closed-form generators of doob_symmetries.
@@ -21,7 +24,7 @@ reference for the closed-form generators of doob_symmetries.
 import collections
 import itertools
 
-from doobmds import ParityRule, decode_vertex
+from doobmds import ParameterMismatchError, ParityRule, decode_vertex, search
 
 SH_DIFFS = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
 
@@ -376,9 +379,16 @@ def sort_codes(codes):
     return sorted(codes, key=lambda code: code.members)
 
 
+def intersection_size(code, other):
+    """Number of vertices two codes of the same graph share."""
+    if code.params != other.params:
+        raise ParameterMismatchError(f"intersecting codes from {code.params} and {other.params}")
+    return (code.mask & other.mask).bit_count()
+
+
 def intersection_profile(code, family):
     """Intersection sizes of one code against a fixed ordered family."""
-    return tuple(code.intersection_size(other) for other in family)
+    return tuple(intersection_size(code, other) for other in family)
 
 
 def code_vertices(code):
@@ -393,11 +403,37 @@ def pairing_violations(table):
     size = len(table.domain)
     for i in range(size):
         for j in range(i, size):
-            domain_meet = table.domain[i].intersection_size(table.domain[j]) > 0
-            image_meet = table.image[i].intersection_size(table.image[j]) > 0
+            domain_meet = intersection_size(table.domain[i], table.domain[j]) > 0
+            image_meet = intersection_size(table.image[i], table.image[j]) > 0
             if domain_meet != image_meet:
                 out.append((i, j))
     return out
+
+
+def full_assembly_masks(params):
+    """Every code mask of D(m,n) by the fibered search without symmetry.
+
+    The reference for the search's orbit-representative driver: every
+    sub-code is tried at factor vertex 0, and each assignment (c_f) gives the
+    mask with bit g * width + f for each vertex g of c_f.
+    """
+    rest, factor = search._decompose(params)
+    if rest is None:
+        return [
+            sum(1 << v for v in members)
+            for members in search.independent_sets_of_size(factor, params.code_size)
+        ]
+    sub_masks = full_assembly_masks(rest)
+    compat = search._compatibility(sub_masks)
+    width = factor.vertex_count
+    spreads = [
+        sum(1 << g * width for g in range(mask.bit_length()) if mask >> g & 1)
+        for mask in sub_masks
+    ]
+    return [
+        sum(spreads[c] << f for f, c in enumerate(assignment))
+        for assignment in search._assemble(factor.neighbor_masks, compat, compat.full)
+    ]
 
 
 # ---------------------------------------------------------------------------

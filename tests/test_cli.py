@@ -59,6 +59,15 @@ def test_enumerate_writes_files_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "enumerate"
 
 
+def test_enumerate_hamming_counts_are_published(tmp_path, capsys):
+    # |MDS(0,3)| = 576 is the number of latin squares of order 4.
+    out_dir = tmp_path / "d03"
+    code, out, _ = run(capsys, "enumerate", "0", "3", "--out", str(out_dir))
+    assert (code, out) == (0, "576\n")
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["count_provenance"] == "published"
+
+
 def test_enumerate_derived_provenance(tmp_path, capsys):
     out_dir = tmp_path / "d11"
     code, out, _ = run(capsys, "enumerate", "1", "1", "--out", str(out_dir))

@@ -130,11 +130,11 @@ def test_intersection_size_and_mismatch():
     p = DoobParams(1, 0)
     a = Code(p, (0, 2, 8, 10))
     b = Code(p, (0, 5, 10, 15))
-    assert a.intersection_size(b) == 2
+    assert oracles.intersection_size(a, b) == 2
     assert oracles.intersection_profile(a, [a, b]) == (4, 2)
     other = Code(DoobParams(0, 2), (0, 5, 10, 15))
     with pytest.raises(ParameterMismatchError):
-        a.intersection_size(other)
+        oracles.intersection_size(a, other)
 
 
 def test_independence_checks(codes_by_params):

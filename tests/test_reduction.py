@@ -39,8 +39,8 @@ def test_pairing_pattern_matrices_equal_entrywise():
     table = derive_pairing()
     for i in range(16):
         for j in range(16):
-            domain_meet = table.domain[i].intersection_size(table.domain[j]) > 0
-            image_meet = table.image[i].intersection_size(table.image[j]) > 0
+            domain_meet = oracles.intersection_size(table.domain[i], table.domain[j]) > 0
+            image_meet = oracles.intersection_size(table.image[i], table.image[j]) > 0
             assert domain_meet == image_meet
 
 
@@ -73,8 +73,8 @@ def test_corrupting_the_pairing_is_detected():
 def test_diagonal_always_meets():
     table = derive_pairing()
     for dom, img in zip(table.domain, table.image):
-        assert dom.intersection_size(dom) == 4
-        assert img.intersection_size(img) == 4
+        assert oracles.intersection_size(dom, dom) == 4
+        assert oracles.intersection_size(img, img) == 4
 
 
 def test_single_coordinate_reduction_equals_table():

@@ -12,11 +12,13 @@ from doobmds import (
     DoobParams,
     count_mds,
     doob_graph,
+    doob_symmetries,
     enumerate_mds,
     shrikhande,
 )
 from doobmds import search
 from doobmds.search import PUBLISHED_COUNTS, independent_sets_of_size
+from doobmds.symmetry import orbits_of_masks
 
 import oracles
 
@@ -25,7 +27,6 @@ import oracles
 # orbit-weighted counting, so count_mds reproduces them by a second method.
 DERIVED_COUNTS = {
     (1, 1): 240,
-    (0, 3): 576,
     (2, 0): 5856,
     (1, 2): 16128,
     (2, 1): 3707136,
@@ -34,12 +35,17 @@ DERIVED_COUNTS = {
 
 
 def test_stated_counts(codes_by_params):
-    for key, want in PUBLISHED_COUNTS.items():
-        assert len(codes_by_params[key]) == want
+    for key in [(0, 1), (0, 2), (1, 0), (0, 3)]:
+        assert len(codes_by_params[key]) == PUBLISHED_COUNTS[key]
+
+
+def test_hamming_counts_are_the_published_quasigroup_counts():
+    assert enumerate_mds(DoobParams(0, 4)).count == PUBLISHED_COUNTS[(0, 4)] == 55296
+    assert count_mds(DoobParams(0, 5)) == PUBLISHED_COUNTS[(0, 5)] == 36972288
 
 
 def test_derived_counts_are_stable(codes_by_params):
-    for key in [(1, 1), (0, 3), (2, 0)]:
+    for key in [(1, 1), (2, 0)]:
         assert len(codes_by_params[key]) == DERIVED_COUNTS[key]
     for key in [(1, 2), (2, 1), (1, 3)]:
         assert count_mds(DoobParams(*key)) == DERIVED_COUNTS[key]
@@ -121,6 +127,34 @@ def test_disjoint_rows_match_pairwise_test(codes_by_params):
         assert rows[i] == expected
 
 
+@pytest.mark.parametrize(
+    "m, n", [(0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2), (2, 0)]
+)
+def test_member_masks_match_the_full_assembly(m, n):
+    # Searched blocks and Schreier-tree images together give each code once.
+    masks = search._member_tuples(DoobParams(m, n), 1)
+    reference = oracles.full_assembly_masks(DoobParams(m, n))
+    assert len(masks) == len(reference) == len(set(reference))
+    assert set(masks) == set(reference)
+
+
+def test_one_representative_per_orbit_is_searched(monkeypatch):
+    firsts = []
+    original = search._assemble
+
+    def recorded(factor_masks, compat, first, count_only=False):
+        firsts.append(first)
+        return original(factor_masks, compat, first, count_only)
+
+    monkeypatch.setattr(search, "_assemble", recorded)
+    assert len(search._member_tuples(DoobParams(2, 0), 1)) == 5856
+    searched = [i for i in range(16) if any(first >> i & 1 for first in firsts)]
+    sh = DoobParams(1, 0)
+    orbits = orbits_of_masks(search._member_tuples(sh, 1), doob_symmetries(sh).generators, 16)
+    assert len(searched) == len(orbits) == 2
+    assert all(len(set(orbit) & set(searched)) == 1 for orbit in orbits)
+
+
 def test_parallel_enumeration_identical(codes_by_params):
     for key in [(1, 1), (2, 0)]:
         parallel = enumerate_mds(DoobParams(*key), jobs=4)
@@ -159,10 +193,12 @@ def serial_pool(monkeypatch):
 
 
 def test_worker_pool_is_clamped(monkeypatch, serial_pool):
+    # One search per orbit representative of the first fiber: D(1,2) has 3
+    # (clamped by the cores), D(1,1) has 2 (clamped by the searches).
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    result = enumerate_mds(DoobParams(1, 1), jobs=1000)
-    assert [processes for _, processes in serial_pool] == [3]
-    assert result.count == 240
+    assert enumerate_mds(DoobParams(1, 2), jobs=1000).count == 16128
+    assert enumerate_mds(DoobParams(1, 1), jobs=1000).count == 240
+    assert [processes for _, processes in serial_pool] == [3, 2]
     assert search._worker_count(1000, 2) == 2
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert search._worker_count(1000, 5856) == 1

@@ -18,7 +18,13 @@ from doobmds import (
     graph_from_predicate,
     orbits_of_codes,
 )
-from doobmds.symmetry import _apply_plan, _shift_plan, lift_factor_perm, swap_slots_perm
+from doobmds.symmetry import (
+    _apply_plan,
+    _orbit_trees,
+    _shift_plan,
+    lift_factor_perm,
+    swap_slots_perm,
+)
 from oracles import (
     ELEMENT_LIST_LIMIT,
     are_isomorphic,
@@ -276,6 +282,27 @@ def test_shift_plan_matches_code_action(codes_by_params):
             plan = _shift_plan(perm)
             for code in codes:
                 assert _apply_plan(plan, code.mask) == apply_perm_to_code(code, perm).mask
+
+
+def test_shift_plans_of_the_generators_are_short():
+    # The reflection (a,b) -> (a,a-b) has 7 parts where the order-6 rotation
+    # (a,b) -> (a-b,a) it replaced had 13; the orbit step pays per part.
+    generators = doob_symmetries(DoobParams(1, 2)).generators
+    parts = [len(_shift_plan(perm)) for perm in generators]
+    assert parts == [2, 7, 7, 3, 2, 7]
+    assert sum(parts) == 28
+
+
+def test_orbit_trees_record_how_each_code_was_reached(codes_by_params):
+    masks = [code.mask for code in codes_by_params[(1, 1)]]
+    plans = [_shift_plan(perm) for perm in doob_symmetries(DoobParams(1, 1)).generators]
+    trees, parent, via = _orbit_trees(masks, plans)
+    assert sorted(len(tree) for tree in trees) == [24, 72, 144]
+    for tree in trees:
+        assert parent[tree[0]] == tree[0] == min(tree)
+        for j in tree[1:]:
+            assert tree.index(parent[j]) < tree.index(j)
+            assert _apply_plan(plans[via[j]], masks[parent[j]]) == masks[j]
 
 
 def test_orbits_check_permutation_degree(codes_by_params):
