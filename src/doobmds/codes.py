@@ -168,16 +168,20 @@ class Code:
 
     def is_mds(self, graph: Optional[Graph] = None) -> bool:
         """True iff this is a maximum independent set (a distance-2 MDS code)."""
-        return len(self) == self.params.code_size and self.is_independent(graph)
+        mask = self.mask
+        return mask.bit_count() == self.params.code_size and _independent(
+            mask, self._resolve_graph(graph)
+        )
 
     def assert_mds(self, graph: Optional[Graph] = None, context: str = "code"):
         """Raise ConsistencyError with a reason if this is not an MDS code."""
-        size = len(self)
-        if size != self.params.code_size:
-            raise ConsistencyError(
-                f"{context}: {size} members, expected {self.params.code_size}"
-            )
-        pair = self.first_adjacent_pair(graph)
+        mask = self.mask
+        size = mask.bit_count()
+        expected = self.params.code_size
+        if size != expected:
+            raise ConsistencyError(f"{context}: {size} members, expected {expected}")
+        g = self._resolve_graph(graph)
+        pair = None if _independent(mask, g) else self.first_adjacent_pair(g)
         if pair is not None:
             raise ConsistencyError(f"{context}: adjacent members {pair[0]} and {pair[1]}")
 

@@ -47,7 +47,7 @@ class DoobParams:
     def vertex_count(self) -> int:
         return 4 ** self.word_length
 
-    @property
+    @cached_property  # read by every Code.assert_mds and is_mds
     def code_size(self) -> int:
         """Cardinality of a maximum independent set: 4^(2m+n-1)."""
         return 4 ** (self.word_length - 1)

@@ -11,30 +11,31 @@ both code lists.  The end result of the iteration can depend on the order in
 which Shrikhande coordinates are consumed; the order is therefore an explicit
 argument.
 
-The reduction works on the code's mask.  Written out as one byte per vertex
-(1 for a member), the fiber at the last Shrikhande coordinate through a
-vertex is the 16-byte slice at stride 4^n, and the partner code's bytes go
-into the same slice of the output, because vertex (prefix, s, suffix) of
-D(m,n) and vertex (prefix, z, suffix) of D(m-1,n+2) have the same index when
-s = z.  The fibers are read and written by mapping over one cached tuple of
-slices per (size, stride), and the output bytes are parsed back into the new
-code's mask.  Permuting Shrikhande coordinates rewrites each member's
-base-16 digits directly, without decoding it to a vertex.
+The reduction works on the code's mask, an int.  Vertex (prefix, s, suffix)
+of D(m,n) and vertex (prefix, z, suffix) of D(m-1,n+2) have the same index
+when s = z, so each fiber's partner goes into the same bits of the output.
+The last Shrikhande digit s is index bits 2n..2n+3.  A few delta swaps on
+the mask, each exchanging two index bits, move it to index bits 0..3, so
+that every fiber is one 16-bit word of the mask with bit s for value s; a
+Shrikhande code's mask is such a word, and so is its partner's.  The words
+are read through a memoryview of the mask's bytes, mapped through the
+table, and the swaps are undone on the result.  All m steps of a full
+reduction run on the int, and one Code is built at the end.  Permuting
+Shrikhande coordinates permutes 4-bit groups of index bits, so it is the
+same delta swaps with other index bits.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from sys import byteorder
 from typing import Optional, Sequence
 
-from .codes import Code, bit_bytes
+from .codes import Code
 from .errors import ConsistencyError
 from .graphs import DoobParams
 from .search import enumerate_mds
-
-_BYTE_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=None)
@@ -61,12 +62,13 @@ class PairingTable:
     image: tuple[Code, ...]
 
     @cached_property
-    def partner_fibers(self) -> dict[bytes, bytearray]:
-        """Bit bytes (byte s is 1 iff s is a member) of each domain code, mapped
-        to those of its partner.  The partner's are a bytearray, which slice
-        assignment copies without converting it first."""
+    def partner_words(self) -> dict[int, bytes]:
+        """The mask of each domain code, mapped to its partner's as two bytes
+        in native order.  Both masks are 16-bit words: bit s of a Shrikhande
+        code's mask is vertex s, and bit z = 4a + b of a K4-pair code's is the
+        pair of K4 values (a, b)."""
         return {
-            bit_bytes(dom.mask, 16): bytearray(bit_bytes(img.mask, 16))
+            dom.mask: img.mask.to_bytes(2, byteorder)
             for dom, img in zip(self.domain, self.image)
         }
 
@@ -116,17 +118,108 @@ def derive_pairing() -> PairingTable:
     return PairingTable(domain, tuple(candidates[c] for c in assignment))
 
 
-def _fiber_error(bits: bytes, partners: dict, stride: int) -> ConsistencyError:
-    """The error naming the non-Shrikhande fiber that holds the lowest member."""
+def _index_bit_set(bit: int, vertex_count: int) -> int:
+    """The mask of the vertex indices below vertex_count that have the given bit."""
+    half = 1 << bit
+    return (((1 << half) - 1) << half) * (((1 << vertex_count) - 1) // ((1 << 2 * half) - 1))
+
+
+def _delta_swaps(vertex_count: int, pairs: Sequence[tuple[int, int]]) -> tuple:
+    """(d, selector) for each exchange of index bits j < k in pairs, in order.
+
+    The selector holds the indices with bit j set and bit k clear; adding
+    d = 2^k - 2^j to one of them exchanges the two bits.
+    """
+    return tuple(
+        (
+            (1 << k) - (1 << j),
+            _index_bit_set(j, vertex_count) & ~_index_bit_set(k, vertex_count),
+        )
+        for j, k in pairs
+    )
+
+
+def _swap_index_bits(mask: int, swaps) -> int:
+    """Move bit v of mask to the index v has after each exchange of swaps."""
+    for d, selector in swaps:
+        t = ((mask >> d) ^ mask) & selector
+        mask ^= t ^ (t << d)
+    return mask
+
+
+def _exchanges(entries: list, targets) -> list[tuple[int, int]]:
+    """Exchanges (p, q), p < q, of positions that bring entry targets[p] to
+    position p for each p in turn; entries lists the entry at each position
+    and is updated."""
+    pairs = []
+    for p, target in enumerate(targets):
+        q = entries.index(target)
+        if q != p:
+            pairs.append((p, q))
+            entries[p], entries[q] = entries[q], entries[p]
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _fiber_swaps(vertex_count: int, n: int) -> tuple[tuple, tuple]:
+    """Delta swaps that move the last Shrikhande digit, index bits 2n..2n+3 of
+    D(m,n), to bits 0..3 in order, and the same swaps reversed, which undo them."""
+    pairs = _exchanges(list(range(2 * n + 4)), range(2 * n, 2 * n + 4))
+    swaps = _delta_swaps(vertex_count, pairs)
+    return swaps, swaps[::-1]
+
+
+@lru_cache(maxsize=None)
+def _slot_swaps(vertex_count: int, m: int, n: int, perm: tuple[int, ...]) -> tuple:
+    """Delta swaps that move old Shrikhande coordinate perm[p] to slot p.
+
+    Slot p is the 4-bit digit at index bits 2n + 4(m-1-p) and up, so every
+    exchange of two slots is four exchanges of index bits.
+    """
+    pairs = []
+    for p, q in _exchanges(list(range(m)), perm):
+        # Slot q > p sits below slot p.
+        low, high = 2 * n + 4 * (m - 1 - q), 2 * n + 4 * (m - 1 - p)
+        pairs.extend((low + t, high + t) for t in range(4))
+    return _delta_swaps(vertex_count, pairs)
+
+
+def _reduce_mask(mask: int, vertex_count: int, n: int, partners: dict) -> int:
+    """The mask after one reduction step of a code over D(m,n) with
+    vertex_count vertices: every fiber at the last Shrikhande coordinate is
+    replaced by its partner."""
+    into, back = _fiber_swaps(vertex_count, n)
+    mask = _swap_index_bits(mask, into)
+    words = memoryview(mask.to_bytes(vertex_count // 8, byteorder)).cast("H")
+    try:
+        images = b"".join(map(partners.__getitem__, words))
+    except KeyError:
+        raise _fiber_error(mask, vertex_count, n, partners) from None
+    return _swap_index_bits(int.from_bytes(images, byteorder), back)
+
+
+def _fiber_error(mask: int, vertex_count: int, n: int, partners: dict) -> ConsistencyError:
+    """The error naming the non-Shrikhande fiber that holds the lowest member.
+
+    mask has the fiber digit at index bits 0..3, so fiber w is bits 16w..16w+15.
+    """
+    back = _fiber_swaps(vertex_count, n)[1]
+    stride = 4**n
+
+    def original_index(v: int) -> int:
+        return _swap_index_bits(1 << v, back).bit_length() - 1
+
     bad = []
-    for fiber_slice in _fiber_slices(len(bits), stride):
-        fiber = bits[fiber_slice]
-        if fiber not in partners:
-            base = fiber_slice.start
-            bad.append((base + stride * fiber.index(1), base, fiber))
-    _, base, fiber = min(bad)
+    for w in range(vertex_count // 16):
+        word = mask >> 16 * w & 0xFFFF
+        if word not in partners:
+            base = original_index(16 * w)
+            # An empty fiber holds no member, so it sorts after every fiber that does.
+            lowest = base + stride * ((word & -word).bit_length() - 1) if word else vertex_count + base
+            bad.append((lowest, base, word))
+    _, base, word = min(bad)
     prefix, suffix = divmod(base, 16 * stride)
-    values = tuple(s for s in range(16) if fiber[s])
+    values = tuple(s for s in range(16) if word >> s & 1)
     return ConsistencyError(
         f"fiber {values} at prefix {prefix}, suffix {suffix} is not a Shrikhande code"
     )
@@ -141,46 +234,19 @@ def reduce_last_sh_coordinate(code: Code, table: Optional[PairingTable] = None) 
     remaining Shrikhande block and the old K4 block.  Requires a maximum
     independent set; preserves cardinality and the property of being one.
     """
-    if code.params.m < 1:
+    params = code.params
+    if params.m < 1:
         raise ValueError("code has no Shrikhande coordinate to reduce")
     code.assert_mds(context="reduction input")
-    return _reduce_last(code, table)
-
-
-def _reduce_last(code: Code, table: Optional[PairingTable]) -> Code:
-    """reduce_last_sh_coordinate without the input check, for codes already
-    known to be maximum independent sets."""
-    params = code.params
-    partners = (table or derive_pairing()).partner_fibers
-    size = params.vertex_count
-    stride = 4 ** params.n
-    bits = bit_bytes(code.mask, size)
-    fibers = _fiber_slices(size, stride)
-    try:
-        images = list(map(partners.__getitem__, map(bits.__getitem__, fibers)))
-    except KeyError:
-        raise _fiber_error(bits, partners, stride) from None
-    out = bytearray(size)
-    deque(map(out.__setitem__, fibers, images), maxlen=0)
-    mask = int(out[::-1].translate(_BYTE_DIGIT), 2)
-    return Code.from_mask(_reduced_params(params), mask)
+    partners = (table or derive_pairing()).partner_words
+    mask = _reduce_mask(code.mask, params.vertex_count, params.n, partners)
+    return Code.from_mask(_params(params.m - 1, params.n + 2), mask)
 
 
 @lru_cache(maxsize=None)
-def _fiber_slices(size: int, stride: int) -> tuple[slice, ...]:
-    """The slice of every fiber at the last Shrikhande coordinate, lowest base first."""
-    span = 16 * stride
-    return tuple(
-        slice(base, base + span, stride)
-        for row in range(0, size, span)
-        for base in range(row, row + stride)
-    )
-
-
-@lru_cache(maxsize=None)
-def _reduced_params(params: DoobParams) -> DoobParams:
-    """D(m-1, n+2), one object per D(m,n), so later checks find its graph on it."""
-    return DoobParams(params.m - 1, params.n + 2)
+def _params(m: int, n: int) -> DoobParams:
+    """D(m,n), one object per (m, n), so later checks find its graph on it."""
+    return DoobParams(m, n)
 
 
 def permute_sh_coordinates(code: Code, perm: Sequence[int]) -> Code:
@@ -191,18 +257,8 @@ def permute_sh_coordinates(code: Code, perm: Sequence[int]) -> Code:
         raise ValueError(f"{perm!r} is not a permutation of {params.m} coordinates")
     if perm == tuple(range(params.m)):
         return code
-    stride = 4 ** params.n
-    digits = [0] * params.m
-    members = []
-    for index in code.members:
-        rest, suffix = divmod(index, stride)
-        for slot in range(params.m - 1, -1, -1):
-            rest, digits[slot] = divmod(rest, 16)
-        new = 0
-        for p in perm:
-            new = new * 16 + digits[p]
-        members.append(new * stride + suffix)
-    return Code.from_members(params, members)
+    swaps = _slot_swaps(params.vertex_count, params.m, params.n, perm)
+    return Code.from_mask(params, _swap_index_bits(code.mask, swaps))
 
 
 def reduce_sh_coordinates(
@@ -216,17 +272,21 @@ def reduce_sh_coordinates(
     are consumed; default is last first (m-1, m-2, ..., 0).  Different orders
     can produce different results.
     """
-    m = code.params.m
-    if order is None:
-        order = tuple(range(m - 1, -1, -1))
-    order = tuple(order)
-    if sorted(order) != list(range(m)):
-        raise ValueError(f"{order!r} is not a permutation of the {m} Shrikhande coordinates")
-    # Arrange slots so plain last-coordinate reduction consumes them in order.
-    perm = tuple(order[m - 1 - p] for p in range(m))
-    current = permute_sh_coordinates(code, perm)
+    params = code.params
+    m = params.m
+    if order is not None:
+        order = tuple(order)
+        if sorted(order) != list(range(m)):
+            raise ValueError(f"{order!r} is not a permutation of the {m} Shrikhande coordinates")
+        # Arrange slots so that last-coordinate steps consume them in order.
+        code = permute_sh_coordinates(code, order[::-1])
     # Checked once: each step maps a maximum independent set to another.
-    current.assert_mds(context="reduction input")
-    for _ in range(m):
-        current = _reduce_last(current, table)
-    return current
+    code.assert_mds(context="reduction input")
+    if m == 0:
+        return code
+    partners = (table or derive_pairing()).partner_words
+    size, n = params.vertex_count, params.n
+    mask = code.mask
+    for step in range(m):
+        mask = _reduce_mask(mask, size, n + 2 * step, partners)
+    return Code.from_mask(_params(0, n + 2 * m), mask)

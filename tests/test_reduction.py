@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from doobmds import (
@@ -5,6 +8,8 @@ from doobmds import (
     ConsistencyError,
     DoobParams,
     PairingTable,
+    ParityRule,
+    build_parity_code,
     derive_pairing,
     enumerate_mds,
     k4_pair_codes,
@@ -13,6 +18,7 @@ from doobmds import (
     reduce_sh_coordinates,
     sh_codes,
 )
+from doobmds.parity import rule_domain_size
 
 import oracles
 
@@ -224,3 +230,62 @@ def test_reduction_checks_its_input_once(codes_by_params, monkeypatch):
     checked.clear()
     reduce_last_sh_coordinate(codes_by_params[(2, 0)][0])
     assert checked == [DoobParams(2, 0)]  # the public single step still checks
+
+
+# Strides 4^n of 1, 4, 16, 64 and 256, each with several rows (prefixes).
+WIDE_PARAMS = [(2, 1), (1, 3), (3, 0), (2, 2), (1, 4)]
+
+
+def random_parity_codes(m, n, count):
+    """Parity codes of seeded random rules: maximum independent sets of any
+    desk-scale D(m,n), with no enumeration."""
+    params = DoobParams(m, n)
+    rng = random.Random(100 * m + n)
+    size = rule_domain_size(params)
+    return [
+        build_parity_code(ParityRule(params, tuple(rng.randrange(2) for _ in range(size))))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("m, n", WIDE_PARAMS)
+def test_word_kernel_matches_member_by_member_reference(m, n):
+    partner_of = partner_tuples(derive_pairing())
+    for code in random_parity_codes(m, n, 3):
+        for order in itertools.permutations(range(m)):
+            reduced = reduce_sh_coordinates(code, order=order)
+            assert reduced.members == oracles.reduce_sh(code.members, m, n, partner_of, order)
+            assert reduced.params == DoobParams(0, n + 2 * m)
+        single = reduce_last_sh_coordinate(code)
+        assert single.members == oracles.reduce_last_sh(code.members, n, partner_of)
+        assert single.params == DoobParams(m - 1, n + 2)
+
+
+@pytest.mark.parametrize("m, n", WIDE_PARAMS)
+def test_wrong_pairing_table_message_on_wide_codes(m, n):
+    # Every other partner dropped, as above, and each partner dropped alone,
+    # so that the bad fiber with the lowest member lies in every row and step.
+    table = derive_pairing()
+    broken_tables = [PairingTable(table.domain[::2], table.image[::2])] + [
+        PairingTable(table.domain[:i] + table.domain[i + 1 :], table.image[:i] + table.image[i + 1 :])
+        for i in range(16)
+    ]
+    (code,) = random_parity_codes(m, n, 1)
+    outcomes = set()
+    for broken in broken_tables:
+        partner_of = partner_tuples(broken)
+        for order in itertools.permutations(range(m)):
+            try:
+                expected = oracles.reduce_sh(code.members, m, n, partner_of, order)
+            except oracles.NotAShrikhandeFiber as exc:
+                fiber, prefix, suffix = exc.args
+                with pytest.raises(ConsistencyError) as info:
+                    reduce_sh_coordinates(code, broken, order)
+                assert str(info.value) == (
+                    f"fiber {fiber} at prefix {prefix}, suffix {suffix} is not a Shrikhande code"
+                )
+                outcomes.add("raised")
+            else:
+                assert reduce_sh_coordinates(code, broken, order).members == expected
+                outcomes.add("reduced")
+    assert outcomes == {"raised", "reduced"}
