@@ -43,7 +43,7 @@ class DoobParams:
         """Diameter-scale quantity 2m + n (the Hamming word length after reduction)."""
         return 2 * self.m + self.n
 
-    @property
+    @cached_property  # read on every Code built, by its width check
     def vertex_count(self) -> int:
         return 4 ** self.word_length
 

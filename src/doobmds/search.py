@@ -24,12 +24,7 @@ bijectively.  With A(c) the valid assignments that have c at factor vertex 0,
 
     A(g c) = g A(c),
 
-so only one representative per orbit of G's codes is searched.  Counting
-weights it by its orbit:
-
-    count(G x F) = sum over orbits O of the sub-codes of |O| * |A(rep_O)|,
-
-and adds up the choices left at the last factor vertex as one popcount.
+so only one representative per orbit of G's codes is searched.
 Enumeration walks each orbit's Schreier tree, the breadth-first tree by
 which the generators reach every code of the orbit from its representative
 (Seress, Permutation Group Algorithms, 2003): the block of a code reached
@@ -37,6 +32,28 @@ from code p by generator g is the image of p's block under g lifted to the
 product.  The lift sends product vertex u * |F| + f to g(u) * |F| + f, so its
 shift plan is g's plan with each selector spread over the |F| bits of every
 vertex u and each shift multiplied by |F|; an image costs one orbit step.
+
+Counting on the Shrikhande split weights each representative by its orbit,
+
+    count(G x Sh) = sum over orbits O of the sub-codes of |O| * |A(rep_O)|,
+
+and adds up the choices left at the last factor vertex instead of visiting
+them.  On the K4 split the four fibers are pairwise disjoint codes of G, so
+they partition V(G): a code of G x K4 is an ordered partition of V(G) into
+four codes of G, a latin coloring (Bespalov & Krotov, "Distance-2 MDS codes
+and latin colorings in the Doob graphs").  Each partition has one part
+through vertex 0 and 4! orderings, and the stabilizer Stab(0) of vertex 0 in
+Aut G maps the partitions with part c to those with part g(c), so
+
+    count(G x K4) = 24 * sum over the Stab(0)-orbits O' of the sub-codes
+                    through vertex 0 of |O'| * P(rep_O'),
+
+with P(c) the number of partitions of V(G) minus c into three codes.  P is
+an exact cover that always covers the lowest vertex left (Knuth's Algorithm
+X): the first part is a sub-code disjoint from c through the lowest vertex
+outside c, the second one disjoint from both through the lowest vertex
+outside both, and the third, the vertices left, is looked up among the
+sub-codes.  Neither the last part nor the orderings are searched.
 """
 
 from __future__ import annotations
@@ -53,7 +70,13 @@ from .graphs import (
     complete_graph,
     shrikhande,
 )
-from .symmetry import _apply_plan, _orbit_trees, _shift_plan, doob_symmetries
+from .symmetry import (
+    _apply_plan,
+    _orbit_trees,
+    _shift_plan,
+    _vertex_zero_stabilizer,
+    doob_symmetries,
+)
 
 # Externally published census counts; everything else this tool reports is
 # derived by its own search and flagged so.  A code of the Hamming graph
@@ -314,18 +337,51 @@ def enumerate_mds(params: DoobParams, jobs: int = 1) -> EnumerationResult:
 def count_mds(params: DoobParams) -> int:
     """Number of maximum independent sets of D(m,n), without materializing them.
 
-    Orbit-weighted: the sub-codes at the first factor vertex are grouped into
-    orbits under the symmetries of the rest of the graph, and only one
-    representative per orbit is searched, in this process.
+    Orbit-weighted, in this process: on the K4 split one exact cover per
+    Stab(0)-orbit of the parts through vertex 0, on the Shrikhande split one
+    assignment search per orbit of the first-fiber sub-codes.
     """
     check_desk_scale(params)
     rest, factor = _decompose(params)
     if rest is None:
         return len(independent_sets_of_size(factor, params.code_size))
     sub_masks = _member_tuples(rest, 1)
-    trees, _, _ = _orbit_trees(sub_masks, _generator_plans(rest))
     compat = _compatibility(sub_masks)
+    if params.n:
+        return _count_latin_colorings(rest, sub_masks, compat)
+    trees, _, _ = _orbit_trees(sub_masks, _generator_plans(rest))
     return sum(
         len(tree) * _assemble(factor.neighbor_masks, compat, 1 << tree[0], count_only=True)
         for tree in trees
     )
+
+
+def _count_latin_colorings(rest: DoobParams, sub_masks, compat) -> int:
+    """Codes of G x K4, counted as ordered partitions of V(G) into four codes
+    of G: 24 * sum over the Stab(0)-orbits O' of |O'| * P(rep_O').
+    """
+    through_zero = [i for i, mask in enumerate(sub_masks) if mask & 1]
+    plans = [_shift_plan(perm) for perm in _vertex_zero_stabilizer(rest)]
+    trees, _, _ = _orbit_trees([sub_masks[i] for i in through_zero], plans)
+    codes = set(sub_masks)
+    incidence = compat.incidence
+    full = (1 << rest.vertex_count) - 1
+    total = 0
+    for tree in trees:
+        c = through_zero[tree[0]]
+        row = compat[c]
+        left = full ^ sub_masks[c]
+        firsts = row & incidence[(left & -left).bit_length() - 1]
+        covers = 0
+        while firsts:
+            low = firsts & -firsts
+            firsts ^= low
+            i = low.bit_length() - 1
+            last_two = left ^ sub_masks[i]
+            seconds = row & compat[i] & incidence[(last_two & -last_two).bit_length() - 1]
+            while seconds:
+                low = seconds & -seconds
+                seconds ^= low
+                covers += last_two ^ sub_masks[low.bit_length() - 1] in codes
+        total += len(tree) * covers
+    return 24 * total

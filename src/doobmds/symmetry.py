@@ -5,7 +5,9 @@ D(m,n) = Sh^m x K4^n is (Aut Sh wr S_m) x (S_4 wr S_n), of order
 192^m m! 24^n n! (Imrich & Klavzar, Product Graphs, 2000).  Its generators
 are written down in closed form: three Shrikhande symmetries at the first
 Shrikhande slot, two permutations of K4 at the first K4 slot, and swaps of
-adjacent like slots, which carry those to every other slot.  Codes are
+adjacent like slots, which carry those to every other slot.  The stabilizer
+of vertex 0, by which code counting groups the codes through vertex 0, is
+generated the same way from the factors' stabilizers of 0.  Codes are
 classified into orbits by closing the code list under the generators, acting
 on vertex bitmasks: each generator is precomputed as a shift plan (vertices
 grouped by how far the permutation moves them), so the image of a mask is a
@@ -49,6 +51,12 @@ _SH_GENERATORS = (
 
 # Generators of Aut K4 = S_4: the transposition (0 1) and the 4-cycle (0 1 2 3).
 _K4_GENERATORS = ((1, 0, 2, 3), (1, 2, 3, 0))
+
+# Generators of the stabilizer of 0 in S_4 (order 6): the transposition
+# (1 2) and the 3-cycle (1 2 3).  In Aut Sh, both reflections of
+# _SH_GENERATORS fix (0,0), and they generate its stabilizer, the 12 linear
+# maps.
+_K4_STABILIZER_GENERATORS = ((0, 2, 1, 3), (0, 2, 3, 1))
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,19 @@ def swap_slots_perm(params: DoobParams, a: int, b: int) -> Perm:
     return tuple(out)
 
 
+def _slot_generators(params: DoobParams, sh_gens, k4_gens) -> tuple[Perm, ...]:
+    """sh_gens at slot 0, k4_gens at slot m, and the swaps of adjacent like slots."""
+    m, n = params.m, params.n
+    gens: list[Perm] = []
+    if m:
+        gens += [lift_factor_perm(params, 0, gen) for gen in sh_gens]
+    if n:
+        gens += [lift_factor_perm(params, m, gen) for gen in k4_gens]
+    for slot in [*range(m - 1), *range(m, m + n - 1)]:
+        gens.append(swap_slots_perm(params, slot, slot + 1))
+    return tuple(gens)
+
+
 @lru_cache(maxsize=None)
 def doob_symmetries(params: DoobParams) -> AutomorphismGroup:
     """The full automorphism group of D(m,n), by closed-form generators.
@@ -110,15 +131,20 @@ def doob_symmetries(params: DoobParams) -> AutomorphismGroup:
     swaps of adjacent like slots conjugate them to every other slot.
     """
     m, n = params.m, params.n
-    gens: list[Perm] = []
-    if m:
-        gens += [lift_factor_perm(params, 0, gen) for gen in _SH_GENERATORS]
-    if n:
-        gens += [lift_factor_perm(params, m, gen) for gen in _K4_GENERATORS]
-    for slot in [*range(m - 1), *range(m, m + n - 1)]:
-        gens.append(swap_slots_perm(params, slot, slot + 1))
+    gens = _slot_generators(params, _SH_GENERATORS, _K4_GENERATORS)
     order = 192**m * factorial(m) * 24**n * factorial(n)
-    return AutomorphismGroup(params.vertex_count, tuple(gens), order)
+    return AutomorphismGroup(params.vertex_count, gens, order)
+
+
+def _vertex_zero_stabilizer(params: DoobParams) -> tuple[Perm, ...]:
+    """Closed-form generators of the stabilizer of vertex 0 in Aut D(m,n).
+
+    An element of the wreath products fixes (0, ..., 0) exactly when each of
+    its factor permutations fixes 0, so the stabilizer is (Stab_Sh(0) wr S_m)
+    x (Stab_K4(0) wr S_n), of order 12^m m! 6^n n! = |Aut| / 4^(2m+n), and the
+    slot swaps carry the factor stabilizers' generators to every slot.
+    """
+    return _slot_generators(params, _SH_GENERATORS[1:], _K4_STABILIZER_GENERATORS)
 
 
 # ---------------------------------------------------------------------------

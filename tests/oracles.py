@@ -15,7 +15,9 @@ The section on rules and codes holds small helpers over the package's Code,
 ParityRule and PairingTable objects that only the tests use, and the
 reference for the search's symmetry shortcut: the plain fibered assembly,
 which runs the search's own _assemble with every sub-code tried at the first
-fiber, and so checks the shortcut, not the assembly.  The last
+fiber, and so checks the shortcut, not the assembly; and the count by
+orbit-weighted assembly that count_mds used before it counted latin
+colorings, the second method for its K4 split.  The last
 section works on the package's Graph objects: graph invariants, permutation
 arithmetic, and an exhaustive backtracking automorphism search, the
 reference for the closed-form generators of doob_symmetries.
@@ -434,6 +436,27 @@ def full_assembly_masks(params):
         sum(spreads[c] << f for f, c in enumerate(assignment))
         for assignment in search._assemble(factor.neighbor_masks, compat, compat.full)
     ]
+
+
+def orbit_assembly_count(params):
+    """The number of codes of D(m,n) by full-Aut orbits of the first fiber.
+
+    The second method for count_mds on the K4 split: one assignment search
+    per orbit of the sub-codes under Aut G, weighted by the orbit's size,
+    with the choices left at the last factor vertex added up as a popcount.
+    It shares the assembly with enumeration, not count_mds's exact cover.
+    """
+    rest, factor = search._decompose(params)
+    if rest is None:
+        return len(search.independent_sets_of_size(factor, params.code_size))
+    sub_masks = search._member_tuples(rest, 1)
+    trees, _, _ = search._orbit_trees(sub_masks, search._generator_plans(rest))
+    compat = search._compatibility(sub_masks)
+    return sum(
+        len(tree)
+        * search._assemble(factor.neighbor_masks, compat, 1 << tree[0], count_only=True)
+        for tree in trees
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def test_canonical_files_skip_the_json_parse(codes_by_params, monkeypatch):
 def test_canonical_layout_errors_match_the_json_path(monkeypatch):
     """Malformed documents in dump_code's key order and spacing get the JSON
     path's message, and a huge m never has 4^(2m+n) computed."""
-    real_vertex_count = DoobParams.vertex_count.fget
+    real_vertex_count = DoobParams.vertex_count.func
 
     def guarded_vertex_count(params):
         assert params.word_length <= 6, f"vertex count of {params} computed"

@@ -24,7 +24,9 @@ import oracles
 
 # Counts not stated in the source material, pinned after independent derivation.
 # (2, 1) and (1, 3) come from the exhaustive leaf walk that preceded
-# orbit-weighted counting, so count_mds reproduces them by a second method.
+# orbit-weighted counting.  count_mds now counts them as latin colorings (exact
+# covers by four sub-codes), and oracles.orbit_assembly_count reproduces them
+# by the orbit-weighted assembly, a second method.
 DERIVED_COUNTS = {
     (1, 1): 240,
     (2, 0): 5856,
@@ -49,6 +51,13 @@ def test_derived_counts_are_stable(codes_by_params):
         assert len(codes_by_params[key]) == DERIVED_COUNTS[key]
     for key in [(1, 2), (2, 1), (1, 3)]:
         assert count_mds(DoobParams(*key)) == DERIVED_COUNTS[key]
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in range(3) for n in range(1, 6) if 2 * m + n <= 5]
+)
+def test_latin_coloring_count_matches_orbit_assembly(m, n):
+    assert count_mds(DoobParams(m, n)) == oracles.orbit_assembly_count(DoobParams(m, n))
 
 
 def test_oracle_equivalence_subset_scan_16_vertices(codes_by_params):

@@ -22,6 +22,7 @@ from doobmds.symmetry import (
     _apply_plan,
     _orbit_trees,
     _shift_plan,
+    _vertex_zero_stabilizer,
     lift_factor_perm,
     swap_slots_perm,
 )
@@ -180,6 +181,24 @@ def test_every_generator_is_an_automorphism(m, n):
     graph = doob_graph(DoobParams(m, n))
     for gen in doob_symmetries(DoobParams(m, n)).generators:
         assert is_automorphism(graph, gen)
+
+
+@pytest.mark.parametrize("m, n", [p for p in WORD_LENGTH_UP_TO_6 if 2 * p[0] + p[1] <= 4])
+def test_vertex_zero_stabilizer_generators_fix_zero(m, n):
+    graph = doob_graph(DoobParams(m, n))
+    for gen in _vertex_zero_stabilizer(DoobParams(m, n)):
+        assert gen[0] == 0
+        assert is_automorphism(graph, gen)
+
+
+@pytest.mark.parametrize(
+    "m, n, order", [(1, 0, 12), (0, 2, 72), (1, 1, 72), (0, 3, 1296), (2, 0, 288)]
+)
+def test_vertex_zero_stabilizer_order(m, n, order):
+    # |Aut D(m,n)| / 4^(2m+n): the group is transitive on the vertices.
+    params = DoobParams(m, n)
+    assert order * params.vertex_count == doob_symmetries(params).order
+    assert len(closure(_vertex_zero_stabilizer(params), params.vertex_count)) == order
 
 
 def test_lift_and_swap():
