@@ -13,16 +13,19 @@ byte-identical files.
 
 Files are read as bytes and decoded as UTF-8 with universal newlines; bytes
 that are not UTF-8 are a FormatError.  Loading reads byte-canonical text
-(exactly what dump_code writes) with one split of the member list at the
-text where one member ends and the next begins, "],[[" (or "],[" when
-m = 0), which occurs inside no member.  Each piece is looked up in a
-per-parameter table of member texts, built once per (m, n), and the code's
-mask is the sum of their bits; the pieces must increase as strings, which
-for texts of one shape is index order.  Any other text goes through the
-full JSON parse and validation, which also gives every error message; both
-ways give the same code for the same document.  Parameters of word length
-2m + n over MAX_WORD_LENGTH are a format error, found before any
-4^(2m+n) is computed.
+(exactly what dump_code writes) by its fiber layout.  Every fiber of a
+maximum independent set of D(m,n) at the last coordinate is a code of that
+factor: one member on each K4 line when n >= 1, one of the 16 Shrikhande
+codes on each Sh copy when n = 0.  So a canonical dump over D(m,n) is a
+fixed text, built once per (m, n), except at the last coordinate's digits.
+The text must equal that template with those digits zeroed; the digits then
+give each fiber's word in hex (a K4 value v is the digit 1 << v, an Sh
+fiber's eight digits are looked up among the 16 codes), and one int() of
+the hex is the code's mask.  Any other text, including every set of
+members that is not fibered so, goes through the full JSON parse and
+validation, which also gives every error message; both ways give the same
+code for the same document.  Parameters of word length 2m + n over
+MAX_WORD_LENGTH are a format error, found before any 4^(2m+n) is computed.
 
 Independence is checked on the mask, with no loop over members: for each
 distinct index difference d > 0 of an edge, the graph keeps the vertices u
@@ -34,15 +37,21 @@ that fails is walked member by member, to name its first adjacent pair.
 from __future__ import annotations
 
 import json
-import operator
-import re
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
-from itertools import compress, count
+from itertools import combinations, compress, count
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, FormatError, ParameterMismatchError
-from .graphs import DoobParams, DoobVertex, Graph, decode_vertex, encode_vertex, graph_of
+from .graphs import (
+    DoobParams,
+    DoobVertex,
+    Graph,
+    decode_vertex,
+    encode_vertex,
+    graph_of,
+    shrikhande,
+)
 
 
 class Code:
@@ -290,57 +299,94 @@ def dump_code(code: Code) -> str:
     return canonical_json(code_to_obj(code))
 
 
-# The exact text dump_code writes at word length 2m + n <= MAX_WORD_LENGTH, so
-# m and n are single digits; longer numbers are left to the JSON parse.
-_CANONICAL_CODE = re.compile(r'\{"m":([0-9]),"members":\[(.*)\],"n":([0-9])\}\n')
+# K4 digits 0-3 to the hex digit of their fiber word; any other byte to "x",
+# which no hex digit is ("_" and whitespace would pass int()).
+_K4_HEX = bytes(b"1248"[c - 48] if 48 <= c <= 51 else 120 for c in range(256))
 
 
 @lru_cache(maxsize=None)
-def _canonical_decoder(m: str, n: str):
-    """(params, head, separator, member bits) for canonical dumps over D(m,n),
-    or None.
+def _fiber_layout(m: int, n: int):
+    """(params, template, digits, zeros, slots, table) for canonical dumps
+    over D(m,n), or None when m + n = 0 or 2m + n is past desk scale.
 
-    Members are written "[" + "[a,b]," * m + "k," * n with the last comma as
-    "]", so each begins with head, "[[" (m >= 1) or "[" (m = 0), and
-    consecutive members meet at the separator "]," + head, which occurs
-    inside no member's text.  Member bits maps each member's text between
-    head and its closing "]" to its bit 1 << index.
+    Every fiber of a code over D(m,n) = G x F at the last coordinate, F = K4
+    when n >= 1 and Sh when n = 0, is a code of F: one member for K4, one of
+    the 16 Shrikhande codes for Sh.  Members are written "[" + "[a,b]," * m
+    + "k," * n with the last comma as "]", w = 1 + 6m + 2n bytes, joined by
+    ",", so every dump is template (the dump with each last-coordinate digit
+    "0") except at those digits.  digits slices them out of the member list
+    with stride w + 1: the K4 value, or the a and the b of the closing
+    "[a,b]]"; zeros refills one slice.  For Sh, slots are the eight slices
+    of a fiber's digits, members in index order, with stride 4(w + 1), and
+    table maps those eight digit bytes to the fiber's 16-bit word as
+    reversed hex; for K4 slots is digits and table is None.
     """
-    m, n = int(m), int(n)
     # Word length first, so 4 ** (2m + n) is never computed past desk scale.
     if m + n == 0 or 2 * m + n > MAX_WORD_LENGTH:
         return None
     params = DoobParams(m, n)
-    head = "[[" if m else "["
-    bits = {
-        json.dumps(member_to_obj(v, params), separators=(",", ":"))[len(head) : -1]: 1 << v
-        for v in range(params.vertex_count)
-    }
-    return params, head, "]," + head, bits
+    width = 1 + 6 * m + 2 * n
+    stride = width + 1
+    start = len('{"m":0,"members":[')
+    stop = start + params.code_size * stride
+    if n:
+        digits = slots = (slice(start + width - 2, stop, stride),)
+        table = None
+        fiber_hex = "1"  # K4 value 0
+    else:
+        digits = tuple(slice(start + offset, stop, stride) for offset in (width - 5, width - 3))
+        slots = tuple(
+            slice(start + member * stride + offset, stop, 4 * stride)
+            for member in range(4)
+            for offset in (width - 5, width - 3)
+        )
+        sh = shrikhande()
+        table = {}
+        for members in combinations(range(16), 4):
+            mask = sum(1 << s for s in members)
+            if _independent(mask, sh):
+                fiber_hex = format(mask, "04x")
+                key = tuple(48 + digit for s in members for digit in divmod(s, 4))
+                table[key] = fiber_hex[::-1]
+    # Any code of this layout will do: one fiber everywhere, repeated over
+    # the code_size hex digits of a mask.  Its digits are then zeroed.
+    code = Code.from_mask(params, int(fiber_hex * (params.code_size // len(fiber_hex)), 16))
+    template = bytearray(dump_code(code).encode())
+    zeros = b"0" * params.code_size
+    for digit_slice in digits:
+        template[digit_slice] = zeros
+    return params, bytes(template), digits, zeros, slots, table
 
 
 def _load_canonical(text: str) -> Optional[Code]:
     """The code whose dump_code is text, or None if text is not such a dump."""
-    match = _CANONICAL_CODE.fullmatch(text)
-    if match is None:
+    if not text.isascii():
         return None
-    decoder = _canonical_decoder(match[1], match[3])
-    if decoder is None:
+    m, n = text[5:6], text[-3:-2]
+    if not (m.isdigit() and n.isdigit()):
         return None
-    params, head, separator, bits = decoder
-    body = match[2]
-    if not body.startswith(head) or not body.endswith("]"):
+    layout = _fiber_layout(int(m), int(n))
+    if layout is None:
         return None
-    tokens = body[len(head) : -1].split(separator)
-    # All member texts of one D(m,n) have their digits at the same places, so
-    # string order is index order.
-    if not all(map(operator.lt, tokens, tokens[1:])):
+    params, template, digits, zeros, slots, table = layout
+    if len(text) != len(template):
         return None
-    try:
-        mask = sum(map(bits.__getitem__, tokens))
-    except KeyError:
+    data = text.encode()
+    rest = bytearray(data)
+    for digit_slice in digits:
+        rest[digit_slice] = zeros
+    if rest != template:
         return None
-    return Code.from_mask(params, mask)
+    if table is None:
+        hexs = data[slots[0]].translate(_K4_HEX)
+        if b"x" in hexs:
+            return None
+    else:
+        try:
+            hexs = "".join(map(table.__getitem__, zip(*[data[s] for s in slots])))
+        except KeyError:
+            return None
+    return Code.from_mask(params, int(hexs[::-1], 16))
 
 
 def load_code(text: str) -> Code:

@@ -13,16 +13,20 @@ from doobmds import (
     DoobParams,
     FormatError,
     ParameterMismatchError,
+    ParityRule,
+    build_parity_code,
     canonical_json,
     code_from_obj,
     doob_graph,
     code_to_obj,
     dump_code,
+    enumerate_mds,
     load_code,
     read_code,
     write_code,
 )
 from doobmds import codes
+from doobmds.cli import main
 from doobmds.codes import member_from_obj, member_to_obj
 
 
@@ -258,20 +262,55 @@ def test_load_rejects_malformed_documents():
             load_code(text)
 
 
+def _parity_code(m, n, seed):
+    """The parity code of a seeded random rule over D(m,n)."""
+    params = DoobParams(m, n)
+    rng = random.Random(seed)
+    bits = tuple(rng.randrange(2) for _ in range(4**m * 2**n))
+    return build_parity_code(ParityRule(params, bits))
+
+
 def test_canonical_files_skip_the_json_parse(codes_by_params, monkeypatch):
-    texts = {
-        key: [dump_code(code) for code in codes_by_params[key]]
-        for key in [(1, 0), (0, 2), (1, 1), (0, 3)]
-    }
+    """Canonical dumps of both fiber types, at every word length up to 6,
+    load by the fiber-layout decoder alone."""
+    rng = random.Random(12)
+    expected = [
+        code for key in [(1, 0), (0, 2), (1, 1), (0, 3), (2, 0)] for code in codes_by_params[key]
+    ]
+    for m, n in [(1, 2), (0, 4)]:
+        expected += rng.sample(enumerate_mds(DoobParams(m, n)).codes, 200)
+    for m, n in [(2, 1), (1, 3), (3, 0), (2, 2), (0, 6)]:
+        expected.append(_parity_code(m, n, 2 * m + n))
+    texts = [dump_code(code) for code in expected]
 
     def refuse(*args, **kwargs):
         raise AssertionError("canonical text reached json.loads")
 
     monkeypatch.setattr(codes.json, "loads", refuse)
-    for key, dumped in texts.items():
-        for code, text in zip(codes_by_params[key], dumped):
-            loaded = load_code(text)
-            assert loaded.members == code.members and loaded.mask == code.mask
+    for code, text in zip(expected, texts):
+        loaded = load_code(text)
+        assert loaded.members == code.members and loaded.mask == code.mask
+
+
+def test_codes_that_are_not_fibered_take_the_json_path(capsys, tmp_path):
+    """A D(1,2) dump with one member moved to another K4 line, so that one
+    line has two members and another none, is the template's length but no
+    canonical dump: the JSON path loads it, and verify finds the adjacency."""
+    code = _parity_code(1, 2, 0)
+    members = set(code.members)
+    moved = min(members)
+    line = moved // 4 + 1  # the next K4 line, which keeps its own member
+    members.remove(moved)
+    members.add(next(4 * line + k for k in range(4) if 4 * line + k not in members))
+    members = tuple(sorted(members))
+    text = dump_code(Code(code.params, members))
+    assert len(text) == len(dump_code(code))
+    assert codes._load_canonical(text) is None
+    assert load_code(text) == Code(code.params, members)
+    path = tmp_path / "moved.code"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 1
+    assert "not independent" in capsys.readouterr().out
 
 
 def test_canonical_layout_errors_match_the_json_path(monkeypatch):
@@ -336,21 +375,33 @@ def test_canonical_fast_path_matches_the_json_path_under_mutation(codes_by_param
     """Every one-character substitution or deletion in canonical dumps loads to
     the same code, or fails with the same message, with the fast path on and
     off.  D(2,0) members contain "],[", and word length 6 is the largest a
-    file may declare."""
-    texts = [
+    file may declare.  The word-length-6 parity codes are mutated from the
+    header through the first member and from the last member through the
+    trailer; the two sparse word-length-6 codes are not fibered, so they and
+    the empty code take the JSON path."""
+    fibered = [
         dump_code(code)
         for key in [(1, 0), (0, 2), (1, 1), (2, 0)]
         for code in (codes_by_params[key][0], codes_by_params[key][-1])
     ]
-    texts += [
+    parity = [dump_code(_parity_code(3, 0, 30)), dump_code(_parity_code(2, 2, 22))]
+    others = [
         dump_code(Code(DoobParams(3, 0), (0, 17, 300, 2049, 4095))),
         dump_code(Code(DoobParams(2, 2), (1, 64, 1000, 4000))),
         dump_code(Code(DoobParams(1, 0), ())),
     ]
-    assert all(codes._load_canonical(text) is not None for text in texts[:-1])
+    assert all(codes._load_canonical(text) is not None for text in fibered + parity)
+    assert all(codes._load_canonical(text) is None for text in others)
+    texts = fibered + parity + others
     mutants = set(texts)
     for text in texts:
-        for i in range(len(text)):
+        positions = range(len(text))
+        if text in parity:
+            # Members meet at "],[[", which occurs inside no member of either.
+            first_separator_end = text.index("],[[") + 2
+            last_separator = text.rindex("],[[") + 1
+            positions = [*range(first_separator_end), *range(last_separator, len(text))]
+        for i in positions:
             mutants.add(text[:i] + text[i + 1 :])
             for char in '[],0134"m':
                 mutants.add(text[:i] + char + text[i + 1 :])
