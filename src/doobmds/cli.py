@@ -271,8 +271,7 @@ def _code_files(directory: Path) -> list[str]:
     by name: the set Path.glob("*.code") gives, and none if the directory
     cannot be listed."""
     try:
-        with os.scandir(directory) as entries:
-            names = [entry.name for entry in entries if entry.name.endswith(".code")]
+        names = [name for name in os.listdir(directory) if name.endswith(".code")]
     except OSError:
         return []
     names.sort()

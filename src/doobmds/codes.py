@@ -11,21 +11,27 @@ members appear in increasing index order.  Serialization is canonical (sorted
 keys, no whitespace, single trailing newline) so equal codes produce
 byte-identical files.
 
-Files are read as bytes and decoded as UTF-8 with universal newlines; bytes
-that are not UTF-8 are a FormatError.  Loading reads byte-canonical text
-(exactly what dump_code writes) by its fiber layout.  Every fiber of a
-maximum independent set of D(m,n) at the last coordinate is a code of that
-factor: one member on each K4 line when n >= 1, one of the 16 Shrikhande
-codes on each Sh copy when n = 0.  So a canonical dump over D(m,n) is a
-fixed text, built once per (m, n), except at the last coordinate's digits.
-The text must equal that template with those digits zeroed; the digits then
-give each fiber's word in hex (a K4 value v is the digit 1 << v, an Sh
-fiber's eight digits are looked up among the 16 codes), and one int() of
-the hex is the code's mask.  Any other text, including every set of
-members that is not fibered so, goes through the full JSON parse and
-validation, which also gives every error message; both ways give the same
-code for the same document.  Parameters of word length 2m + n over
-MAX_WORD_LENGTH are a format error, found before any 4^(2m+n) is computed.
+Loading reads byte-canonical text (exactly what dump_code writes) by its
+fiber layout, and read_code tries that first, on the file's raw bytes (read
+by os.read until it returns nothing).  Only a file it rejects is decoded as
+UTF-8 with universal newlines, where bytes that are not UTF-8 are a
+FormatError, and goes to load_code, which tries the layout again on the
+decoded text and then parses JSON.  Every fiber of a maximum independent set
+of D(m,n) at the last coordinate is a code of that factor: one member on
+each K4 line when n >= 1, one of the 16 Shrikhande codes on each Sh copy
+when n = 0.  So a canonical dump over D(m,n) is a fixed text, built once per
+(m, n), except at the last coordinate's digits.  The text must equal that
+template with those digits zeroed; the digits then give each fiber's word in
+hex (a K4 value v is the digit 1 << v, an Sh fiber's eight digits are looked
+up among the 16 codes), and one int() of the hex is the code's mask.  Any
+other text, including every set of members that is not fibered so, goes
+through the full JSON parse and validation, which also gives every error
+message; both ways give the same code for the same document.  dump_code
+writes the same way round: a code whose every fiber at the last coordinate
+is a code of its factor is the template with the digits filled in from the
+mask's fiber words, and any other code is serialized through JSON, to the
+same text.  Parameters of word length 2m + n over MAX_WORD_LENGTH are a
+format error, found before any 4^(2m+n) is computed.
 
 Independence is checked on the mask, with no loop over members: for each
 distinct index difference d > 0 of an edge, the graph keeps the vertices u
@@ -37,6 +43,7 @@ that fails is walked member by member, to name its first adjacent pair.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import combinations, compress, count
@@ -296,18 +303,22 @@ def code_from_obj(obj) -> Code:
 
 
 def dump_code(code: Code) -> str:
-    return canonical_json(code_to_obj(code))
+    text = _dump_canonical(code)
+    return canonical_json(code_to_obj(code)) if text is None else text
 
 
 # K4 digits 0-3 to the hex digit of their fiber word; any other byte to "x",
 # which no hex digit is ("_" and whitespace would pass int()).
 _K4_HEX = bytes(b"1248"[c - 48] if 48 <= c <= 51 else 120 for c in range(256))
+# And back: the hex digit of a K4 fiber word with one member to its K4
+# digit; any other byte to "x".
+_K4_DIGIT = bytes(b"0123"[b"1248".index(c)] if c in b"1248" else 120 for c in range(256))
 
 
 @lru_cache(maxsize=None)
 def _fiber_layout(m: int, n: int):
-    """(params, template, digits, zeros, slots, table) for canonical dumps
-    over D(m,n), or None when m + n = 0 or 2m + n is past desk scale.
+    """(params, template, digits, zeros, slots, table, spell) for canonical
+    dumps over D(m,n), or None when m + n = 0 or 2m + n is past desk scale.
 
     Every fiber of a code over D(m,n) = G x F at the last coordinate, F = K4
     when n >= 1 and Sh when n = 0, is a code of F: one member for K4, one of
@@ -317,9 +328,10 @@ def _fiber_layout(m: int, n: int):
     "0") except at those digits.  digits slices them out of the member list
     with stride w + 1: the K4 value, or the a and the b of the closing
     "[a,b]]"; zeros refills one slice.  For Sh, slots are the eight slices
-    of a fiber's digits, members in index order, with stride 4(w + 1), and
+    of a fiber's digits, members in index order, with stride 4(w + 1),
     table maps those eight digit bytes to the fiber's 16-bit word as
-    reversed hex; for K4 slots is digits and table is None.
+    reversed hex, and spell maps the bytes of that reversed hex back to the
+    eight digits; for K4 slots is digits and table and spell are None.
     """
     # Word length first, so 4 ** (2m + n) is never computed past desk scale.
     if m + n == 0 or 2 * m + n > MAX_WORD_LENGTH:
@@ -331,7 +343,7 @@ def _fiber_layout(m: int, n: int):
     stop = start + params.code_size * stride
     if n:
         digits = slots = (slice(start + width - 2, stop, stride),)
-        table = None
+        table = spell = None
         fiber_hex = "1"  # K4 value 0
     else:
         digits = tuple(slice(start + offset, stop, stride) for offset in (width - 5, width - 3))
@@ -341,37 +353,64 @@ def _fiber_layout(m: int, n: int):
             for offset in (width - 5, width - 3)
         )
         sh = shrikhande()
-        table = {}
+        table, spell = {}, {}
         for members in combinations(range(16), 4):
             mask = sum(1 << s for s in members)
             if _independent(mask, sh):
                 fiber_hex = format(mask, "04x")
                 key = tuple(48 + digit for s in members for digit in divmod(s, 4))
                 table[key] = fiber_hex[::-1]
+                spell[tuple(fiber_hex[::-1].encode())] = bytes(key)
     # Any code of this layout will do: one fiber everywhere, repeated over
     # the code_size hex digits of a mask.  Its digits are then zeroed.
     code = Code.from_mask(params, int(fiber_hex * (params.code_size // len(fiber_hex)), 16))
-    template = bytearray(dump_code(code).encode())
+    template = bytearray(canonical_json(code_to_obj(code)).encode())
     zeros = b"0" * params.code_size
     for digit_slice in digits:
         template[digit_slice] = zeros
-    return params, bytes(template), digits, zeros, slots, table
+    return params, bytes(template), digits, zeros, slots, table, spell
 
 
-def _load_canonical(text: str) -> Optional[Code]:
-    """The code whose dump_code is text, or None if text is not such a dump."""
-    if not text.isascii():
-        return None
-    m, n = text[5:6], text[-3:-2]
-    if not (m.isdigit() and n.isdigit()):
-        return None
-    layout = _fiber_layout(int(m), int(n))
+def _dump_canonical(code: Code) -> Optional[str]:
+    """dump_code(code) as its fiber layout's template with the digits filled
+    in from the mask's fiber words, or None if the code has no layout or a
+    fiber at the last coordinate that is not a code of its factor."""
+    layout = _fiber_layout(code.params.m, code.params.n)
     if layout is None:
         return None
-    params, template, digits, zeros, slots, table = layout
-    if len(text) != len(template):
+    params, template, digits, _, slots, _, spell = layout
+    # The mask's hex digits, least significant first: one per K4 line, four
+    # (reversed) per Shrikhande copy.
+    hexs = format(code.mask, f"0{params.code_size}x")[::-1].encode()
+    text = bytearray(template)
+    if spell is None:
+        values = hexs.translate(_K4_DIGIT)
+        if b"x" in values:
+            return None
+        text[digits[0]] = values
+    else:
+        try:
+            spelled = b"".join(map(spell.__getitem__, zip(*[hexs[i::4] for i in range(4)])))
+        except KeyError:
+            return None
+        for i, slot in enumerate(slots):
+            text[slot] = spelled[i::8]
+    return text.decode()
+
+
+def _load_canonical(data: bytes) -> Optional[Code]:
+    """The code whose dump_code is data, or None if data is not such a dump."""
+    if not data.isascii():
         return None
-    data = text.encode()
+    m, n = data[5:6], data[-3:-2]
+    if not (m.isdigit() and n.isdigit()):
+        return None
+    layout = _fiber_layout(m[0] - 48, n[0] - 48)
+    if layout is None:
+        return None
+    params, template, digits, zeros, slots, table, _ = layout
+    if len(data) != len(template):
+        return None
     rest = bytearray(data)
     for digit_slice in digits:
         rest[digit_slice] = zeros
@@ -390,7 +429,7 @@ def _load_canonical(text: str) -> Optional[Code]:
 
 
 def load_code(text: str) -> Code:
-    code = _load_canonical(text)
+    code = _load_canonical(text.encode()) if text.isascii() else None
     if code is not None:
         return code
     try:
@@ -405,11 +444,29 @@ def write_code(code: Code, path):
         handle.write(dump_code(code))
 
 
-def _read_text(path) -> str:
-    """A file's contents decoded as UTF-8, with universal newlines; bad bytes
-    are a FormatError."""
-    with open(path, "rb", buffering=0) as handle:
-        data = handle.read()
+# Bytes asked of each os.read: more than any canonical code file up to word
+# length 6, so such a file takes one read and one empty one.
+_READ_SIZE = 1 << 16
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: Windows, no newline mapping
+
+
+def _read_bytes(path) -> bytes:
+    """A file's contents: os.read until it returns nothing."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        parts = []
+        while part := os.read(fd, _READ_SIZE):
+            parts.append(part)
+    except OSError as exc:
+        # os.read names no file (as on a directory); open() would have.
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return b"".join(parts)
+
+
+def _decode_text(data: bytes) -> str:
+    """data decoded as UTF-8, with universal newlines; bad bytes are a FormatError."""
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
@@ -419,5 +476,14 @@ def _read_text(path) -> str:
     return text
 
 
+def _read_text(path) -> str:
+    """A file's contents decoded as UTF-8, with universal newlines."""
+    return _decode_text(_read_bytes(path))
+
+
 def read_code(path) -> Code:
-    return load_code(_read_text(path))
+    data = _read_bytes(path)
+    code = _load_canonical(data)
+    if code is None:
+        code = load_code(_decode_text(data))
+    return code

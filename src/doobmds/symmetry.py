@@ -12,13 +12,29 @@ classified into orbits by closing the code list under the generators, acting
 on vertex bitmasks: each generator is precomputed as a shift plan (vertices
 grouped by how far the permutation moves them), so the image of a mask is a
 handful of AND/shift/OR operations on Python ints.
+
+The orbit search applies each plan to many masks at once.  Up to _PACK
+masks are laid side by side in one int, little-endian, one block of whole
+bytes each, as wide as the widest mask or selector; the selector of each
+part is repeated in every block.  Then each part costs one AND, one shift
+and one OR per packed int, whatever the number of masks in it, and no bit
+crosses into the next block, since a permutation of the vertices moves every
+vertex to a vertex.  The image's bytes, split into blocks and read back as
+ints, are looked up among the masks, which gives the list position of every
+mask's image under every generator before the breadth-first search starts.
+The lookup is keyed by the masks themselves, not by their bytes, so that it
+holds no second copy of the list.
 """
 
 from __future__ import annotations
 
+import struct
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
+from operator import itemgetter
 from typing import Sequence, Union
 
 from .codes import Code
@@ -26,6 +42,9 @@ from .errors import ConsistencyError, ParameterMismatchError
 from .graphs import DoobParams
 
 Perm = tuple[int, ...]
+
+# Masks laid side by side in one int by the packed action of _orbit_trees.
+_PACK = 512
 
 
 def _sh_perm(image) -> Perm:
@@ -188,6 +207,51 @@ def _apply_plan(plan, mask: int) -> int:
     return image
 
 
+def _repeated(selector: int, bits: int, blocks: int) -> int:
+    """selector repeated in at least blocks blocks of bits bits, by doubling."""
+    out, filled = selector, 1
+    while filled < blocks:
+        out |= out << filled * bits
+        filled *= 2
+    return out
+
+
+def _image_positions(masks: Sequence[int], plans) -> array:
+    """Position in masks of the image of masks[i] under plans[k], at index
+    i * len(plans) + k, by the packed action; -1 for an image outside the
+    list.  A duplicate mask is an inconsistency."""
+    count = len(masks)
+    width = max(
+        [1, *map(int.bit_length, masks), *(sel.bit_length() for plan in plans for sel, _ in plan)]
+    )
+    size = -(-width // 8)
+    position = dict(zip(masks, range(count)))
+    if len(position) != count:
+        raise ConsistencyError("duplicate codes in the list to classify")
+    # (length in bytes, packed int) of each run of up to _PACK masks; block i
+    # of a run is bits 8 * size * i and up.
+    packed = []
+    for start in range(0, count, _PACK):
+        data = b"".join([mask.to_bytes(size, "little") for mask in masks[start : start + _PACK]])
+        packed.append((len(data), int.from_bytes(data, "little")))
+    split = struct.Struct(f"{size}s").iter_unpack
+    first = itemgetter(0)
+    little, outside = repeat("little"), repeat(-1)
+    images = array("i", [-1]) * (count * len(plans))
+    for k, plan in enumerate(plans):
+        repeated = [(_repeated(sel, 8 * size, min(count, _PACK)), shift) for sel, shift in plan]
+        found = array("i")
+        for length, chunk in packed:
+            image = 0
+            for sel, shift in repeated:
+                part = chunk & sel
+                image |= part << shift if shift >= 0 else part >> -shift
+            blocks = map(first, split(image.to_bytes(length, "little")))
+            found.extend(map(position.get, map(int.from_bytes, blocks, little), outside))
+        images[k :: len(plans)] = found
+    return images
+
+
 def _orbit_trees(masks: Sequence[int], plans):
     """Breadth-first (Schreier) trees of the orbits of distinct masks under plans.
 
@@ -196,34 +260,32 @@ def _orbit_trees(masks: Sequence[int], plans):
     earlier tree; a non-root position j was reached as the image of
     masks[parent[j]] under plans[via[j]].  A root is its own parent.  A
     duplicate mask, or an image outside the list, is an inconsistency.
+
+    The plans are shift plans of permutations (_shift_plan).  Every mask's
+    image under every plan is found before the search, by the packed action
+    the module docstring describes.
     """
-    position = {mask: i for i, mask in enumerate(masks)}
-    if len(position) != len(masks):
-        raise ConsistencyError("duplicate codes in the list to classify")
-    parent = [-1] * len(masks)  # -1 until the position is reached
-    via = [0] * len(masks)
-    outside = []
+    count, stride = len(masks), len(plans)
+    images = _image_positions(masks, plans)
+    if -1 in images:
+        raise ConsistencyError(
+            f"a group generator maps code {images.index(-1) // stride} outside the given list"
+        )
+    parent = [-1] * count  # -1 until the position is reached
+    via = [0] * count
     trees = []
-    for start in range(len(masks)):
+    for start in range(count):
         if parent[start] >= 0:
             continue
         parent[start] = start
         tree = [start]
         for i in tree:
-            mask = masks[i]
-            for k, plan in enumerate(plans):
-                j = position.get(_apply_plan(plan, mask))
-                if j is None:
-                    outside.append(i)
-                elif parent[j] < 0:
+            for k, j in enumerate(images[i * stride : i * stride + stride]):
+                if parent[j] < 0:
                     parent[j] = i
                     via[j] = k
                     tree.append(j)
         trees.append(tree)
-    if outside:
-        raise ConsistencyError(
-            f"a group generator maps code {min(outside)} outside the given list"
-        )
     return trees, parent, via
 
 

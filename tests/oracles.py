@@ -17,16 +17,25 @@ reference for the search's symmetry shortcut: the plain fibered assembly,
 which runs the search's own _assemble with every sub-code tried at the first
 fiber, and so checks the shortcut, not the assembly; and the count by
 orbit-weighted assembly that count_mds used before it counted latin
-colorings, the second method for its K4 split.  The last
-section works on the package's Graph objects: graph invariants, permutation
-arithmetic, and an exhaustive backtracking automorphism search, the
-reference for the closed-form generators of doob_symmetries.
+colorings, the second method for its K4 split; and the Schreier trees of
+orbits built one mask and one generator at a time, the reference for the
+packed action of symmetry._orbit_trees.  The last section works on the
+package's Graph objects: graph invariants, permutation arithmetic, and an
+exhaustive backtracking automorphism search, the reference for the
+closed-form generators of doob_symmetries.
 """
 
 import collections
 import itertools
 
-from doobmds import ParameterMismatchError, ParityRule, decode_vertex, search
+from doobmds import (
+    ConsistencyError,
+    ParameterMismatchError,
+    ParityRule,
+    decode_vertex,
+    search,
+    symmetry,
+)
 
 SH_DIFFS = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
 
@@ -457,6 +466,44 @@ def orbit_assembly_count(params):
         * search._assemble(factor.neighbor_masks, compat, 1 << tree[0], count_only=True)
         for tree in trees
     )
+
+
+def orbit_trees(masks, plans):
+    """symmetry._orbit_trees one mask and one plan at a time: the reference
+    for its packed action.
+
+    Breadth-first (Schreier) trees of the orbits of distinct masks under the
+    shift plans, as (trees, parent, via), with each image made by
+    symmetry._apply_plan and looked up by its int.  Errors (a duplicate mask,
+    an image outside the list) have the packed version's text.
+    """
+    position = {mask: i for i, mask in enumerate(masks)}
+    if len(position) != len(masks):
+        raise ConsistencyError("duplicate codes in the list to classify")
+    parent = [-1] * len(masks)
+    via = [0] * len(masks)
+    outside = []
+    trees = []
+    for start in range(len(masks)):
+        if parent[start] >= 0:
+            continue
+        parent[start] = start
+        tree = [start]
+        for i in tree:
+            for k, plan in enumerate(plans):
+                j = position.get(symmetry._apply_plan(plan, masks[i]))
+                if j is None:
+                    outside.append(i)
+                elif parent[j] < 0:
+                    parent[j] = i
+                    via[j] = k
+                    tree.append(j)
+        trees.append(tree)
+    if outside:
+        raise ConsistencyError(
+            f"a group generator maps code {min(outside)} outside the given list"
+        )
+    return trees, parent, via
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,24 @@ def test_verify_parse_problems(tmp_path, capsys):
     assert code == 3
 
 
+def test_verify_names_the_file_it_cannot_read(tmp_path, capsys):
+    """A missing file, a directory and bytes that are not UTF-8: one line
+    each, as open() would have named them, and exit 3."""
+    missing = str(tmp_path / "missing.code")
+    directory = tmp_path / "x.code"
+    directory.mkdir()
+    not_utf8 = tmp_path / "bad.code"
+    not_utf8.write_bytes(b'{"m":0,"members":[[0\xff]],"n":1}\n')
+    code, out, _ = run(capsys, "verify", missing, str(directory), str(not_utf8))
+    assert code == 3
+    assert out == (
+        f"{missing}: parse error: [Errno 2] No such file or directory: '{missing}'\n"
+        f"{directory}: parse error: [Errno 21] Is a directory: '{directory}'\n"
+        f"{not_utf8}: parse error: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+        "in position 20: invalid start byte\n"
+    )
+
+
 def test_files_past_desk_scale_or_the_digit_limit_are_parse_errors(tmp_path, capsys):
     huge_m = tmp_path / "huge_m.code"
     huge_m.write_text('{"m":100000,"members":[],"n":0}\n')

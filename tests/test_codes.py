@@ -305,7 +305,7 @@ def test_codes_that_are_not_fibered_take_the_json_path(capsys, tmp_path):
     members = tuple(sorted(members))
     text = dump_code(Code(code.params, members))
     assert len(text) == len(dump_code(code))
-    assert codes._load_canonical(text) is None
+    assert codes._load_canonical(text.encode()) is None
     assert load_code(text) == Code(code.params, members)
     path = tmp_path / "moved.code"
     path.write_text(text)
@@ -390,8 +390,8 @@ def test_canonical_fast_path_matches_the_json_path_under_mutation(codes_by_param
         dump_code(Code(DoobParams(2, 2), (1, 64, 1000, 4000))),
         dump_code(Code(DoobParams(1, 0), ())),
     ]
-    assert all(codes._load_canonical(text) is not None for text in fibered + parity)
-    assert all(codes._load_canonical(text) is None for text in others)
+    assert all(codes._load_canonical(text.encode()) is not None for text in fibered + parity)
+    assert all(codes._load_canonical(text.encode()) is None for text in others)
     texts = fibered + parity + others
     mutants = set(texts)
     for text in texts:
@@ -407,9 +407,9 @@ def test_canonical_fast_path_matches_the_json_path_under_mutation(codes_by_param
                 mutants.add(text[:i] + char + text[i + 1 :])
     mutants = sorted(mutants)
     fast = [_outcome(text) for text in mutants]
-    canonical = sum(codes._load_canonical(text) is not None for text in mutants)
+    canonical = sum(codes._load_canonical(text.encode()) is not None for text in mutants)
     assert canonical > len(texts)  # some mutants are other canonical dumps
-    monkeypatch.setattr(codes, "_load_canonical", lambda text: None)
+    monkeypatch.setattr(codes, "_load_canonical", lambda data: None)
     for text, outcome in zip(mutants, fast):
         assert _outcome(text) == outcome, text
 
@@ -422,10 +422,81 @@ def test_read_code_decodes_utf8_with_universal_newlines(codes_by_params, tmp_pat
     monkeypatch.setattr(codes.json, "loads", None)
     for newline in ["\r\n", "\r"]:
         path.write_bytes(text.replace("\n", newline).encode())
+        assert codes._load_canonical(path.read_bytes()) is None  # decoded, then canonical
         assert read_code(path) == code
     path.write_bytes(text.encode()[:-1] + b"\xff\n")
     with pytest.raises(FormatError, match="not UTF-8 text"):
         read_code(path)
+
+
+def test_canonical_files_load_without_a_decode(codes_by_params, tmp_path, monkeypatch):
+    """read_code tries the fiber layout on the file's bytes: a canonical file
+    is neither decoded nor parsed as JSON, whatever type its path has."""
+    expected = [codes_by_params[key][-1] for key in [(1, 0), (0, 2), (1, 1), (0, 3), (2, 0)]]
+    expected += [_parity_code(m, n, 2 * m + n) for m, n in [(1, 2), (0, 4), (3, 0), (0, 6)]]
+    paths = []
+    for i, code in enumerate(expected):
+        path = tmp_path / f"c{i}.code"
+        write_code(code, path)
+        paths.append([path, str(path), bytes(path)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical file decoded or parsed")
+
+    monkeypatch.setattr(codes, "_decode_text", refuse)
+    monkeypatch.setattr(codes.json, "loads", refuse)
+    for code, spellings in zip(expected, paths):
+        for path in spellings:
+            loaded = read_code(path)
+            assert loaded.members == code.members and loaded.mask == code.mask
+
+
+def _member_texts(params):
+    """Each vertex's member as the JSON serializer writes it, by index."""
+    return [canonical_json(member_to_obj(v, params))[:-1] for v in range(params.vertex_count)]
+
+
+def test_dump_code_writes_what_the_json_serializer_writes(codes_by_params):
+    """dump_code fills the fiber layout's template for fibered codes, and
+    gives the JSON serializer's text for every code.  Every code of word
+    length up to 4 is checked against its members' JSON texts joined; the
+    serializer itself checks the small families, samples of the large ones,
+    parity codes up to word length 6, and codes that are not fibered or not
+    MDS, which take the JSON path."""
+    rng = random.Random(4)
+    fibered = []
+    for m, n in [(1, 0), (0, 1), (0, 2), (1, 1), (0, 3), (2, 0), (1, 2), (0, 4)]:
+        params = DoobParams(m, n)
+        member_text = _member_texts(params).__getitem__
+        head, tail = f'{{"m":{m},"members":[', f'],"n":{n}}}\n'
+        family = enumerate_mds(params).codes
+        for code in family:
+            assert dump_code(code) == head + ",".join(map(member_text, code.members)) + tail
+        fibered += family if len(family) < 1000 else rng.sample(family, 200)
+    for m in range(4):
+        for n in range(1 - min(m, 1), 7 - 2 * m):
+            fibered += [_parity_code(m, n, seed) for seed in (m + n, 10 + m + n)]
+    d12 = _parity_code(1, 2, 0)
+    moved = set(d12.members)  # two members on the next K4 line, none on the first
+    moved.remove(min(moved))
+    moved.add(next(4 + k for k in range(4) if 4 + k not in moved))
+    d20 = codes_by_params[(2, 0)][0]
+    others = [
+        Code(DoobParams(3, 0), (0, 17, 300, 2049, 4095)),
+        Code(DoobParams(2, 2), (1, 64, 1000, 4000)),
+        Code(DoobParams(1, 0), ()),
+        Code(DoobParams(1, 0), (0, 2, 8)),
+        Code(DoobParams(1, 1), codes_by_params[(1, 1)][5].members[1:]),
+        Code(d12.params, tuple(sorted(moved))),
+        # A Shrikhande fiber that is four members but no code of Sh.
+        Code.from_mask(d20.params, d20.mask & ~0xFFFF | 0b1111),
+        Code(DoobParams(4, 0), (0, 5, 65535)),
+        Code(DoobParams(0, 7), (3, 16383)),
+    ]
+    assert all(codes._dump_canonical(code) is not None for code in fibered)
+    assert all(codes._dump_canonical(code) is None for code in others)
+    for code in fibered + others:
+        assert dump_code(code) == canonical_json(code_to_obj(code))
 
 
 def test_non_canonical_text_loads_the_same_code(codes_by_params):

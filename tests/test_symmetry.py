@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -15,10 +16,12 @@ from doobmds import (
     complete_graph,
     doob_graph,
     doob_symmetries,
+    enumerate_mds,
     graph_from_predicate,
     orbits_of_codes,
 )
 from doobmds.symmetry import (
+    _PACK,
     _apply_plan,
     _orbit_trees,
     _shift_plan,
@@ -322,6 +325,50 @@ def test_orbit_trees_record_how_each_code_was_reached(codes_by_params):
         for j in tree[1:]:
             assert tree.index(parent[j]) < tree.index(j)
             assert _apply_plan(plans[via[j]], masks[parent[j]]) == masks[j]
+
+
+def _trees_or_error(orbit_trees, masks, plans):
+    try:
+        return orbit_trees(masks, plans)
+    except ConsistencyError as exc:
+        return f"ConsistencyError: {exc}"
+
+
+def test_packed_orbit_trees_match_the_per_mask_oracle(codes_by_params):
+    """The packed action gives the per-mask search's (trees, parent, via),
+    and its errors, for lists of every length around the packing size."""
+    cases = []
+    for key, codes in codes_by_params.items():
+        params = DoobParams(*key)
+        masks = [code.mask for code in codes]
+        for perms in (doob_symmetries(params).generators, _vertex_zero_stabilizer(params)):
+            cases.append((masks, [_shift_plan(perm) for perm in perms]))
+    d12 = DoobParams(1, 2)
+    masks = [code.mask for code in enumerate_mds(d12).codes]
+    aut = [_shift_plan(perm) for perm in doob_symmetries(d12).generators]
+    stab = [_shift_plan(perm) for perm in _vertex_zero_stabilizer(d12)]
+    identity = [_shift_plan(identity_perm(d12.vertex_count))]
+    cases += [(masks, aut), (masks, stab), (masks, [])]
+    rng = random.Random(14)
+    for length in (0, 1, _PACK - 1, _PACK, _PACK + 1, 2 * _PACK + 1):
+        sample = rng.sample(masks, length)
+        # Not closed under Aut (an outside error, unless empty); closed under
+        # the identity, so every image is found at its own position.
+        cases += [(sample, aut), (sample, identity)]
+    # Masks wider than every selector: the bit past the graph is in no part
+    # of any plan, so each wide mask maps among the plain ones and is a root
+    # of its own tree; without the plain ones, every image is outside.
+    d11 = [code.mask for code in codes_by_params[(1, 1)]]
+    d11_aut = [_shift_plan(perm) for perm in doob_symmetries(DoobParams(1, 1)).generators]
+    cases.append((d11 + [mask | 1 << 300 for mask in d11], d11_aut))
+    cases.append(([1 << 300 | mask for mask in d11], d11_aut))
+    cases.append((d11 + d11[:1], d11_aut))  # a duplicate
+    outcomes = []
+    for masks, plans in cases:
+        outcomes.append(_trees_or_error(_orbit_trees, masks, plans))
+        assert outcomes[-1] == _trees_or_error(oracles.orbit_trees, masks, plans)
+    assert "ConsistencyError: duplicate codes in the list to classify" in outcomes
+    assert sum(isinstance(outcome, str) and "outside" in outcome for outcome in outcomes) >= 6
 
 
 def test_orbits_check_permutation_degree(codes_by_params):
