@@ -288,7 +288,8 @@ def cmd_classify(args) -> int:
     codes = [read_code(path) for path in files]
     params = codes[0].params
     for code, path in zip(codes, files):
-        if code.params != params:
+        # Codes read by the fiber layout share one params object.
+        if code.params is not params and code.params != params:
             raise ParameterMismatchError(
                 f"{path} has parameters {code.params}, expected {params}"
             )

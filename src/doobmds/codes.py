@@ -4,7 +4,14 @@ A code is a subset of the vertices of D(m,n), stored as its membership
 bitmask: bit v is set iff vertex v is a member.  The mask is the code's
 identity (equality, hashing, size); the strictly increasing tuple of member
 indices is derived from it on first read and kept, unless the code was built
-from members, which are then kept as given.  The on-disk form is one
+from members, which are then kept as given.  When n >= 1 the last
+coordinate is a K4 one, and its lines are the vertex blocks {4i, ..., 4i+3},
+so hex digit i of the mask is line i's word.  A code with one member on
+every such line, as every maximum independent set has, has the digits 1, 2,
+4 and 8 only; each is translated to the place p of its member, and one int
+addition of a cached base adds 4i to place i, a byte per member up to
+256 vertices and two above.  Any other mask, and every mask over D(m,0),
+has its set bits read one byte per vertex.  The on-disk form is one
 JSON object: {"m": m, "members": [...], "n": n} where each member lists its m
 Shrikhande coordinates as [a, b] pairs followed by its n K4 values, and the
 members appear in increasing index order.  Serialization is canonical (sorted
@@ -38,6 +45,20 @@ distinct index difference d > 0 of an edge, the graph keeps the vertices u
 with u ~ u + d as a selector mask (Graph.edge_shifts), and a code is
 independent iff (mask & selector) << d & mask is 0 for every d.  Only a code
 that fails is walked member by member, to name its first adjacent pair.
+
+is_mds and assert_mds with no graph given check most of the edges by line
+cover instead.  D(m,n) has 4^(2m+n-1) = code_size K4 lines in each of its n
+K4 directions, and they partition the vertices.  A mask of code_size
+members that meets every line of a direction therefore holds exactly one
+member on each, so no K4 edge of that direction joins two members; and a
+maximum independent set, with at most one member per line and code_size
+members, meets them all.  For the direction of stride s = 4^j, the line
+through vertex v with digit j zero is met iff bit v of x | x >> s | x >> 2s
+| x >> 3s is set, two shifts and two ORs.  What is left are the Shrikhande
+edges, the edge_shifts with d >= 4^n.  The lines and those shifts are kept
+on the graph with edge_shifts, so clearing the graph cache drops them too.
+A mask that fails goes on to the full edge-shift check, which names the pair
+and gives the same error as before.
 """
 
 from __future__ import annotations
@@ -47,6 +68,7 @@ import os
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import combinations, compress, count
+from sys import byteorder
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, FormatError, ParameterMismatchError
@@ -124,7 +146,11 @@ class Code:
         """Member vertex indices in increasing order."""
         members = self._members
         if members is None:
-            members = tuple(compress(count(), bit_bytes(self.mask, 0)))
+            params = self.params
+            if params.n:
+                members = _line_members(self.mask, params.vertex_count)
+            if members is None:
+                members = tuple(compress(count(), bit_bytes(self.mask, 0)))
             object.__setattr__(self, "_members", members)
         return members
 
@@ -185,9 +211,11 @@ class Code:
     def is_mds(self, graph: Optional[Graph] = None) -> bool:
         """True iff this is a maximum independent set (a distance-2 MDS code)."""
         mask = self.mask
-        return mask.bit_count() == self.params.code_size and _independent(
-            mask, self._resolve_graph(graph)
-        )
+        if mask.bit_count() != self.params.code_size:
+            return False
+        if graph is None:
+            return _mds_by_line_cover(mask, _line_cover(graph_of(self.params)))
+        return _independent(mask, self._resolve_graph(graph))
 
     def assert_mds(self, graph: Optional[Graph] = None, context: str = "code"):
         """Raise ConsistencyError with a reason if this is not an MDS code."""
@@ -196,6 +224,8 @@ class Code:
         expected = self.params.code_size
         if size != expected:
             raise ConsistencyError(f"{context}: {size} members, expected {expected}")
+        if graph is None and _mds_by_line_cover(mask, _line_cover(graph_of(self.params))):
+            return
         g = self._resolve_graph(graph)
         pair = None if _independent(mask, g) else self.first_adjacent_pair(g)
         if pair is not None:
@@ -213,6 +243,76 @@ def bit_bytes(mask: int, size: int) -> bytes:
 def _independent(mask: int, graph: Graph) -> bool:
     """No edge u ~ u + d of graph has both ends in mask: one shift per distinct d."""
     for d, selector in graph.edge_shifts:
+        if (mask & selector) << d & mask:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _line_slots(vertex_count: int) -> tuple[int, int, int]:
+    """(width, low, base) for reading members by K4 line over vertex_count vertices.
+
+    Each member takes width bytes in native order, low is the offset of its
+    low byte, and base holds 4i - 48 in slot i, so that adding the ASCII
+    places "0"-"3" of line i gives its member 4i + place.
+    """
+    width = 1 if vertex_count <= 256 else 2
+    low = 0 if byteorder == "little" else width - 1
+    starts = b"".join(v.to_bytes(width, byteorder) for v in range(0, vertex_count, 4))
+    zeros = (48).to_bytes(width, byteorder) * (vertex_count // 4)
+    return width, low, int.from_bytes(starts, byteorder) - int.from_bytes(zeros, byteorder)
+
+
+def _line_members(mask: int, vertex_count: int) -> Optional[tuple[int, ...]]:
+    """The members of a mask over D(m,n), n >= 1, with exactly one member on
+    each K4 line {4i, ..., 4i + 3}, or None if some line holds none or several.
+
+    Hex digit i of the mask is line i's word; _K4_DIGIT gives the place of
+    its one member, and one int addition adds each line's base 4i to it.
+    """
+    lines = vertex_count // 4
+    places = format(mask, f"0{lines}x")[::-1].encode().translate(_K4_DIGIT)
+    if b"x" in places:
+        return None
+    width, low, base = _line_slots(vertex_count)
+    if width == 1:
+        return tuple((int.from_bytes(places, byteorder) + base).to_bytes(lines, byteorder))
+    slots = bytearray(width * lines)
+    slots[low::width] = places
+    members = (int.from_bytes(slots, byteorder) + base).to_bytes(width * lines, byteorder)
+    return tuple(memoryview(members).cast("H"))
+
+
+def _line_cover(graph: Graph) -> tuple[tuple, tuple]:
+    """(lines, shifts) for checking codes of a Doob graph by line cover,
+    built on first use and kept on the graph.
+
+    lines has (s, 2s, L) for each K4 coordinate j, s = 4^j, where L holds
+    the vertices whose digit j is 0, one per line in direction j; shifts are
+    the edge_shifts pairs with d >= 4^n, the Shrikhande edges.
+    """
+    kernel = graph.__dict__.get("_line_cover")
+    if kernel is None:
+        n, size = graph.params.n, graph.vertex_count
+        every = (1 << size) - 1
+        lines = tuple(
+            (s, 2 * s, ((1 << s) - 1) * (every // ((1 << 4 * s) - 1)))
+            for s in (4**j for j in range(n))
+        )
+        kernel = lines, tuple(pair for pair in graph.edge_shifts if pair[0] >= 4**n)
+        graph.__dict__["_line_cover"] = kernel
+    return kernel
+
+
+def _mds_by_line_cover(mask: int, kernel) -> bool:
+    """For a mask of code_size members: True iff it meets every K4 line and
+    no Shrikhande edge has both ends in it, which is iff it is MDS."""
+    lines, shifts = kernel
+    for s, double, line in lines:
+        hit = mask | mask >> s
+        if (hit | hit >> double) & line != line:
+            return False
+    for d, selector in shifts:
         if (mask & selector) << d & mask:
             return False
     return True

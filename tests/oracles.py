@@ -12,7 +12,9 @@ divmod and takes the pairing table as a dict of plain member tuples; the
 reference parity code tests every labeled vertex against the rule.
 
 The section on rules and codes holds small helpers over the package's Code,
-ParityRule and PairingTable objects that only the tests use, and the
+ParityRule and PairingTable objects that only the tests use; the member
+tuple of a mask by one byte per bit and the MDS test by every edge shift,
+the references for Code.members and Code.is_mds read by K4 line; and the
 reference for the search's symmetry shortcut: the plain fibered assembly,
 which runs the search's own _assemble with every sub-code tried at the first
 fiber, and so checks the shortcut, not the assembly; and the count by
@@ -383,6 +385,23 @@ def essential_key(rule):
     m, n = rule.params.m, rule.params.n
     points = itertools.product(*([range(4)] * m + [range(2)] * n))
     return tuple(bit for point, bit in zip(points, rule.bits) if sum(point) % 2 == 0)
+
+
+def mask_members(mask):
+    """The set bits of mask in increasing order, as Code.members derived them
+    for every mask before they were read by K4 line: itertools.compress over
+    one byte per bit."""
+    bits = format(mask, "b").encode().translate(bytes.maketrans(b"01", b"\x00\x01"))
+    return tuple(itertools.compress(itertools.count(), bits[::-1]))
+
+
+def is_mds_by_edge_shifts(code, graph):
+    """The MDS test before the K4-line cover: code_size members and no edge
+    of every shift in graph.edge_shifts with both ends in the code."""
+    mask = code.mask
+    return mask.bit_count() == code.params.code_size and not any(
+        (mask & selector) << d & mask for d, selector in graph.edge_shifts
+    )
 
 
 def sort_codes(codes):

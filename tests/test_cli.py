@@ -153,6 +153,27 @@ def test_verify_flags_violations(tmp_path, capsys):
     assert lines[2].endswith("wrong cardinality 2 != 4")
 
 
+def test_verify_output_on_codes_with_one_clash(tmp_path, capsys):
+    """The D(1,2) parity code of rule c3a5 with member [[0,0],0,1] moved
+    along its K4 line, and with it and [[0,0],1,0] trading last K4 values,
+    which meets every K4 line once and has a Shrikhande edge.  CI pins the
+    same output."""
+    good = tmp_path / "l.code"
+    assert run(capsys, "lambda", "--inline", "1", "2", "c3a5", "--out", str(good))[0] == 0
+    text = good.read_text()
+    k4_line = tmp_path / "k4-line.code"
+    k4_line.write_text(text.replace("[[0,0],0,1]", "[[0,0],0,0]", 1))
+    sh_edge = tmp_path / "sh-edge.code"
+    sh_edge.write_text(text.replace("[[0,0],0,1],[[0,0],1,0]", "[[0,0],0,0],[[0,0],1,1]", 1))
+    code, out, _ = run(capsys, "verify", str(good), str(k4_line), str(sh_edge))
+    assert code == 1
+    assert out == (
+        f"{good}: MDS ok, |M|=64\n"
+        f"{k4_line}: not independent: (0,4)\n"
+        f"{sh_edge}: not independent: (0,16)\n"
+    )
+
+
 def test_verify_parse_problems(tmp_path, capsys):
     garbage = tmp_path / "garbage.code"
     garbage.write_text("not json")

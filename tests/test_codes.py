@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import time
+import weakref
 from enum import IntEnum
 
 import pytest
@@ -25,9 +26,11 @@ from doobmds import (
     read_code,
     write_code,
 )
-from doobmds import codes
+from doobmds import codes, graphs
 from doobmds.cli import main
 from doobmds.codes import member_from_obj, member_to_obj
+from doobmds.graphs import graph_of
+from doobmds.parity import rule_domain_size, rule_from_hex
 
 
 class Vertex(IntEnum):
@@ -195,6 +198,177 @@ def test_graph_parameter_guard(codes_by_params, sh_graph, rook_graph):
     assert code.is_independent(sh_graph)
     with pytest.raises(ParameterMismatchError):
         code.is_independent(rook_graph)
+
+
+# Every D(m,n) with 2m + n <= 6, up to 4096 vertices.
+ALL_PARAMS = [(m, n) for m in range(4) for n in range(7) if 0 < m + n and 2 * m + n <= 6]
+
+
+def one_per_line_mask(rng, vertex_count):
+    """A mask with one random member on each last-coordinate K4 line {4i, ..., 4i + 3}."""
+    return sum(1 << v + rng.randrange(4) for v in range(0, vertex_count, 4))
+
+
+@pytest.mark.parametrize("m, n", ALL_PARAMS)
+def test_members_match_the_bit_by_bit_oracle(m, n):
+    params = DoobParams(m, n)
+    size = params.vertex_count
+    rng = random.Random(10 * m + n)
+    lined = [one_per_line_mask(rng, size) for _ in range(4)]
+    masks = [0, (1 << size) - 1, *lined, *(rng.getrandbits(size) for _ in range(4))]
+    for line in {0, size // 4 - 1, rng.randrange(size // 4)}:
+        word = 0b1111 << 4 * line
+        masks.append(lined[0] & ~word)  # an empty line
+        masks.append(lined[0] & ~word | 0b0101 << 4 * line)  # two members on a line
+        masks.append(lined[0] | word)  # four
+    for mask in masks:
+        code = Code.from_mask(params, mask)
+        members = code.members
+        assert type(members) is tuple
+        assert members == oracles.mask_members(mask), (params, hex(mask))
+        assert code.members is members
+    given = oracles.mask_members(lined[1])
+    assert Code(params, given).members is given
+
+
+def coordinate_strides(params):
+    """(stride, size) of each coordinate's digit of a vertex index, last first."""
+    k4 = [(4**j, 4) for j in range(params.n)]
+    return k4 + [(4**params.n * 16**p, 16) for p in range(params.m)]
+
+
+def perturbed_masks(code, rng):
+    """Masks near the code: one member moved along a K4 line, across a
+    Shrikhande edge or to a random free vertex; two members that differ only
+    at the last coordinate, a K4 one, and one other trading their last
+    digits; and one member dropped."""
+    params, mask, members = code.params, code.mask, code.members
+    coordinates = coordinate_strides(params)
+    out = [mask & ~(1 << rng.choice(members))]
+    for _ in range(3):
+        v = rng.choice(members)
+        rest = mask & ~(1 << v)
+        for stride, size in coordinates:
+            digit = v // stride % size
+            if size == 4:
+                new = rng.choice([d for d in range(4) if d != digit])
+            else:
+                a, b = divmod(digit, 4)
+                da, db = rng.choice(sorted(oracles.SH_DIFFS))
+                new = (a + da) % 4 * 4 + (b + db) % 4
+            out.append(rest | 1 << v + (new - digit) * stride)
+        free = [u for u in range(params.vertex_count) if not mask >> u & 1]
+        out.append(rest | 1 << rng.choice(free))
+        # The last coordinate is a K4 one when n >= 1.
+        for stride, size in coordinates[1:] if params.n else ():
+            # The members that differ from v at this and the last coordinate only.
+            def others(u):
+                return u // 4 % (stride // 4), u // (stride * size)
+
+            for w in members:
+                if others(w) == others(v) and w // stride % size != v // stride % size:
+                    delta = w % 4 - v % 4
+                    if delta:
+                        out.append(mask ^ (1 << v | 1 << w | 1 << v + delta | 1 << w - delta))
+    return out
+
+
+def expected_mds_error(code, graph, context):
+    """assert_mds's text for a code that is not MDS, from the member loop."""
+    if len(code) != code.params.code_size:
+        return f"{context}: {len(code)} members, expected {code.params.code_size}"
+    v, w = member_loop_pair(code, graph)
+    return f"{context}: adjacent members {v} and {w}"
+
+
+# Every D(m,n) with 2m + n <= 5; all codes through word length 4, parity codes past it.
+MDS_PARAMS = [(m, n) for m in range(3) for n in range(6) if 0 < m + n and 2 * m + n <= 5]
+
+
+@pytest.mark.parametrize("m, n", MDS_PARAMS)
+def test_mds_check_by_line_cover_matches_the_edge_shift_oracle(m, n):
+    params = DoobParams(m, n)
+    graph = doob_graph(params)
+    if params.word_length <= 4:
+        family = enumerate_mds(params).codes
+    else:
+        rng = random.Random(m)
+        size = rule_domain_size(params)
+        family = [
+            build_parity_code(ParityRule(params, tuple(rng.randrange(2) for _ in range(size))))
+            for _ in range(6)
+        ]
+    for code in family:
+        assert code.is_mds() and oracles.is_mds_by_edge_shifts(code, graph)
+    rng = random.Random(7 * m + n)
+    outcomes = set()
+    for code in family[:: max(1, len(family) // 60)]:
+        for mask in perturbed_masks(code, rng):
+            moved = Code.from_mask(params, mask)
+            expected = oracles.is_mds_by_edge_shifts(moved, graph)
+            outcomes.add(expected)
+            assert moved.is_mds() == moved.is_mds(graph) == expected, (params, hex(mask))
+            if expected:
+                moved.assert_mds()
+                continue
+            with pytest.raises(ConsistencyError) as info:
+                moved.assert_mds(context="moved")
+            assert str(info.value) == expected_mds_error(moved, graph, "moved")
+            with pytest.raises(ConsistencyError) as info:
+                moved.assert_mds(graph, context="moved")
+            assert str(info.value) == expected_mds_error(moved, graph, "moved")
+    assert False in outcomes
+
+
+def test_assert_mds_texts_are_pinned(sh_graph, rook_graph):
+    params = DoobParams(1, 2)
+    code = build_parity_code(rule_from_hex(params, "c3a5"))
+    assert code.members[:2] == (1, 4)
+    k4_line = Code.from_mask(params, code.mask ^ 0b11)  # member 1 moved to 0 on its K4 line
+    sh_edge = Code.from_mask(params, code.mask ^ 0b110011)  # 1, 4 trade last digits: 0, 5
+    short = Code.from_mask(params, code.mask ^ 0b10)
+    graph = doob_graph(params)
+    for g in (None, graph):
+        assert code.is_mds(g)
+        code.assert_mds(g)
+        for bad, text in [
+            (k4_line, "x: adjacent members 0 and 4"),
+            (sh_edge, "x: adjacent members 0 and 16"),
+            (short, "x: 63 members, expected 64"),
+        ]:
+            assert not bad.is_mds(g)
+            with pytest.raises(ConsistencyError) as info:
+                bad.assert_mds(g, context="x")
+            assert str(info.value) == text
+    # sh_edge meets every K4 line once, so only a Shrikhande shift rejects it.
+    kernel = codes._line_cover(graph)
+    assert codes._mds_by_line_cover(sh_edge.mask, (kernel[0], ()))
+    assert not codes._mds_by_line_cover(k4_line.mask, (kernel[0], ()))
+    # A graph of other parameters is refused, on the full-size code as before.
+    for wrong in (sh_graph, rook_graph):
+        for bad in (code, sh_edge):
+            with pytest.raises(ParameterMismatchError):
+                bad.is_mds(wrong)
+            with pytest.raises(ParameterMismatchError):
+                bad.assert_mds(wrong)
+    with pytest.raises(ParameterMismatchError):
+        code.is_independent(rook_graph)
+    assert not short.is_mds(rook_graph)  # the size decides before the graph is resolved
+
+
+def test_line_cover_kernel_lives_on_the_graph():
+    graphs.doob_graph.cache_clear()
+    params = DoobParams(1, 1)
+    code = enumerate_mds(params).codes[0]
+    assert code.is_mds()
+    ref = weakref.ref(graph_of(params))
+    kernel = vars(ref())["_line_cover"]
+    assert "_line_cover" not in vars(params)
+    assert kernel[0] == ((1, 2, int("1" * 16, 16)),)
+    graphs.doob_graph.cache_clear()
+    assert ref() is None  # the kernel went with its graph
+    code.assert_mds()
+    assert vars(graph_of(params))["_line_cover"] == kernel
 
 
 def test_canonical_json_shape():

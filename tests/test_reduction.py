@@ -18,6 +18,7 @@ from doobmds import (
     reduce_sh_coordinates,
     sh_codes,
 )
+from doobmds import reduction
 from doobmds.parity import rule_domain_size
 
 import oracles
@@ -170,6 +171,15 @@ def test_reduced_codes_verify_everywhere(codes_by_params):
         reduce_sh_coordinates(code).assert_mds()
 
 
+def chained_single_steps(code, order):
+    """The reduction in the given order as the public single steps: permute
+    so that last-first steps consume order, then one step per coordinate."""
+    code = permute_sh_coordinates(code, tuple(order)[::-1])
+    for _ in range(code.params.m):
+        code = reduce_last_sh_coordinate(code)
+    return code
+
+
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 0)])
 def test_reduction_matches_member_by_member_reference(codes_by_params, m, n):
     params = DoobParams(m, n)
@@ -181,6 +191,7 @@ def test_reduction_matches_member_by_member_reference(codes_by_params, m, n):
             reduced = reduce_sh_coordinates(code, order=order)
             expected = oracles.reduce_sh(code.members, m, n, partner_of, order)
             assert reduced.members == expected
+            assert reduced == chained_single_steps(code, order)
             assert reduced.mask == sum(1 << v for v in expected)
             assert reduced.params == DoobParams(0, n + 2 * m)
 
@@ -256,9 +267,13 @@ def test_word_kernel_matches_member_by_member_reference(m, n):
             reduced = reduce_sh_coordinates(code, order=order)
             assert reduced.members == oracles.reduce_sh(code.members, m, n, partner_of, order)
             assert reduced.params == DoobParams(0, n + 2 * m)
+            assert reduced == chained_single_steps(code, order)
         single = reduce_last_sh_coordinate(code)
         assert single.members == oracles.reduce_last_sh(code.members, n, partner_of)
         assert single.params == DoobParams(m - 1, n + 2)
+    steps, reduced_params = reduction._reduction_plan(m, n)
+    assert len(steps) == m and reduced_params == DoobParams(0, n + 2 * m)
+    assert (steps[0] == ((), ())) == (n == 0)  # the last Sh digit starts at bits 0..3
 
 
 @pytest.mark.parametrize("m, n", WIDE_PARAMS)
