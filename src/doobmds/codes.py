@@ -57,8 +57,8 @@ through vertex v with digit j zero is met iff bit v of x | x >> s | x >> 2s
 | x >> 3s is set, two shifts and two ORs.  What is left are the Shrikhande
 edges, the edge_shifts with d >= 4^n.  The lines and those shifts are kept
 on the graph with edge_shifts, so clearing the graph cache drops them too.
-A mask that fails goes on to the full edge-shift check, which names the pair
-and gives the same error as before.
+A mask that fails goes on to the full edge-shift check, which names the
+pair, so the errors are those of that check.
 """
 
 from __future__ import annotations

@@ -388,16 +388,15 @@ def essential_key(rule):
 
 
 def mask_members(mask):
-    """The set bits of mask in increasing order, as Code.members derived them
-    for every mask before they were read by K4 line: itertools.compress over
-    one byte per bit."""
+    """The set bits of mask in increasing order, by itertools.compress over
+    one byte per bit: the reference for Code.members."""
     bits = format(mask, "b").encode().translate(bytes.maketrans(b"01", b"\x00\x01"))
     return tuple(itertools.compress(itertools.count(), bits[::-1]))
 
 
 def is_mds_by_edge_shifts(code, graph):
-    """The MDS test before the K4-line cover: code_size members and no edge
-    of every shift in graph.edge_shifts with both ends in the code."""
+    """code_size members and no edge of any shift in graph.edge_shifts with
+    both ends in the code: the reference for Code.is_mds by line cover."""
     mask = code.mask
     return mask.bit_count() == code.params.code_size and not any(
         (mask & selector) << d & mask for d, selector in graph.edge_shifts

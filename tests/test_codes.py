@@ -344,7 +344,7 @@ def test_assert_mds_texts_are_pinned(sh_graph, rook_graph):
     kernel = codes._line_cover(graph)
     assert codes._mds_by_line_cover(sh_edge.mask, (kernel[0], ()))
     assert not codes._mds_by_line_cover(k4_line.mask, (kernel[0], ()))
-    # A graph of other parameters is refused, on the full-size code as before.
+    # A graph of other parameters is refused whenever the size is right.
     for wrong in (sh_graph, rook_graph):
         for bad in (code, sh_edge):
             with pytest.raises(ParameterMismatchError):
