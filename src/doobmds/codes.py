@@ -9,14 +9,14 @@ coordinate is a K4 one, and its lines are the vertex blocks {4i, ..., 4i+3},
 so hex digit i of the mask is line i's word.  A code with one member on
 every such line, as every maximum independent set has, has the digits 1, 2,
 4 and 8 only; each is translated to the place p of its member, and one int
-addition of a cached base adds 4i to place i, a byte per member up to
-256 vertices and two above.  Any other mask, and every mask over D(m,0),
-has its set bits read one byte per vertex.  The on-disk form is one
-JSON object: {"m": m, "members": [...], "n": n} where each member lists its m
-Shrikhande coordinates as [a, b] pairs followed by its n K4 values, and the
-members appear in increasing index order.  Serialization is canonical (sorted
-keys, no whitespace, single trailing newline) so equal codes produce
-byte-identical files.
+addition of a cached base adds 4i to place i, a byte per member, up to
+256 vertices.  Any other mask, every mask over D(m,0) and every mask over
+more than 256 vertices has its set bits read one byte per vertex.  The
+on-disk form is one JSON object: {"m": m, "members": [...], "n": n} where
+each member lists its m Shrikhande coordinates as [a, b] pairs followed by
+its n K4 values, and the members appear in increasing index order.
+Serialization is canonical (sorted keys, no whitespace, single trailing
+newline) so equal codes produce byte-identical files.
 
 Loading reads byte-canonical text (exactly what dump_code writes) by its
 fiber layout, and read_code tries that first, on the file's raw bytes (read
@@ -68,7 +68,6 @@ import os
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import combinations, compress, count
-from sys import byteorder
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, FormatError, ParameterMismatchError
@@ -147,7 +146,7 @@ class Code:
         members = self._members
         if members is None:
             params = self.params
-            if params.n:
+            if params.n and params.vertex_count <= 256:
                 members = _line_members(self.mask, params.vertex_count)
             if members is None:
                 members = tuple(compress(count(), bit_bytes(self.mask, 0)))
@@ -249,23 +248,18 @@ def _independent(mask: int, graph: Graph) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _line_slots(vertex_count: int) -> tuple[int, int, int]:
-    """(width, low, base) for reading members by K4 line over vertex_count vertices.
-
-    Each member takes width bytes in native order, low is the offset of its
-    low byte, and base holds 4i - 48 in slot i, so that adding the ASCII
-    places "0"-"3" of line i gives its member 4i + place.
-    """
-    width = 1 if vertex_count <= 256 else 2
-    low = 0 if byteorder == "little" else width - 1
-    starts = b"".join(v.to_bytes(width, byteorder) for v in range(0, vertex_count, 4))
-    zeros = (48).to_bytes(width, byteorder) * (vertex_count // 4)
-    return width, low, int.from_bytes(starts, byteorder) - int.from_bytes(zeros, byteorder)
+def _line_base(vertex_count: int) -> int:
+    """4i - 48 in byte i for each K4 line i of vertex_count <= 256 vertices,
+    so that adding the ASCII place "0"-"3" of line i's member gives 4i + place."""
+    lines = vertex_count // 4
+    starts = int.from_bytes(bytes(range(0, vertex_count, 4)), "little")
+    return starts - int.from_bytes(b"0" * lines, "little")
 
 
 def _line_members(mask: int, vertex_count: int) -> Optional[tuple[int, ...]]:
-    """The members of a mask over D(m,n), n >= 1, with exactly one member on
-    each K4 line {4i, ..., 4i + 3}, or None if some line holds none or several.
+    """The members of a mask over D(m,n), n >= 1, with at most 256 vertices
+    and exactly one member on each K4 line {4i, ..., 4i + 3}, or None if some
+    line holds none or several.
 
     Hex digit i of the mask is line i's word; _K4_DIGIT gives the place of
     its one member, and one int addition adds each line's base 4i to it.
@@ -274,13 +268,8 @@ def _line_members(mask: int, vertex_count: int) -> Optional[tuple[int, ...]]:
     places = format(mask, f"0{lines}x")[::-1].encode().translate(_K4_DIGIT)
     if b"x" in places:
         return None
-    width, low, base = _line_slots(vertex_count)
-    if width == 1:
-        return tuple((int.from_bytes(places, byteorder) + base).to_bytes(lines, byteorder))
-    slots = bytearray(width * lines)
-    slots[low::width] = places
-    members = (int.from_bytes(slots, byteorder) + base).to_bytes(width * lines, byteorder)
-    return tuple(memoryview(members).cast("H"))
+    members = int.from_bytes(places, "little") + _line_base(vertex_count)
+    return tuple(members.to_bytes(lines, "little"))
 
 
 def _line_cover(graph: Graph) -> tuple[tuple, tuple]:

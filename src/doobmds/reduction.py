@@ -19,11 +19,8 @@ the mask, each exchanging two index bits, move it to index bits 0..3, so
 that every fiber is one 16-bit word of the mask with bit s for value s; a
 Shrikhande code's mask is such a word, and so is its partner's.  The words
 are read through a memoryview of the mask's bytes, mapped through the
-table, and the swaps are undone on the result; step 0 over D(m,0) has
-the digit there already and no swaps.  All m steps of a full reduction run
-on the int, and one Code is built at the end.  The swaps of every step and
-the output parameters D(0,n+2m) are one plan, cached per (m, n), so a full
-reduction looks up one plan and not each step's swaps.  Permuting
+table, and the swaps are undone on the result.  All m steps of a full
+reduction run on the int, and one Code is built at the end.  Permuting
 Shrikhande coordinates permutes 4-bit groups of index bits, so it is the
 same delta swaps with other index bits.
 """
@@ -187,28 +184,18 @@ def _slot_swaps(vertex_count: int, m: int, n: int, perm: tuple[int, ...]) -> tup
     return _delta_swaps(vertex_count, pairs)
 
 
-@lru_cache(maxsize=None)
-def _reduction_plan(m: int, n: int) -> tuple[tuple, DoobParams]:
-    """The _fiber_swaps of each step of a full reduction of D(m,n), and D(0,n+2m)."""
-    vertex_count = 4 ** (2 * m + n)
-    steps = tuple(_fiber_swaps(vertex_count, n + 2 * step) for step in range(m))
-    return steps, _params(0, n + 2 * m)
-
-
-def _reduce_mask(mask: int, vertex_count: int, n: int, swaps, partners: dict) -> int:
+def _reduce_mask(mask: int, vertex_count: int, n: int, partners: dict) -> int:
     """The mask after one reduction step of a code over D(m,n) with
     vertex_count vertices: every fiber at the last Shrikhande coordinate is
-    replaced by its partner.  swaps is _fiber_swaps(vertex_count, n)."""
-    into, back = swaps
-    if into:
-        mask = _swap_index_bits(mask, into)
+    replaced by its partner."""
+    into, back = _fiber_swaps(vertex_count, n)
+    mask = _swap_index_bits(mask, into)
     words = memoryview(mask.to_bytes(vertex_count // 8, byteorder)).cast("H")
     try:
         images = b"".join(map(partners.__getitem__, words))
     except KeyError:
         raise _fiber_error(mask, vertex_count, n, partners) from None
-    mask = int.from_bytes(images, byteorder)
-    return _swap_index_bits(mask, back) if back else mask
+    return _swap_index_bits(int.from_bytes(images, byteorder), back)
 
 
 def _fiber_error(mask: int, vertex_count: int, n: int, partners: dict) -> ConsistencyError:
@@ -252,9 +239,8 @@ def reduce_last_sh_coordinate(code: Code, table: Optional[PairingTable] = None) 
         raise ValueError("code has no Shrikhande coordinate to reduce")
     code.assert_mds(context="reduction input")
     partners = (table or derive_pairing()).partner_words
-    size, n = params.vertex_count, params.n
-    mask = _reduce_mask(code.mask, size, n, _fiber_swaps(size, n), partners)
-    return Code.from_mask(_params(params.m - 1, n + 2), mask)
+    mask = _reduce_mask(code.mask, params.vertex_count, params.n, partners)
+    return Code.from_mask(_params(params.m - 1, params.n + 2), mask)
 
 
 @lru_cache(maxsize=None)
@@ -300,8 +286,7 @@ def reduce_sh_coordinates(
         return code
     partners = (table or derive_pairing()).partner_words
     size, n = params.vertex_count, params.n
-    steps, reduced = _reduction_plan(m, n)
     mask = code.mask
-    for step, swaps in enumerate(steps):
-        mask = _reduce_mask(mask, size, n + 2 * step, swaps, partners)
-    return Code.from_mask(reduced, mask)
+    for step in range(m):
+        mask = _reduce_mask(mask, size, n + 2 * step, partners)
+    return Code.from_mask(_params(0, n + 2 * m), mask)

@@ -18,7 +18,6 @@ from doobmds import (
     reduce_sh_coordinates,
     sh_codes,
 )
-from doobmds import reduction
 from doobmds.parity import rule_domain_size
 
 import oracles
@@ -271,9 +270,6 @@ def test_word_kernel_matches_member_by_member_reference(m, n):
         single = reduce_last_sh_coordinate(code)
         assert single.members == oracles.reduce_last_sh(code.members, n, partner_of)
         assert single.params == DoobParams(m - 1, n + 2)
-    steps, reduced_params = reduction._reduction_plan(m, n)
-    assert len(steps) == m and reduced_params == DoobParams(0, n + 2 * m)
-    assert (steps[0] == ((), ())) == (n == 0)  # the last Sh digit starts at bits 0..3
 
 
 @pytest.mark.parametrize("m, n", WIDE_PARAMS)
