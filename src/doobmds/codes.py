@@ -41,10 +41,12 @@ same text.  Parameters of word length 2m + n over MAX_WORD_LENGTH are a
 format error, found before any 4^(2m+n) is computed.
 
 Independence is checked on the mask, with no loop over members: for each
-distinct index difference d > 0 of an edge, the graph keeps the vertices u
-with u ~ u + d as a selector mask (Graph.edge_shifts), and a code is
-independent iff (mask & selector) << d & mask is 0 for every d.  Only a code
-that fails is walked member by member, to name its first adjacent pair.
+distinct index difference d > 0 of an edge, the vertices u with u ~ u + d
+form a selector mask, and a code is independent iff (mask & selector) << d
+& mask is 0 for every d.  With no graph given, the pairs (d, selector) are
+those of D(m,n) in closed form, built once per (m, n) with no product graph
+(graphs._edge_shifts); with a graph, they are its Graph.edge_shifts.  A
+code that fails has its first adjacent pair named from the same shifts.
 
 is_mds and assert_mds with no graph given check most of the edges by line
 cover instead.  D(m,n) has 4^(2m+n-1) = code_size K4 lines in each of its n
@@ -55,10 +57,10 @@ maximum independent set, with at most one member per line and code_size
 members, meets them all.  For the direction of stride s = 4^j, the line
 through vertex v with digit j zero is met iff bit v of x | x >> s | x >> 2s
 | x >> 3s is set, two shifts and two ORs.  What is left are the Shrikhande
-edges, the edge_shifts with d >= 4^n.  The lines and those shifts are kept
-on the graph with edge_shifts, so clearing the graph cache drops them too.
-A mask that fails goes on to the full edge-shift check, which names the
-pair, so the errors are those of that check.
+edges, the edge shifts with d >= 4^n.  The lines and those shifts are read
+off D(m,n)'s edge shifts and cached per (m, n).  A mask that fails goes on
+to the full edge-shift check, which names the pair, so the errors are those
+of that check.
 """
 
 from __future__ import annotations
@@ -71,15 +73,7 @@ from itertools import combinations, compress, count
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, FormatError, ParameterMismatchError
-from .graphs import (
-    DoobParams,
-    DoobVertex,
-    Graph,
-    decode_vertex,
-    encode_vertex,
-    graph_of,
-    shrikhande,
-)
+from .graphs import DoobParams, DoobVertex, Graph, _edge_shifts, decode_vertex, encode_vertex
 
 
 class Code:
@@ -179,54 +173,49 @@ class Code:
     def __contains__(self, v):
         return isinstance(v, int) and 0 <= v < self.params.vertex_count and self.mask >> v & 1
 
-    def _resolve_graph(self, graph: Optional[Graph]) -> Graph:
+    def _shifts(self, graph: Optional[Graph]) -> tuple[tuple[int, int], ...]:
+        """The edge shifts to check against: D(m,n)'s with no graph given,
+        else graph.edge_shifts, once graph fits the code's parameters."""
+        params = self.params
         if graph is None:
-            return graph_of(self.params)
-        if graph.params is not None and graph.params != self.params:
+            return _edge_shifts(params.m, params.n)
+        if graph.params is not None and graph.params != params:
             raise ParameterMismatchError(
-                f"code over {self.params} checked against graph of {graph.params}"
+                f"code over {params} checked against graph of {graph.params}"
             )
-        if graph.vertex_count != self.params.vertex_count:
+        if graph.vertex_count != params.vertex_count:
             raise ParameterMismatchError(
-                f"code over {self.params} checked against a {graph.vertex_count}-vertex graph"
+                f"code over {params} checked against a {graph.vertex_count}-vertex graph"
             )
-        return graph
+        return graph.edge_shifts
 
     def is_independent(self, graph: Optional[Graph] = None) -> bool:
-        return _independent(self.mask, self._resolve_graph(graph))
+        return _independent(self.mask, self._shifts(graph))
 
     def first_adjacent_pair(self, graph: Optional[Graph] = None) -> Optional[tuple[int, int]]:
         """The first member v (in index order) with a neighbor in the code, and
         that neighbor's lowest index w; None if the code is independent."""
-        g = self._resolve_graph(graph)
-        if _independent(self.mask, g):
-            return None
-        for v in self.members:
-            hit = g.neighbor_masks[v] & self.mask
-            if hit:
-                return v, (hit & -hit).bit_length() - 1
-        return None  # not reached: the edge the shift check found is in a member's row
+        return _first_pair(self.mask, self._shifts(graph))
 
     def is_mds(self, graph: Optional[Graph] = None) -> bool:
         """True iff this is a maximum independent set (a distance-2 MDS code)."""
-        mask = self.mask
-        if mask.bit_count() != self.params.code_size:
+        mask, params = self.mask, self.params
+        if mask.bit_count() != params.code_size:
             return False
         if graph is None:
-            return _mds_by_line_cover(mask, _line_cover(graph_of(self.params)))
-        return _independent(mask, self._resolve_graph(graph))
+            return _mds_by_line_cover(mask, _line_cover(params.m, params.n))
+        return _independent(mask, self._shifts(graph))
 
     def assert_mds(self, graph: Optional[Graph] = None, context: str = "code"):
         """Raise ConsistencyError with a reason if this is not an MDS code."""
-        mask = self.mask
+        mask, params = self.mask, self.params
         size = mask.bit_count()
-        expected = self.params.code_size
+        expected = params.code_size
         if size != expected:
             raise ConsistencyError(f"{context}: {size} members, expected {expected}")
-        if graph is None and _mds_by_line_cover(mask, _line_cover(graph_of(self.params))):
+        if graph is None and _mds_by_line_cover(mask, _line_cover(params.m, params.n)):
             return
-        g = self._resolve_graph(graph)
-        pair = None if _independent(mask, g) else self.first_adjacent_pair(g)
+        pair = _first_pair(mask, self._shifts(graph))
         if pair is not None:
             raise ConsistencyError(f"{context}: adjacent members {pair[0]} and {pair[1]}")
 
@@ -239,12 +228,31 @@ def bit_bytes(mask: int, size: int) -> bytes:
     return format(mask, f"0{size}b").encode().translate(_BIT_BYTE)[::-1]
 
 
-def _independent(mask: int, graph: Graph) -> bool:
-    """No edge u ~ u + d of graph has both ends in mask: one shift per distinct d."""
-    for d, selector in graph.edge_shifts:
+def _independent(mask: int, shifts) -> bool:
+    """No edge u ~ u + d of the edge shifts has both ends in mask: one shift per d."""
+    for d, selector in shifts:
         if (mask & selector) << d & mask:
             return False
     return True
+
+
+def _first_pair(mask: int, shifts) -> Optional[tuple[int, int]]:
+    """The lowest v in mask with a neighbor w in mask, and the lowest such w,
+    from edge shifts with d ascending; None if there is no such v.
+
+    The edges {u, u + d} inside mask have their lower ends u at the set bits
+    of mask & selector & mask >> d.  v is the lowest lower end over all d;
+    it is no upper end, as the lower end of that edge would be lower, so
+    every neighbor of v in mask is above it, and w is v + the least d.
+    """
+    v = w = None
+    for d, selector in shifts:
+        ends = mask & selector & mask >> d
+        if ends:
+            u = (ends & -ends).bit_length() - 1
+            if v is None or u < v:
+                v, w = u, u + d
+    return None if v is None else (v, w)
 
 
 @lru_cache(maxsize=None)
@@ -272,25 +280,20 @@ def _line_members(mask: int, vertex_count: int) -> Optional[tuple[int, ...]]:
     return tuple(members.to_bytes(lines, "little"))
 
 
-def _line_cover(graph: Graph) -> tuple[tuple, tuple]:
-    """(lines, shifts) for checking codes of a Doob graph by line cover,
-    built on first use and kept on the graph.
+@lru_cache(maxsize=None)
+def _line_cover(m: int, n: int) -> tuple[tuple, tuple]:
+    """(lines, shifts) for checking codes of D(m,n) by line cover, from its
+    edge shifts.
 
     lines has (s, 2s, L) for each K4 coordinate j, s = 4^j, where L holds
-    the vertices whose digit j is 0, one per line in direction j; shifts are
-    the edge_shifts pairs with d >= 4^n, the Shrikhande edges.
+    the vertices whose digit j is 0, one per line in direction j: L is the
+    selector of the shift 3s, the one edge from digit 0 to digit 3.  The
+    shifts are the pairs with d >= 4^n, the Shrikhande edges, which follow
+    the 3n K4 pairs.
     """
-    kernel = graph.__dict__.get("_line_cover")
-    if kernel is None:
-        n, size = graph.params.n, graph.vertex_count
-        every = (1 << size) - 1
-        lines = tuple(
-            (s, 2 * s, ((1 << s) - 1) * (every // ((1 << 4 * s) - 1)))
-            for s in (4**j for j in range(n))
-        )
-        kernel = lines, tuple(pair for pair in graph.edge_shifts if pair[0] >= 4**n)
-        graph.__dict__["_line_cover"] = kernel
-    return kernel
+    shifts = _edge_shifts(m, n)
+    lines = tuple((d // 3, 2 * d // 3, line) for d, line in shifts[2 : 3 * n : 3])
+    return lines, shifts[3 * n :]
 
 
 def _mds_by_line_cover(mask: int, kernel) -> bool:
@@ -441,11 +444,11 @@ def _fiber_layout(m: int, n: int):
             for member in range(4)
             for offset in (width - 5, width - 3)
         )
-        sh = shrikhande()
+        sh_shifts = _edge_shifts(1, 0)
         table, spell = {}, {}
         for members in combinations(range(16), 4):
             mask = sum(1 << s for s in members)
-            if _independent(mask, sh):
+            if _independent(mask, sh_shifts):
                 fiber_hex = format(mask, "04x")
                 key = tuple(48 + digit for s in members for digit in divmod(s, 4))
                 table[key] = fiber_hex[::-1]

@@ -5,12 +5,13 @@ graph Sh and n copies of K4.  Vertices of Sh are the elements of Z4 x Z4 with
 connection set {+-(1,0), +-(0,1), +-(1,1)}: the torus grid lines plus the
 slanted diagonals.  Graphs are stored as per-vertex neighbor bitmasks and are
 immutable after construction; anything larger than DESK_SCALE_LIMIT vertices
-is rejected outright instead of degrading.
+is rejected outright instead of degrading.  The edge shifts of D(m,n), which
+the checks on codes read, are a closed form of (m, n) built from those of Sh
+and K4, so those checks build no product graph.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Optional
@@ -54,10 +55,6 @@ class DoobParams:
 
     def __str__(self):
         return f"D({self.m},{self.n})"
-
-    def __getstate__(self):
-        # Only the fields: graph_of's weak reference cannot be pickled.
-        return {"m": self.m, "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -209,19 +206,32 @@ def doob_graph(params: DoobParams) -> Graph:
     )
 
 
-def graph_of(params: DoobParams) -> Graph:
-    """doob_graph(params), remembered on the params object by a weak reference.
+@lru_cache(maxsize=None)
+def _edge_shifts(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """doob_graph(DoobParams(m, n)).edge_shifts, in closed form.
 
-    A repeated call with the same object skips hashing it for the lru cache.
-    Only that cache holds the graph strongly, so clearing it still makes the
-    next call build the graph again.
+    An edge of D(m,n) changes one coordinate, so it is an edge of that
+    coordinate's factor, Sh or K4, moved by the stride s of its digit in the
+    vertex index: 4^j for the j-th K4 coordinate from the last, 4^n 16^p for
+    the p-th Shrikhande one from the last K4.  Each pair (d, selector) of
+    the factor, q vertices, gives the pair (d s, selector spread to s bits
+    per factor vertex and repeated every q s bits).  A coordinate's shifts
+    lie in [s, q s), and these ranges do not overlap, so each d is one
+    coordinate's and the pairs sorted by d are Graph.edge_shifts.
     """
-    ref = params.__dict__.get("_graph")
-    graph = None if ref is None else ref()
-    if graph is None:
-        graph = doob_graph(params)
-        params.__dict__["_graph"] = weakref.ref(graph)
-    return graph
+    params = DoobParams(m, n)
+    check_desk_scale(params)
+    every = (1 << params.vertex_count) - 1
+    slots = [(4**j, complete_graph(4)) for j in range(n)]
+    slots += [(4**n * 16**p, shrikhande()) for p in range(m)]
+    pairs = []
+    for s, factor in slots:
+        q = factor.vertex_count
+        repeat = every // ((1 << q * s) - 1)  # a 1 at the start of each block of q s bits
+        for d, selector in factor.edge_shifts:
+            spread = sum(((1 << s) - 1) << x * s for x in range(q) if selector >> x & 1)
+            pairs.append((d * s, spread * repeat))
+    return tuple(sorted(pairs))
 
 
 def encode_vertex(vertex: DoobVertex, params: DoobParams) -> int:

@@ -245,7 +245,8 @@ def reduce_last_sh_coordinate(code: Code, table: Optional[PairingTable] = None) 
 
 @lru_cache(maxsize=None)
 def _params(m: int, n: int) -> DoobParams:
-    """D(m,n), one object per (m, n), so later checks find its graph on it."""
+    """D(m,n), one object per (m, n), whose vertex_count and code_size are
+    computed once."""
     return DoobParams(m, n)
 
 

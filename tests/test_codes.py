@@ -2,7 +2,6 @@ import json
 import pickle
 import random
 import time
-import weakref
 from enum import IntEnum
 
 import pytest
@@ -29,7 +28,6 @@ from doobmds import (
 from doobmds import codes, graphs
 from doobmds.cli import main
 from doobmds.codes import member_from_obj, member_to_obj
-from doobmds.graphs import graph_of
 from doobmds.parity import rule_domain_size, rule_from_hex
 
 
@@ -166,30 +164,45 @@ def member_loop_pair(code, graph):
     return None
 
 
-@pytest.mark.parametrize("m, n", [(1, 0), (0, 3), (1, 1), (2, 0)])
+@pytest.mark.parametrize("m, n", [(1, 0), (0, 3), (1, 1), (2, 0), (1, 2), (0, 4), (2, 1), (3, 0)])
 def test_independence_checks_match_member_loop(codes_by_params, m, n):
     # Full-size codes with one member moved, so assert_mds reaches the
-    # adjacency check: every mismatch of result or message would show.
+    # adjacency check: every mismatch of result or message would show.  Past
+    # word length 4, parity codes perturbed as in the line cover test, which
+    # also drops a member.  Each check runs with no graph and with the
+    # product graph.
     params = DoobParams(m, n)
     graph = doob_graph(params)
     rng = random.Random(m * 10 + n)
+    moved_codes = []
+    if params.word_length <= 4:
+        family = codes_by_params.get((m, n)) or enumerate_mds(params).codes
+        for code in family[:100]:
+            for _ in range(5):
+                members = set(code.members)
+                members.remove(rng.choice(code.members))
+                free = [v for v in range(params.vertex_count) if v not in members]
+                members.add(rng.choice(free))
+                moved_codes.append(Code.from_members(params, members))
+    else:
+        size = rule_domain_size(params)
+        for _ in range(3):
+            rule = ParityRule(params, tuple(rng.randrange(2) for _ in range(size)))
+            for mask in perturbed_masks(build_parity_code(rule), rng):
+                moved_codes.append(Code.from_mask(params, mask))
     seen = set()
-    for code in codes_by_params[(m, n)][:100]:
-        for _ in range(5):
-            members = set(code.members)
-            members.remove(rng.choice(code.members))
-            members.add(rng.choice([v for v in range(params.vertex_count) if v not in members]))
-            moved = Code.from_members(params, members)
-            expected = member_loop_pair(moved, graph)
-            seen.add(expected is None)
-            assert moved.is_independent() == (expected is None)
-            assert moved.first_adjacent_pair() == expected
-            if expected is None:
-                moved.assert_mds()
+    for moved in moved_codes:
+        expected = member_loop_pair(moved, graph)
+        seen.add(expected is None)
+        for g in (None, graph):
+            assert moved.is_independent(g) == (expected is None)
+            assert moved.first_adjacent_pair(g) == expected
+            if expected is None and len(moved) == params.code_size:
+                moved.assert_mds(g)
                 continue
             with pytest.raises(ConsistencyError) as info:
-                moved.assert_mds(context="moved")
-            assert str(info.value) == f"moved: adjacent members {expected[0]} and {expected[1]}"
+                moved.assert_mds(g, context="moved")
+            assert str(info.value) == expected_mds_error(moved, graph, "moved")
     assert False in seen
 
 
@@ -341,7 +354,7 @@ def test_assert_mds_texts_are_pinned(sh_graph, rook_graph):
                 bad.assert_mds(g, context="x")
             assert str(info.value) == text
     # sh_edge meets every K4 line once, so only a Shrikhande shift rejects it.
-    kernel = codes._line_cover(graph)
+    kernel = codes._line_cover(params.m, params.n)
     assert codes._mds_by_line_cover(sh_edge.mask, (kernel[0], ()))
     assert not codes._mds_by_line_cover(k4_line.mask, (kernel[0], ()))
     # A graph of other parameters is refused whenever the size is right.
@@ -356,19 +369,70 @@ def test_assert_mds_texts_are_pinned(sh_graph, rook_graph):
     assert not short.is_mds(rook_graph)  # the size decides before the graph is resolved
 
 
-def test_line_cover_kernel_lives_on_the_graph():
-    graphs.doob_graph.cache_clear()
+def test_line_cover_kernel_is_cached_per_parameters():
+    codes._line_cover.cache_clear()
+    graphs._edge_shifts.cache_clear()
     params = DoobParams(1, 1)
     code = enumerate_mds(params).codes[0]
     assert code.is_mds()
-    ref = weakref.ref(graph_of(params))
-    kernel = vars(ref())["_line_cover"]
-    assert "_line_cover" not in vars(params)
+    kernel = codes._line_cover(1, 1)
     assert kernel[0] == ((1, 2, int("1" * 16, 16)),)
-    graphs.doob_graph.cache_clear()
-    assert ref() is None  # the kernel went with its graph
+    assert kernel[1] == tuple(pair for pair in graphs._edge_shifts(1, 1) if pair[0] >= 4)
+    assert set(vars(params)) <= {"m", "n", "vertex_count", "code_size"}
+    codes._line_cover.cache_clear()
+    graphs._edge_shifts.cache_clear()
     code.assert_mds()
-    assert vars(graph_of(params))["_line_cover"] == kernel
+    rebuilt = codes._line_cover(1, 1)
+    assert rebuilt == kernel and rebuilt is not kernel
+
+
+def test_default_checks_build_no_product_graph(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("a product graph was built")
+
+    monkeypatch.setattr(graphs, "doob_graph", refuse)
+    monkeypatch.setattr(graphs, "cartesian_product", refuse)
+    graphs._edge_shifts.cache_clear()
+    codes._line_cover.cache_clear()
+    # Fresh params objects, so that nothing is found on them.
+    d12 = Code.from_mask(
+        DoobParams(1, 2), build_parity_code(rule_from_hex(DoobParams(1, 2), "c3a5")).mask
+    )
+    d30 = Code.from_mask(
+        DoobParams(3, 0),
+        build_parity_code(rule_from_hex(DoobParams(3, 0), "0123456789abcdef")).mask,
+    )
+    for code in (d12, d30):
+        assert code.is_independent() and code.first_adjacent_pair() is None
+        assert code.is_mds()
+        code.assert_mds()
+    for code, flip, pair in [
+        (d12, 0b11, (0, 4)),  # member 1 moved to 0 on its K4 line
+        (d12, 0b110011, (0, 16)),  # members 1 and 4 trade last digits
+        (d30, 0b11, (1, 2)),  # member 0 moved to 1 across a Shrikhande edge
+    ]:
+        bad = Code.from_mask(code.params, code.mask ^ flip)
+        assert not bad.is_independent() and bad.first_adjacent_pair() == pair
+        assert not bad.is_mds()
+        with pytest.raises(ConsistencyError) as info:
+            bad.assert_mds(context="x")
+        assert str(info.value) == f"x: adjacent members {pair[0]} and {pair[1]}"
+    for code in (d12, d30):
+        short = Code.from_mask(code.params, code.mask & code.mask - 1)  # lowest dropped
+        assert not short.is_mds()
+        with pytest.raises(ConsistencyError) as info:
+            short.assert_mds(context="x")
+        size = code.params.code_size
+        assert str(info.value) == f"x: {size - 1} members, expected {size}"
+    write_code(d30, tmp_path / "l30.code")
+    write_code(Code.from_mask(d30.params, d30.mask ^ 0b11), tmp_path / "sh-edge30.code")
+    capsys.readouterr()
+    status = main(["verify", str(tmp_path / "l30.code"), str(tmp_path / "sh-edge30.code")])
+    assert status == 1
+    assert capsys.readouterr().out == (
+        f"{tmp_path / 'l30.code'}: MDS ok, |M|=1024\n"
+        f"{tmp_path / 'sh-edge30.code'}: not independent: (1,2)\n"
+    )
 
 
 def test_canonical_json_shape():

@@ -1,6 +1,5 @@
 import pickle
 import random
-import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,8 +21,8 @@ from doobmds import (
 )
 from doobmds.graphs import (
     SHRIKHANDE_CONNECTION_SET,
+    _edge_shifts,
     cartesian_product,
-    graph_of,
     sh_index,
 )
 
@@ -50,6 +49,11 @@ def test_params_validation():
     assert p.vertex_count == 4 ** 5
     assert p.code_size == 4 ** 4
     assert str(p) == "D(2,1)"
+    # vertex_count and code_size, once read, pickle with the fields.
+    for params in (DoobParams(2, 1), p):
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params and hash(copy) == hash(params)
+        assert (copy.vertex_count, copy.code_size) == (4 ** 5, 4 ** 4)
 
 
 def test_connection_set_is_symmetric():
@@ -132,7 +136,9 @@ def test_desk_scale_guard():
         doob_graph(DoobParams(3, 1))
     with pytest.raises(DeskScaleError) as from_check:
         check_desk_scale(DoobParams(3, 1))
-    assert str(from_graph.value) == str(from_check.value) == (
+    with pytest.raises(DeskScaleError) as from_shifts:
+        _edge_shifts(3, 1)
+    assert str(from_graph.value) == str(from_check.value) == str(from_shifts.value) == (
         "D(3,1) has 4^7 = 16384 vertices, over the desk-scale limit 4096"
     )
     with pytest.raises(DeskScaleError, match="16384"):
@@ -283,6 +289,15 @@ def test_edge_shifts_match_oracle_adjacency(m, n):
     check_random_sets(graph, params, edges, seed=2 * m + n)
 
 
+# Every D(m,n) with 2m + n <= 6, up to 4096 vertices.
+WORD_LENGTH_UP_TO_6 = [(m, n) for m in range(4) for n in range(7) if 0 < m + n and 2 * m + n <= 6]
+
+
+@pytest.mark.parametrize("m, n", WORD_LENGTH_UP_TO_6)
+def test_closed_form_edge_shifts_match_the_product_graph(m, n):
+    assert _edge_shifts(m, n) == doob_graph(DoobParams(m, n)).edge_shifts
+
+
 def test_edge_shift_counts():
     assert len(doob_graph(DoobParams(1, 2)).edge_shifts) == 13
     assert len(doob_graph(DoobParams(3, 0)).edge_shifts) == 21
@@ -322,15 +337,3 @@ def test_edge_shifts_on_one_sided_adjacency(sh_graph, keep):
     assert pair is not None and (min(pair), max(pair)) in oracle_edges_by_index(1, 0)
     with pytest.raises(ConsistencyError, match=f"adjacent members {pair[0]} and {pair[1]}"):
         spread.assert_mds(one_sided)
-
-
-def test_graph_of_remembers_the_cached_graph_weakly():
-    params = DoobParams(1, 1)
-    graph = graph_of(params)
-    assert graph is doob_graph(params) and graph_of(params) is graph
-    assert pickle.loads(pickle.dumps(params)) == params
-    ref = weakref.ref(graph)
-    del graph
-    doob_graph.cache_clear()
-    assert ref() is None  # the params object kept no strong reference
-    assert graph_of(params) is doob_graph(params)
