@@ -9,62 +9,57 @@ family, and classifies code lists into symmetry orbits.
 
 __version__ = "0.1.0"
 
-from .codes import (
-    Code,
-    canonical_json,
-    code_from_obj,
-    code_to_obj,
-    dump_code,
-    load_code,
-    read_code,
-    write_code,
-)
-from .errors import (
-    ConsistencyError,
-    DeskScaleError,
-    DoobError,
-    FormatError,
-    ParameterMismatchError,
-)
-from .graphs import (
-    DESK_SCALE_LIMIT,
-    DoobParams,
-    DoobVertex,
-    Graph,
-    check_desk_scale,
-    complete_graph,
-    decode_vertex,
-    doob_graph,
-    encode_vertex,
-    graph_from_predicate,
-    shrikhande,
-)
-from .parity import (
-    BoundsReport,
-    EssentialClassCount,
-    ParityRule,
-    bounds_report,
-    build_parity_code,
-    count_essential_classes,
-    representative_rules,
-)
-from .reduction import (
-    PairingTable,
-    derive_pairing,
-    k4_pair_codes,
-    permute_sh_coordinates,
-    reduce_last_sh_coordinate,
-    reduce_sh_coordinates,
-    sh_codes,
-)
-from .search import EnumerationResult, count_mds, enumerate_mds
-from .symmetry import (
-    AutomorphismGroup,
-    OrbitPartition,
-    apply_perm_to_code,
-    doob_symmetries,
-    orbits_of_codes,
-)
+# Where each public name is defined.  A name is imported from its module on
+# first access (PEP 562), so a CLI run loads only the modules its subcommand
+# uses; the value is then kept in this module's globals.
+_SOURCES = {
+    "Code": "codes",
+    "canonical_json": "codes",
+    "code_from_obj": "codes",
+    "code_to_obj": "codes",
+    "dump_code": "codes",
+    "load_code": "codes",
+    "read_code": "codes",
+    "write_code": "codes",
+    "ConsistencyError": "errors",
+    "DeskScaleError": "errors",
+    "DoobError": "errors",
+    "FormatError": "errors",
+    "ParameterMismatchError": "errors",
+    "DESK_SCALE_LIMIT": "graphs",
+    "DoobParams": "graphs",
+    "DoobVertex": "graphs",
+    "Graph": "graphs",
+    "check_desk_scale": "graphs",
+    "complete_graph": "graphs",
+    "decode_vertex": "graphs",
+    "doob_graph": "graphs",
+    "encode_vertex": "graphs",
+    "graph_from_predicate": "graphs",
+    "shrikhande": "graphs",
+    "BoundsReport": "parity",
+    "EssentialClassCount": "parity",
+    "ParityRule": "parity",
+    "bounds_report": "parity",
+    "build_parity_code": "parity",
+    "count_essential_classes": "parity",
+    "representative_rules": "parity",
+    "PairingTable": "reduction",
+    "derive_pairing": "reduction",
+    "k4_pair_codes": "reduction",
+    "permute_sh_coordinates": "reduction",
+    "reduce_last_sh_coordinate": "reduction",
+    "reduce_sh_coordinates": "reduction",
+    "sh_codes": "reduction",
+    "EnumerationResult": "search",
+    "count_mds": "search",
+    "enumerate_mds": "search",
+    "AutomorphismGroup": "symmetry",
+    "OrbitPartition": "symmetry",
+    "apply_perm_to_code": "symmetry",
+    "doob_symmetries": "symmetry",
+    "orbits_of_codes": "symmetry",
+}
 
 __all__ = [
     "__version__",
@@ -115,3 +110,19 @@ __all__ = [
     "shrikhande",
     "write_code",
 ]
+
+
+def __getattr__(name):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

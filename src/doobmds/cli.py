@@ -6,19 +6,22 @@ contains nothing run-dependent, so repeated runs and different worker counts
 produce byte-identical files; timing goes to stderr only.  Exit codes:
 0 success, 1 a checked input code failed verification, 2 desk-scale guard,
 3 input parse problem, 4 internal consistency failure.
+
+Each subcommand imports the modules it uses when it runs, so a run loads and
+compiles only those: `enumerate --count-only` needs graphs, symmetry and
+search, and never codes, parity or reduction.  A call-time import reads the
+module attribute as it is then, so a wrapper patched onto it applies.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .codes import canonical_json, code_to_obj, dump_code, read_code, write_code
 from .errors import (
     ConsistencyError,
     DeskScaleError,
@@ -26,10 +29,6 @@ from .errors import (
     ParameterMismatchError,
 )
 from .graphs import DoobParams
-from .parity import bounds_report, build_parity_code, read_rule, rule_from_hex
-from .reduction import derive_pairing, reduce_sh_coordinates
-from .search import PUBLISHED_COUNTS, count_mds, enumerate_mds
-from .symmetry import doob_symmetries, orbits_of_codes
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -70,6 +69,8 @@ def _note(message: str):
 
 
 def _manifest_obj(params: DoobParams, count: int) -> dict:
+    from .search import PUBLISHED_COUNTS
+
     provenance = "published" if (params.m, params.n) in PUBLISHED_COUNTS else "derived"
     return {
         "command": "enumerate",
@@ -82,6 +83,8 @@ def _manifest_obj(params: DoobParams, count: int) -> dict:
 
 def _cached_count(directory: Path, params: DoobParams):
     """Count from a valid cache directory, or None to recompute."""
+    import json
+
     manifest_path = directory / "manifest.json"
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -101,10 +104,9 @@ def _cached_count(directory: Path, params: DoobParams):
     return count
 
 
-def _write_code_dir(directory: Path, params: DoobParams, codes):
-    directory.mkdir(parents=True, exist_ok=True)
-    for stale in directory.glob("code_*.code"):
-        stale.unlink()
+def _write_files(directory: Path, params: DoobParams, codes):
+    from .codes import canonical_json, write_code
+
     width = max(1, len(str(len(codes) - 1)))
     for i, code in enumerate(codes):
         write_code(code, directory / f"code_{i:0{width}d}.code")
@@ -113,10 +115,46 @@ def _write_code_dir(directory: Path, params: DoobParams, codes):
     )
 
 
+def _write_code_dir(directory: Path, params: DoobParams, codes, replace: bool):
+    """Write the code files and manifest.json of codes to directory.
+
+    They go to a new hidden sibling directory first, which is then renamed to
+    directory, so a failed write leaves no half-written directory under that
+    name.  With replace (the cache, which only this writes) a directory
+    already there is replaced whole.  Without it (an --out directory) an
+    existing directory keeps its other files, and its code files and
+    manifest are rewritten in place.
+    """
+    if not replace and directory.exists():
+        directory.mkdir(exist_ok=True)  # FileExistsError if it is not a directory
+        for stale in directory.glob("code_*.code"):
+            stale.unlink()
+        _write_files(directory, params, codes)
+        return
+    import shutil
+
+    # Named by this process's id, so any left by an earlier process are stale.
+    staging = directory.with_name(f".{directory.name}.{os.getpid()}.new")
+    retired = directory.with_name(f".{directory.name}.{os.getpid()}.old")
+    try:
+        for stale in (staging, retired):
+            shutil.rmtree(stale, ignore_errors=True)
+        staging.mkdir(parents=True)
+        _write_files(staging, params, codes)
+        if directory.exists():
+            os.rename(directory, retired)
+        os.rename(staging, directory)
+    finally:
+        for leftover in (staging, retired):
+            shutil.rmtree(leftover, ignore_errors=True)
+
+
 def cmd_enumerate(args) -> int:
     params = _parse_params(args.m, args.n)
     started = time.monotonic()
     if args.count_only:
+        from .search import count_mds
+
         count = count_mds(params)
         _check_against_known(params, count)
         print(count)
@@ -130,9 +168,11 @@ def cmd_enumerate(args) -> int:
             print(cached)
             _note(f"reused cache {directory}")
             return EXIT_OK
+    from .search import enumerate_mds
+
     result = enumerate_mds(params, jobs=args.jobs)
     _check_against_known(params, result.count)
-    _write_code_dir(directory, params, result.codes)
+    _write_code_dir(directory, params, result.codes, replace=not args.out)
     print(result.count)
     _note(
         f"enumerated {params}: {result.count} codes "
@@ -142,6 +182,8 @@ def cmd_enumerate(args) -> int:
 
 
 def _check_against_known(params: DoobParams, count: int):
+    from .search import PUBLISHED_COUNTS
+
     known = PUBLISHED_COUNTS.get((params.m, params.n))
     if known is not None and count != known:
         raise ConsistencyError(
@@ -165,6 +207,8 @@ def _certificate(code) -> tuple[str, bool]:
 
 
 def cmd_verify(args) -> int:
+    from .codes import read_code
+
     all_ok = True
     parse_failed = False
     for path in args.files:
@@ -188,6 +232,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_xi(args) -> int:
+    from .codes import canonical_json, code_to_obj
+    from .reduction import derive_pairing
+
     table = derive_pairing()
     payload = [
         {"sh_code": code_to_obj(dom), "image_code": code_to_obj(img)}
@@ -205,6 +252,9 @@ def _parse_order(text: str) -> tuple[int, ...]:
 
 
 def cmd_kappa(args) -> int:
+    from .codes import dump_code, read_code
+    from .reduction import reduce_sh_coordinates
+
     code = read_code(args.input)
     order = _parse_order(args.order) if args.order else None
     try:
@@ -217,6 +267,9 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    from .codes import dump_code
+    from .parity import build_parity_code, read_rule, rule_from_hex
+
     if args.inline and args.rule_file:
         raise FormatError("give either a rule file or --inline, not both")
     if args.inline:
@@ -250,6 +303,8 @@ def _format_bounds(report) -> str:
 
 
 def cmd_bounds(args) -> int:
+    from .parity import bounds_report
+
     params = _parse_params(args.m, args.n)
     report = bounds_report(params)
     if (
@@ -281,6 +336,9 @@ def _code_files(directory: Path) -> list[str]:
 
 
 def cmd_classify(args) -> int:
+    from .codes import canonical_json, code_to_obj, read_code
+    from .symmetry import doob_symmetries, orbits_of_codes
+
     directory = Path(args.directory)
     files = _code_files(directory)
     if not files:

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import combinations, compress, count
 from typing import Iterable, Optional, Sequence
@@ -148,9 +147,13 @@ class Code:
         return members
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):

@@ -12,8 +12,8 @@ and K4, so those checks build no product graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .errors import DeskScaleError
@@ -26,8 +26,86 @@ SHRIKHANDE_CONNECTION_SET = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class DoobParams:
+class _FrozenRecord:
+    """Base of the package's immutable value classes: what @dataclass(frozen=True)
+    gave them, without importing dataclasses (and inspect) at start-up.
+
+    A subclass's fields are its base's, then the names annotated in its own
+    body, in order; a class attribute of the same name is a field's default.
+    __init__ takes the fields by position or keyword, then calls
+    __post_init__, the validation hook.  Equality (within one class), hash
+    and repr go by the field values, as the dataclass methods did.  Instances
+    keep their __dict__, so cached_property and pickling work as on any class.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        own = vars(cls)
+        added = tuple(own.get("__annotations__", ()))
+        cls._fields += added
+        cls._defaults = {**cls._defaults, **{name: own[name] for name in added if name in own}}
+        get = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:  # then get gives the value, not a 1-tuple
+            cls._values = lambda self: (get(self),)
+        else:
+            cls._values = lambda self: get(self)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """One value per field from a call's arguments, or the call's TypeError."""
+        fields, name = cls._fields, f"{cls.__qualname__}.__init__()"
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name} takes {len(fields) + 1} positional arguments "
+                f"but {len(args) + 1} were given"
+            )
+        values = {**cls._defaults, **dict(zip(fields, args))}
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name} got an unexpected keyword argument {key!r}")
+            if key in fields[: len(args)]:
+                raise TypeError(f"{name} got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{name} missing required arguments: {', '.join(missing)}")
+        return [values[key] for key in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class DoobParams(_FrozenRecord):
     """Parameters (m, n) of the Doob graph D(m,n) = Sh^m x K4^n."""
 
     m: int
@@ -57,16 +135,14 @@ class DoobParams:
         return f"D({self.m},{self.n})"
 
 
-@dataclass(frozen=True)
-class DoobVertex:
+class DoobVertex(_FrozenRecord):
     """A vertex of D(m,n): m Shrikhande coordinates (pairs mod 4), then n K4 values."""
 
     sh: tuple[tuple[int, int], ...]
     k: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_FrozenRecord):
     """Immutable graph over vertex indices 0..vertex_count-1.
 
     Adjacency is a tuple of per-vertex neighbor bitmasks (bit v of

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .codes import Code, _read_text, canonical_json, params_from_obj
 from .errors import DeskScaleError, FormatError
-from .graphs import DoobParams, check_desk_scale, decode_vertex
+from .graphs import DoobParams, _FrozenRecord, check_desk_scale, decode_vertex
 from .search import count_mds
 
 # Most even-sum vectors a rule enumeration ranges over (2^16 representative rules).
@@ -66,8 +65,7 @@ def index_point(params: DoobParams, index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-@dataclass(frozen=True)
-class ParityRule:
+class ParityRule(_FrozenRecord):
     """A total map from first-component vectors to target parity bits."""
 
     params: DoobParams
@@ -142,8 +140,7 @@ def build_parity_code(rule: ParityRule) -> Code:
     return Code.from_mask(rule.params, sum(map(operator.getitem, profile, rule.bits)))
 
 
-@dataclass(frozen=True)
-class EssentialClassCount:
+class EssentialClassCount(_FrozenRecord):
     """The number of essential classes 2^(2^(2m+n-1)), exact when small enough."""
 
     log2_log2: int
@@ -157,8 +154,7 @@ def count_essential_classes(params: DoobParams) -> EssentialClassCount:
     return EssentialClassCount(exponent, None)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_FrozenRecord):
     """Sandwich of the code count: parity family below, Hamming count above."""
 
     params: DoobParams

@@ -27,14 +27,13 @@ same delta swaps with other index bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from sys import byteorder
 from typing import Optional, Sequence
 
 from .codes import Code
 from .errors import ConsistencyError
-from .graphs import DoobParams
+from .graphs import DoobParams, _FrozenRecord
 from .search import enumerate_mds
 
 
@@ -50,8 +49,7 @@ def k4_pair_codes() -> tuple[Code, ...]:
     return enumerate_mds(DoobParams(0, 2)).codes
 
 
-@dataclass(frozen=True)
-class PairingTable:
+class PairingTable(_FrozenRecord):
     """Intersection-preserving matching of Shrikhande codes with K4-pair codes.
 
     domain[i] and image[i] are partners; two domain codes intersect iff the

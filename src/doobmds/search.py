@@ -60,12 +60,11 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
 
-from .codes import Code
 from .graphs import (
     DoobParams,
     Graph,
+    _FrozenRecord,
     check_desk_scale,
     complete_graph,
     shrikhande,
@@ -97,8 +96,9 @@ PUBLISHED_COUNTS = {
 TRANSPOSE_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(_FrozenRecord):
+    """The maximum independent sets of D(m,n), in canonical order."""
+
     params: DoobParams
     codes: tuple[Code, ...]
 
@@ -327,6 +327,8 @@ def enumerate_mds(params: DoobParams, jobs: int = 1) -> EnumerationResult:
     are not checked again: each is assembled from |F| codes of G, disjoint
     across the edges of F, so it is independent and of maximum size.
     """
+    from .codes import Code
+
     check_desk_scale(params)
     masks = _member_tuples(params, jobs)
     masks.sort(key=_lexicographic_key(params.vertex_count), reverse=True)

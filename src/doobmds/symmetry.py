@@ -30,16 +30,14 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import factorial
 from operator import itemgetter
 from typing import Sequence, Union
 
-from .codes import Code
 from .errors import ConsistencyError, ParameterMismatchError
-from .graphs import DoobParams
+from .graphs import DoobParams, _FrozenRecord
 
 Perm = tuple[int, ...]
 
@@ -78,8 +76,7 @@ _K4_GENERATORS = ((1, 0, 2, 3), (1, 2, 3, 0))
 _K4_STABILIZER_GENERATORS = ((0, 2, 1, 3), (0, 2, 3, 1))
 
 
-@dataclass(frozen=True)
-class AutomorphismGroup:
+class AutomorphismGroup(_FrozenRecord):
     """The automorphism group of a graph on degree vertices, by generators and order."""
 
     degree: int
@@ -171,8 +168,7 @@ def _vertex_zero_stabilizer(params: DoobParams) -> tuple[Perm, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(_FrozenRecord):
     """Partition of a code list into orbit classes of list positions."""
 
     classes: tuple[tuple[int, ...], ...]
@@ -187,6 +183,8 @@ def apply_perm_to_code(code: Code, perm: Perm) -> Code:
         raise ParameterMismatchError(
             f"permutation on {len(perm)} points applied to a code over {code.params}"
         )
+    from .codes import Code
+
     return Code.from_members(code.params, (perm[v] for v in code.members))
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 import doobmds
 
 PUBLIC_NAMES = {
@@ -56,3 +58,18 @@ def test_public_api_is_pinned():
     assert set(doobmds.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(doobmds, name), name
+
+
+def test_names_resolve_lazily_to_their_modules():
+    from doobmds import codes, graphs, search
+
+    assert doobmds.Code is codes.Code
+    assert doobmds.DoobParams is graphs.DoobParams
+    assert doobmds.count_mds is search.count_mds
+    with pytest.raises(AttributeError, match="no_such_name"):
+        doobmds.no_such_name
+    assert PUBLIC_NAMES <= set(dir(doobmds))
+    namespace = {}
+    exec("from doobmds import *", namespace)
+    assert PUBLIC_NAMES <= set(namespace)
+    assert all(namespace[name] is getattr(doobmds, name) for name in PUBLIC_NAMES)

@@ -82,3 +82,23 @@ def test_every_construction_path_runs_post_init(constructions):
 
     reduced = reduce_sh_coordinates(enumerate_mds(DoobParams(2, 0)).codes[3])
     assert constructions[-1] is reduced
+
+
+def test_cli_calls_patched_functions_through_their_modules(monkeypatch, tmp_path):
+    """bench/tracing.py patches module attributes once doobmds.cli is imported;
+    the CLI imports each function when it runs, so the patched one is called."""
+    from doobmds import cli
+
+    calls = {}
+    for module, name in ((search, "count_mds"), (codes, "read_code"), (symmetry, "orbits_of_codes")):
+
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    assert cli.main(["enumerate", "1", "1", "--count-only"]) == 0
+    for i, code in enumerate(enumerate_mds(DoobParams(0, 2)).codes):
+        (tmp_path / f"code_{i:02d}.code").write_text(dump_code(code))
+    assert cli.main(["classify", str(tmp_path)]) == 0
+    assert calls == {"count_mds": 1, "read_code": 24, "orbits_of_codes": 1}

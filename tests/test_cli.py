@@ -1,9 +1,14 @@
 import filecmp
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import doobmds
 from doobmds import (
     Code,
     DoobParams,
@@ -11,10 +16,12 @@ from doobmds import (
     code_to_obj,
     doob_symmetries,
     dump_code,
+    enumerate_mds,
     load_code,
     orbits_of_codes,
     read_code,
 )
+from doobmds import codes as codes_module
 from doobmds.cli import cache_root, main
 
 
@@ -102,6 +109,43 @@ def test_enumerate_corrupt_cache_recomputes(capsys, manifest):
     assert (code, out) == (0, "24\n")
     assert "enumerated" in err
     assert json.loads(manifest_path.read_text())["count"] == 24
+
+
+def test_failed_cache_write_leaves_no_directory_half_written(capsys, monkeypatch):
+    run(capsys, "enumerate", "0", "2")
+    directory = cache_root() / "d0_2"
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    original = codes_module.write_code
+    written = []
+
+    def failing(code, path):  # the fifth file and every one after it fail
+        if len(written) == 4:
+            raise OSError("disk full")
+        written.append(path)
+        original(code, path)
+
+    monkeypatch.setattr(codes_module, "write_code", failing)
+    code, out, err = run(capsys, "enumerate", "0", "2", "--no-cache")
+    assert (code, out, err) == (3, "", "error: disk full\n")
+    assert len(written) == 4
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+    code, _, _ = run(capsys, "enumerate", "1", "0")  # no cache to keep: none is made
+    assert code == 3
+    assert [path.name for path in cache_root().iterdir()] == ["d0_2"]
+    code, out, err = run(capsys, "enumerate", "0", "2")
+    assert (code, out) == (0, "24\n") and "reused cache" in err
+
+
+def test_enumerate_out_into_an_existing_directory_keeps_its_other_files(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("kept")
+    (out_dir / "code_99.code").write_text("stale")
+    code, out, _ = run(capsys, "enumerate", "0", "2", "--out", str(out_dir))
+    assert (code, out) == (0, "24\n")
+    assert (out_dir / "notes.txt").read_text() == "kept"
+    assert len(list(out_dir.glob("code_*.code"))) == 24
+    assert not (out_dir / "code_99.code").exists()
 
 
 def test_enumerate_stale_file_count_recomputes(capsys):
@@ -461,3 +505,51 @@ def test_usage_error_is_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["enumerate"])
     assert excinfo.value.code == 2
+
+
+def imported_modules(argv, cwd):
+    """A fresh `python -X importtime ARGV`: the process, and every module it imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(doobmds.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc, names
+
+
+def test_each_subcommand_imports_only_what_it_runs(tmp_path):
+    _, startup = imported_modules(["-c", "pass"], tmp_path)  # what site loads anyway
+
+    def cli_imports(*args):
+        proc, names = imported_modules(["-m", "doobmds.cli", *args], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, names - startup
+
+    out, names = cli_imports("enumerate", "2", "1", "--count-only")
+    assert out == "3707136\n"
+    assert {"doobmds.graphs", "doobmds.search", "doobmds.symmetry"} <= names
+    never = {"doobmds.codes", "doobmds.parity", "doobmds.reduction", "dataclasses", "inspect", "json"}
+    assert not names & never
+
+    directory = tmp_path / "d02"
+    directory.mkdir()
+    for i, code in enumerate(enumerate_mds(DoobParams(0, 2)).codes):
+        (directory / f"code_{i:02d}.code").write_text(dump_code(code))
+    out, names = cli_imports("classify", str(directory))
+    assert out.startswith("orbits: ")
+    assert "doobmds.codes" in names
+    assert not names & {"doobmds.parity", "doobmds.reduction", "doobmds.search"}
+
+    out, names = cli_imports("--version")
+    assert out == doobmds.__version__ + "\n"
+    package = {name for name in names if name.split(".")[0] == "doobmds"}
+    assert package <= {"doobmds", "doobmds.cli", "doobmds.errors", "doobmds.graphs"}
+

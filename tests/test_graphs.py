@@ -1,17 +1,25 @@
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
 from doobmds import (
     DESK_SCALE_LIMIT,
+    AutomorphismGroup,
+    BoundsReport,
     Code,
     ConsistencyError,
     DeskScaleError,
     DoobParams,
     DoobVertex,
+    EnumerationResult,
+    EssentialClassCount,
     Graph,
+    OrbitPartition,
+    PairingTable,
+    ParityRule,
     check_desk_scale,
     complete_graph,
     decode_vertex,
@@ -54,6 +62,80 @@ def test_params_validation():
         copy = pickle.loads(pickle.dumps(params))
         assert copy == params and hash(copy) == hash(params)
         assert (copy.vertex_count, copy.code_size) == (4 ** 5, 4 ** 4)
+
+
+P01 = DoobParams(0, 1)
+
+# Every value class on the record base: its full field tuple and its repr,
+# as @dataclass(frozen=True) printed it.
+RECORDS = [
+    (DoobParams, (2, 1), "DoobParams(m=2, n=1)"),
+    (DoobVertex, (((0, 1),), (2,)), "DoobVertex(sh=((0, 1),), k=(2,))"),
+    (
+        Graph,
+        (2, (2, 1), None, "K2"),
+        "Graph(vertex_count=2, neighbor_masks=(2, 1), params=None, label='K2')",
+    ),
+    (
+        AutomorphismGroup,
+        (3, ((1, 2, 0),), 3),
+        "AutomorphismGroup(degree=3, generators=((1, 2, 0),), order=3)",
+    ),
+    (OrbitPartition, (((0, 1), (2,)),), "OrbitPartition(classes=((0, 1), (2,)))"),
+    (EnumerationResult, (P01, ()), "EnumerationResult(params=DoobParams(m=0, n=1), codes=())"),
+    (ParityRule, (P01, (0, 1)), "ParityRule(params=DoobParams(m=0, n=1), bits=(0, 1))"),
+    (EssentialClassCount, (2, 16), "EssentialClassCount(log2_log2=2, exact=16)"),
+    (
+        BoundsReport,
+        (P01, 0, 2, P01, 4, 4),
+        "BoundsReport(params=DoobParams(m=0, n=1), lower_log2_log2=0, lower_exact=2, "
+        "upper_params=DoobParams(m=0, n=1), upper_exact=4, actual=4)",
+    ),
+    (PairingTable, ((), ()), "PairingTable(domain=(), image=())"),
+]
+
+
+@pytest.mark.parametrize("cls, values, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_classes_behave_as_frozen_dataclasses(cls, values, text):
+    record = cls(*values)
+    assert repr(record) == text
+    assert hash(record) == hash(values)
+    assert record == cls(*values) and not record != cls(*values)
+    assert record == cls(**dict(zip(cls._fields, values)))
+    assert record != values
+    subclass = type("Sub", (cls,), {})
+    assert record != subclass(*values) and subclass(*values) != record
+    assert pickle.loads(pickle.dumps(record)) == record
+    name = cls._fields[0]
+    for attempt in (
+        lambda: setattr(record, name, 0),
+        lambda: delattr(record, name),
+        lambda: setattr(record, "unknown", 0),
+    ):
+        with pytest.raises(FrozenInstanceError):  # an AttributeError
+            attempt()
+    assert getattr(record, name) is values[0]
+    for bad_call in (  # missing, extra, repeated and unknown arguments
+        lambda: cls(),
+        lambda: cls(*values, 0),
+        lambda: cls(*values, **{name: values[0]}),
+        lambda: cls(*values, no_such_field=0),
+    ):
+        with pytest.raises(TypeError):
+            bad_call()
+
+
+def test_record_defaults_and_validation_errors():
+    assert Graph(2, (2, 1)) == Graph(2, (2, 1), None, "")
+    assert Graph(2, (2, 1), label="K2").label == "K2"
+    with pytest.raises(ValueError, match=r"^parameters must be nonnegative, got \(-1, 2\)$"):
+        DoobParams(-1, 2)
+    with pytest.raises(ValueError, match=r"^empty parameter set: need m \+ n >= 1$"):
+        DoobParams(m=0, n=0)
+    with pytest.raises(ValueError, match=r"^rule table has 1 entries, D\(0,1\) needs 2$"):
+        ParityRule(P01, (0,))
+    with pytest.raises(ValueError, match=r"^rule table entries must be 0 or 1$"):
+        ParityRule(P01, (0, 2))
 
 
 def test_connection_set_is_symmetric():
