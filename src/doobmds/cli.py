@@ -2,10 +2,11 @@
 
 Subcommands: enumerate, verify, xi, kappa, lambda, bounds, classify.  All
 emitted JSON is canonical (sorted keys, compact, trailing newline) and
-contains nothing run-dependent, so repeated runs and different worker counts
-produce byte-identical files; timing goes to stderr only.  Exit codes:
-0 success, 1 a checked input code failed verification, 2 desk-scale guard,
-3 input parse problem, 4 internal consistency failure.
+contains nothing run-dependent, so repeated runs produce byte-identical
+files; timing goes to stderr only.  `enumerate --jobs` must be at least 1
+and changes nothing: enumeration and counting run in this process.  Exit
+codes: 0 success, 1 a checked input code failed verification, 2 desk-scale
+guard, 3 input parse problem, 4 internal consistency failure.
 
 Each subcommand imports the modules it uses when it runs, so a run loads and
 compiles only those: `enumerate --count-only` needs graphs, symmetry and
@@ -170,7 +171,7 @@ def cmd_enumerate(args) -> int:
             return EXIT_OK
     from .search import enumerate_mds
 
-    result = enumerate_mds(params, jobs=args.jobs)
+    result = enumerate_mds(params)
     _check_against_known(params, result.count)
     _write_code_dir(directory, params, result.codes, replace=not args.out)
     print(result.count)
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true", help="print the count, write nothing")
     p.add_argument("--out", help="write code files here instead of the cache")
     p.add_argument("--no-cache", action="store_true", help="ignore any cached result")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for materialized enumeration (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="at least 1; no effect yet, the search runs in one process (default 1)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="check code files for the maximum independent set property")

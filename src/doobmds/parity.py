@@ -169,17 +169,17 @@ def bounds_report(params: DoobParams) -> BoundsReport:
     """Lower and upper bounds on the number of codes, with exact values when cheap.
 
     The upper reference count |MDS(0,2m+n)| and the actual count are attached
-    only for word length 2m+n up to 4, where each count_mds call takes well
-    under a second; deeper counts are available through the enumeration
-    interface.
+    only for word length 2m+n up to 5, where each count_mds call takes under
+    a second (D(0,5), the slowest, about half of one); a Hamming graph's
+    upper count is its actual count, counted once.
     """
     classes = count_essential_classes(params)
     upper_params = DoobParams(0, params.word_length)
     upper_exact = None
     actual = None
-    if params.word_length <= 4:
+    if params.word_length <= 5:
         upper_exact = count_mds(upper_params)
-        actual = count_mds(params)
+        actual = upper_exact if params == upper_params else count_mds(params)
     return BoundsReport(
         params=params,
         lower_log2_log2=classes.log2_log2,

@@ -13,8 +13,10 @@ code's mask is the sum of its sub-code masks, each spread to the product's
 indexing and shifted to its factor vertex, and enumerate_mds builds each
 Code from its mask, so a member tuple exists only once something reads
 Code.members.  Output order is still lexicographic on the member tuples,
-independent of the search order and of the worker count: it is sorted by
-the bit-reversed mask, descending.
+independent of the search order: it is sorted by the bit-reversed mask,
+descending.  Counting and enumeration both run in the calling process: at
+desk scale the few representative searches cost less than starting
+workers, and the images, not the searches, are most of the work.
 
 Neither counting nor enumeration searches every first choice.  An
 automorphism g of G, applied to every fiber at once, maps an assignment (c_f)
@@ -59,7 +61,6 @@ sub-codes.  Neither the last part nor the orderings are searched.
 from __future__ import annotations
 
 import operator
-import os
 
 from .graphs import (
     DoobParams,
@@ -132,13 +133,23 @@ def independent_sets_of_size(graph: Graph, size: int) -> list[tuple[int, ...]]:
 def _decompose(params: DoobParams):
     """Split off the last coordinate: (params of the rest, factor graph).
 
-    The rest is None when the graph is a single factor.
+    The rest is None when the graph is a single factor.  Counting and
+    enumeration both list every code of the rest, so a rest past word length
+    4 (D(0,4)'s 55296 codes) is refused: D(0,5) alone has 36972288 codes of
+    1024 bits.  D(3,0) splits off D(2,0) and is admitted.
     """
     if params.n >= 1:
         rest = DoobParams(params.m, params.n - 1) if params.word_length > 1 else None
-        return rest, complete_graph(4)
-    rest = DoobParams(params.m - 1, 0) if params.m >= 2 else None
-    return rest, shrikhande()
+    else:
+        rest = DoobParams(params.m - 1, 0) if params.m >= 2 else None
+    if rest is not None and rest.word_length > 4:
+        from .errors import DeskScaleError
+
+        raise DeskScaleError(
+            f"{params} splits off {rest}, whose codes are too many to list "
+            f"(the split limit is word length 4, D(0,4)'s 55296 codes)"
+        )
+    return rest, complete_graph(4) if params.n else shrikhande()
 
 
 class _DisjointRows(dict):
@@ -221,42 +232,12 @@ def _assemble(factor_masks, compat, first, count_only=False):
     return total if count_only else out
 
 
-def _assembly_worker(task):
-    factor_masks, sub_masks, rep = task
-    return _assemble(factor_masks, _compatibility(sub_masks), 1 << rep)
-
-
-def _worker_count(jobs: int, searches: int) -> int:
-    """Worker processes worth starting: no more than asked, cores, or searches."""
-    return min(jobs, os.cpu_count() or 1, searches)
-
-
-def _run_assembly(factor: Graph, sub_masks, reps, jobs):
-    """For each representative, the valid assignments with it at factor vertex 0.
-
-    The representatives are split across workers.
-    """
-    jobs = _worker_count(jobs, len(reps))
-    if jobs <= 1:
-        compat = _compatibility(sub_masks)
-        return [_assemble(factor.neighbor_masks, compat, 1 << rep) for rep in reps]
-    tasks = [(factor.neighbor_masks, tuple(sub_masks), rep) for rep in reps]
-    import multiprocessing  # here, as only jobs >= 2 needs it
-
-    # fork where the platform has it (workers inherit the imported package);
-    # elsewhere the default method, as tasks and worker pickle by reference.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    context = multiprocessing.get_context(method)
-    with context.Pool(jobs) as pool:
-        return pool.map(_assembly_worker, tasks)
-
-
 def _generator_plans(params: DoobParams):
     """Shift plans of the generators of Aut D(m,n)."""
     return [_shift_plan(perm) for perm in doob_symmetries(params).generators]
 
 
-def _member_tuples(params: DoobParams, jobs: int) -> list[int]:
+def _member_tuples(params: DoobParams) -> list[int]:
     """The mask of every maximum independent set of D(m,n), block by block.
 
     The codes with one sub-code c at factor vertex 0 form a block.  Only the
@@ -268,7 +249,7 @@ def _member_tuples(params: DoobParams, jobs: int) -> list[int]:
     rest, factor = _decompose(params)
     if rest is None:
         return [_mask(t) for t in independent_sets_of_size(factor, params.code_size)]
-    sub_masks = _member_tuples(rest, 1)
+    sub_masks = _member_tuples(rest)
     plans = _generator_plans(rest)
     trees, parent, via = _orbit_trees(sub_masks, plans)
     width = factor.vertex_count
@@ -285,7 +266,8 @@ def _member_tuples(params: DoobParams, jobs: int) -> list[int]:
     shifts = range(width)
     out = []
     start = {}  # tree node -> index of its block's first mask in out
-    searched = _run_assembly(factor, sub_masks, [tree[0] for tree in trees], jobs)
+    compat = _compatibility(sub_masks)
+    searched = [_assemble(factor.neighbor_masks, compat, 1 << tree[0]) for tree in trees]
     for tree, assignments in zip(trees, searched):
         size = len(assignments)
         start[tree[0]] = len(out)
@@ -319,18 +301,18 @@ def _lexicographic_key(size: int):
     return lambda mask: int(format(mask, spec)[::-1], 2)
 
 
-def enumerate_mds(params: DoobParams, jobs: int = 1) -> EnumerationResult:
+def enumerate_mds(params: DoobParams) -> EnumerationResult:
     """All maximum independent sets of D(m,n), in canonical order.
 
-    jobs worker processes, at most one per core, split the search.  The codes
-    are built from masks, in lexicographic order of their member tuples, and
-    are not checked again: each is assembled from |F| codes of G, disjoint
-    across the edges of F, so it is independent and of maximum size.
+    The search runs in this process.  The codes are built from masks, in
+    lexicographic order of their member tuples, and are not checked again:
+    each is assembled from |F| codes of G, disjoint across the edges of F, so
+    it is independent and of maximum size.
     """
     from .codes import Code
 
     check_desk_scale(params)
-    masks = _member_tuples(params, jobs)
+    masks = _member_tuples(params)
     masks.sort(key=_lexicographic_key(params.vertex_count), reverse=True)
     codes = tuple(Code.from_mask(params, mask) for mask in masks)
     return EnumerationResult(params, codes)
@@ -347,7 +329,7 @@ def count_mds(params: DoobParams) -> int:
     rest, factor = _decompose(params)
     if rest is None:
         return len(independent_sets_of_size(factor, params.code_size))
-    sub_masks = _member_tuples(rest, 1)
+    sub_masks = _member_tuples(rest)
     compat = _compatibility(sub_masks)
     if params.n:
         return _count_latin_colorings(rest, sub_masks, compat)

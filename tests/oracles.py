@@ -476,7 +476,7 @@ def orbit_assembly_count(params):
     rest, factor = search._decompose(params)
     if rest is None:
         return len(search.independent_sets_of_size(factor, params.code_size))
-    sub_masks = search._member_tuples(rest, 1)
+    sub_masks = search._member_tuples(rest)
     trees, _, _ = search._orbit_trees(sub_masks, search._generator_plans(rest))
     compat = search._compatibility(sub_masks)
     return sum(

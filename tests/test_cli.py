@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,16 @@ def test_enumerate_guard_and_bad_input(capsys):
     assert code == 3
     code, _, err = run(capsys, "enumerate", "0", "2", "--jobs", "0")
     assert code == 3 and "--jobs" in err
+
+
+def test_enumerate_refuses_a_split_past_word_length_4(capsys):
+    # D(0,6) has 4096 vertices, within the vertex guard; its rest D(0,5) has
+    # 36972288 codes, so the split guard refuses it before listing any.
+    started = time.monotonic()
+    code, out, err = run(capsys, "enumerate", "0", "6", "--count-only")
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: D(0,6) splits off D(0,5)")
 
 
 def test_jobs_give_byte_identical_output(tmp_path, capsys):
@@ -405,6 +416,15 @@ def test_bounds_lines(capsys):
     )
     assert run(capsys, "bounds", "2", "0")[1] == (
         "lower 256, upper 55296 (=|MDS(0,4)|), actual 5856\n"
+    )
+    assert run(capsys, "bounds", "2", "1")[1] == (
+        "lower 65536, upper 36972288 (=|MDS(0,5)|), actual 3707136\n"
+    )
+    assert run(capsys, "bounds", "1", "3")[1] == (
+        "lower 65536, upper 36972288 (=|MDS(0,5)|), actual 11377152\n"
+    )
+    assert run(capsys, "bounds", "0", "5")[1] == (
+        "lower 65536, upper 36972288 (=|MDS(0,5)|), actual 36972288\n"
     )
     assert run(capsys, "bounds", "3", "1")[1] == (
         "lower 2^2^6, upper |MDS(0,7)| (not computed at desk scale), actual not computed\n"

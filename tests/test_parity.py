@@ -201,7 +201,7 @@ def test_bounds_reports():
     assert r.upper_params == DoobParams(0, 4)
     assert r.lower_log2_log2 == 3
     r = bounds_report(DoobParams(2, 1))
-    assert r.upper_exact is None and r.actual is None
+    assert (r.lower_exact, r.upper_exact, r.actual) == (65536, 36972288, 3707136)
     assert r.upper_params == DoobParams(0, 5)
 
 

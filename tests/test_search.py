@@ -1,6 +1,7 @@
 import itertools
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from doobmds import (
     enumerate_mds,
     shrikhande,
 )
-from doobmds import search
+from doobmds import cli, search
 from doobmds.search import PUBLISHED_COUNTS, independent_sets_of_size
 from doobmds.symmetry import orbits_of_masks
 
@@ -141,7 +142,7 @@ def test_disjoint_rows_match_pairwise_test(codes_by_params):
 )
 def test_member_masks_match_the_full_assembly(m, n):
     # Searched blocks and Schreier-tree images together give each code once.
-    masks = search._member_tuples(DoobParams(m, n), 1)
+    masks = search._member_tuples(DoobParams(m, n))
     reference = oracles.full_assembly_masks(DoobParams(m, n))
     assert len(masks) == len(reference) == len(set(reference))
     assert set(masks) == set(reference)
@@ -156,18 +157,19 @@ def test_one_representative_per_orbit_is_searched(monkeypatch):
         return original(factor_masks, compat, first, count_only)
 
     monkeypatch.setattr(search, "_assemble", recorded)
-    assert len(search._member_tuples(DoobParams(2, 0), 1)) == 5856
+    assert len(search._member_tuples(DoobParams(2, 0))) == 5856
     searched = [i for i in range(16) if any(first >> i & 1 for first in firsts)]
     sh = DoobParams(1, 0)
-    orbits = orbits_of_masks(search._member_tuples(sh, 1), doob_symmetries(sh).generators, 16)
+    orbits = orbits_of_masks(search._member_tuples(sh), doob_symmetries(sh).generators, 16)
     assert len(searched) == len(orbits) == 2
     assert all(len(set(orbit) & set(searched)) == 1 for orbit in orbits)
 
 
 def test_parallel_enumeration_identical(codes_by_params):
+    # enumerate_mds takes no worker count; a second run gives the same order.
     for key in [(1, 1), (2, 0)]:
-        parallel = enumerate_mds(DoobParams(*key), jobs=4)
-        assert [c.members for c in parallel.codes] == [
+        again = enumerate_mds(DoobParams(*key))
+        assert [c.members for c in again.codes] == [
             c.members for c in codes_by_params[key]
         ]
         assert count_mds(DoobParams(*key)) == len(codes_by_params[key])
@@ -176,7 +178,7 @@ def test_parallel_enumeration_identical(codes_by_params):
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Worker pools that run their tasks in this process, recorded as
-    (start method, processes)."""
+    (start method, processes); a pool of the default context has method None."""
     pools = []
 
     class SerialPool:
@@ -198,38 +200,55 @@ def serial_pool(monkeypatch):
             return SerialPool()
 
     monkeypatch.setattr(multiprocessing, "get_context", Context)
+    monkeypatch.setattr(multiprocessing, "Pool", Context(None).Pool)
     return pools
 
 
-def test_worker_pool_is_clamped(monkeypatch, serial_pool):
-    # One search per orbit representative of the first fiber: D(1,2) has 3
-    # (clamped by the cores), D(1,1) has 2 (clamped by the searches).
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    assert enumerate_mds(DoobParams(1, 2), jobs=1000).count == 16128
-    assert enumerate_mds(DoobParams(1, 1), jobs=1000).count == 240
-    assert [processes for _, processes in serial_pool] == [3, 2]
-    assert search._worker_count(1000, 2) == 2
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-    assert search._worker_count(1000, 5856) == 1
+def _enumerate_count(capsys, tmp_path, m, n, jobs):
+    """Count printed by the CLI's enumerate M N --out DIR --jobs JOBS."""
+    out = tmp_path / f"d{m}{n}"
+    assert cli.main(["enumerate", str(m), str(n), "--out", str(out), "--jobs", str(jobs)]) == 0
+    return int(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("methods, expected", [(["fork", "spawn"], "fork"), (["spawn"], None)])
-def test_worker_start_method_is_portable(monkeypatch, serial_pool, methods, expected):
+def test_worker_pool_is_clamped(monkeypatch, tmp_path, capsys, serial_pool):
+    # Any --jobs, on any number of cores, runs the search in this process.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _enumerate_count(capsys, tmp_path, 1, 2, 1000) == 16128
+    assert _enumerate_count(capsys, tmp_path, 1, 1, 2) == 240
+    assert serial_pool == []
+
+
+@pytest.mark.parametrize("methods, default", [(["fork", "spawn"], "fork"), (["spawn"], None)])
+def test_worker_start_method_is_portable(monkeypatch, tmp_path, capsys, serial_pool, methods, default):
+    # No start method is chosen, whatever the platform offers or defaults to.
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    result = enumerate_mds(DoobParams(1, 1), jobs=2)
-    assert serial_pool == [(expected, 2)]
-    assert result.count == 240
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: default)
+    assert _enumerate_count(capsys, tmp_path, 1, 2, 1000) == 16128
+    assert _enumerate_count(capsys, tmp_path, 1, 1, 2) == 240
+    assert serial_pool == []
 
 
-def test_only_worker_pools_import_multiprocessing():
-    """Every CLI command imports the package; only jobs >= 2 needs the module."""
-    probe = "import sys, doobmds.cli; print('multiprocessing' in sys.modules)"
+def test_only_worker_pools_import_multiprocessing(tmp_path):
+    """No CLI command imports multiprocessing, whatever its --jobs."""
+    probe = (
+        "import sys\n"
+        "from doobmds import cli\n"
+        "imported = ['multiprocessing' in sys.modules]\n"
+        "cli.main(['enumerate', '1', '1', '--out', sys.argv[1], '--jobs', '2'])\n"
+        "cli.main(['enumerate', '2', '0', '--count-only', '--jobs', '2'])\n"
+        "imported.append('multiprocessing' in sys.modules)\n"
+        "print(imported)\n"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", probe, str(tmp_path / "d11")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
-    assert done.stdout == "False\n", done.stderr
+    assert done.stdout == "240\n5856\n[False, False]\n", done.stderr
 
 
 def test_desk_scale_guard_message():
@@ -237,6 +256,27 @@ def test_desk_scale_guard_message():
         enumerate_mds(DoobParams(2, 3))
     with pytest.raises(DeskScaleError):
         count_mds(DoobParams(4, 0))
+
+
+@pytest.mark.parametrize("m, n, rest", [(2, 2, "D(2,1)"), (1, 4, "D(1,3)"), (0, 6, "D(0,5)")])
+def test_split_guard_refuses_a_rest_past_word_length_4(m, n, rest):
+    # Each graph passes the 4096-vertex guard, but its rest has millions of codes.
+    message = re.escape(f"D({m},{n}) splits off {rest}")
+    with pytest.raises(DeskScaleError, match=message):
+        count_mds(DoobParams(m, n))
+    with pytest.raises(DeskScaleError, match=message):
+        enumerate_mds(DoobParams(m, n))
+
+
+def test_split_guard_admits_d30(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the split counted something")
+
+    monkeypatch.setattr(search, "_member_tuples", refuse)
+    monkeypatch.setattr(search, "_assemble", refuse)
+    rest, factor = search._decompose(DoobParams(3, 0))
+    assert rest == DoobParams(2, 0)
+    assert factor is shrikhande()
 
 
 def test_k4_fibers_of_two_coordinate_codes(codes_by_params):
@@ -288,9 +328,8 @@ def test_code_objects_carry_parameters(codes_by_params):
             assert len(code) == DoobParams(m, n).code_size
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("m, n", [(0, 3), (1, 1), (1, 2), (2, 0)])
-def test_enumeration_order_is_lexicographic_in_members(m, n, jobs):
-    members = [code.members for code in enumerate_mds(DoobParams(m, n), jobs=jobs).codes]
+def test_enumeration_order_is_lexicographic_in_members(m, n):
+    members = [code.members for code in enumerate_mds(DoobParams(m, n)).codes]
     assert members == sorted(members)
     assert len(set(members)) == len(members)
