@@ -43,24 +43,23 @@ format error, found before any 4^(2m+n) is computed.
 Independence is checked on the mask, with no loop over members: for each
 distinct index difference d > 0 of an edge, the vertices u with u ~ u + d
 form a selector mask, and a code is independent iff (mask & selector) << d
-& mask is 0 for every d.  With no graph given, the pairs (d, selector) are
-those of D(m,n) in closed form, built once per (m, n) with no product graph
-(graphs._edge_shifts); with a graph, they are its Graph.edge_shifts.  A
-code that fails has its first adjacent pair named from the same shifts.
+& mask is 0 for every d.  The pairs (d, selector) are those of D(m,n) in
+closed form, built once per (m, n) with no product graph
+(graphs._edge_shifts).  A code that fails has its first adjacent pair named
+from the same shifts.
 
-is_mds and assert_mds with no graph given check most of the edges by line
-cover instead.  D(m,n) has 4^(2m+n-1) = code_size K4 lines in each of its n
-K4 directions, and they partition the vertices.  A mask of code_size
-members that meets every line of a direction therefore holds exactly one
-member on each, so no K4 edge of that direction joins two members; and a
-maximum independent set, with at most one member per line and code_size
-members, meets them all.  For the direction of stride s = 4^j, the line
-through vertex v with digit j zero is met iff bit v of x | x >> s | x >> 2s
-| x >> 3s is set, two shifts and two ORs.  What is left are the Shrikhande
-edges, the edge shifts with d >= 4^n.  The lines and those shifts are read
-off D(m,n)'s edge shifts and cached per (m, n).  A mask that fails goes on
-to the full edge-shift check, which names the pair, so the errors are those
-of that check.
+is_mds and assert_mds check most of the edges by line cover instead.
+D(m,n) has 4^(2m+n-1) = code_size K4 lines in each of its n K4 directions,
+and they partition the vertices.  A mask of code_size members that meets
+every line of a direction therefore holds exactly one member on each, so no
+K4 edge of that direction joins two members; and a maximum independent set,
+with at most one member per line and code_size members, meets them all.
+For the direction of stride s = 4^j, the line through vertex v with digit j
+zero is met iff bit v of x | x >> s | x >> 2s | x >> 3s is set, two shifts
+and two ORs.  What is left are the Shrikhande edges, the edge shifts with
+d >= 4^n.  The lines and those shifts are read off D(m,n)'s edge shifts and
+cached per (m, n).  assert_mds names the first adjacent pair of a mask that
+fails, from the full edge shifts, so its errors are those of that check.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ from functools import lru_cache
 from itertools import combinations, compress, count
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConsistencyError, FormatError, ParameterMismatchError
-from .graphs import DoobParams, DoobVertex, Graph, _edge_shifts, decode_vertex, encode_vertex
+from .errors import ConsistencyError, FormatError
+from .graphs import MAX_WORD_LENGTH, DoobParams, DoobVertex, _edge_shifts, decode_vertex, encode_vertex
 
 
 class Code:
@@ -176,51 +175,34 @@ class Code:
     def __contains__(self, v):
         return isinstance(v, int) and 0 <= v < self.params.vertex_count and self.mask >> v & 1
 
-    def _shifts(self, graph: Optional[Graph]) -> tuple[tuple[int, int], ...]:
-        """The edge shifts to check against: D(m,n)'s with no graph given,
-        else graph.edge_shifts, once graph fits the code's parameters."""
+    def is_independent(self) -> bool:
         params = self.params
-        if graph is None:
-            return _edge_shifts(params.m, params.n)
-        if graph.params is not None and graph.params != params:
-            raise ParameterMismatchError(
-                f"code over {params} checked against graph of {graph.params}"
-            )
-        if graph.vertex_count != params.vertex_count:
-            raise ParameterMismatchError(
-                f"code over {params} checked against a {graph.vertex_count}-vertex graph"
-            )
-        return graph.edge_shifts
+        return _independent(self.mask, _edge_shifts(params.m, params.n))
 
-    def is_independent(self, graph: Optional[Graph] = None) -> bool:
-        return _independent(self.mask, self._shifts(graph))
-
-    def first_adjacent_pair(self, graph: Optional[Graph] = None) -> Optional[tuple[int, int]]:
+    def first_adjacent_pair(self) -> Optional[tuple[int, int]]:
         """The first member v (in index order) with a neighbor in the code, and
         that neighbor's lowest index w; None if the code is independent."""
-        return _first_pair(self.mask, self._shifts(graph))
+        params = self.params
+        return _first_pair(self.mask, _edge_shifts(params.m, params.n))
 
-    def is_mds(self, graph: Optional[Graph] = None) -> bool:
+    def is_mds(self) -> bool:
         """True iff this is a maximum independent set (a distance-2 MDS code)."""
         mask, params = self.mask, self.params
         if mask.bit_count() != params.code_size:
             return False
-        if graph is None:
-            return _mds_by_line_cover(mask, _line_cover(params.m, params.n))
-        return _independent(mask, self._shifts(graph))
+        return _mds_by_line_cover(mask, _line_cover(params.m, params.n))
 
-    def assert_mds(self, graph: Optional[Graph] = None, context: str = "code"):
+    def assert_mds(self, context: str = "code"):
         """Raise ConsistencyError with a reason if this is not an MDS code."""
         mask, params = self.mask, self.params
         size = mask.bit_count()
         expected = params.code_size
         if size != expected:
             raise ConsistencyError(f"{context}: {size} members, expected {expected}")
-        if graph is None and _mds_by_line_cover(mask, _line_cover(params.m, params.n)):
-            return
-        pair = _first_pair(mask, self._shifts(graph))
-        if pair is not None:
-            raise ConsistencyError(f"{context}: adjacent members {pair[0]} and {pair[1]}")
+        if not _mds_by_line_cover(mask, _line_cover(params.m, params.n)):
+            # code_size members missing a K4 line put two on another: a pair either way.
+            v, w = self.first_adjacent_pair()
+            raise ConsistencyError(f"{context}: adjacent members {v} and {w}")
 
 
 _BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
@@ -316,10 +298,6 @@ def _mds_by_line_cover(mask: int, kernel) -> bool:
 # ---------------------------------------------------------------------------
 # JSON round-trip
 # ---------------------------------------------------------------------------
-
-
-# Largest word length 2m + n a file may declare: 4^6 vertices is the desk-scale limit.
-MAX_WORD_LENGTH = 6
 
 
 def canonical_json(obj) -> str:

@@ -4,10 +4,12 @@ The Doob graph D(m,n) is the Cartesian product of m copies of the Shrikhande
 graph Sh and n copies of K4.  Vertices of Sh are the elements of Z4 x Z4 with
 connection set {+-(1,0), +-(0,1), +-(1,1)}: the torus grid lines plus the
 slanted diagonals.  Graphs are stored as per-vertex neighbor bitmasks and are
-immutable after construction; anything larger than DESK_SCALE_LIMIT vertices
-is rejected outright instead of degrading.  The edge shifts of D(m,n), which
-the checks on codes read, are a closed form of (m, n) built from those of Sh
-and K4, so those checks build no product graph.
+immutable after construction; parameters past DESK_SCALE_LIMIT vertices are
+rejected outright instead of degrading.  The check compares the word length
+2m + n with MAX_WORD_LENGTH, so no refused vertex count is ever computed.
+The edge shifts of D(m,n), which the checks on codes read, are a closed form
+of (m, n) built from those of Sh and K4, so those checks build no product
+graph.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Iterator, Optional
 
 from .errors import DeskScaleError
 
-DESK_SCALE_LIMIT = 4096
+# Largest word length 2m + n of a desk-scale D(m,n), and its vertex count.
+MAX_WORD_LENGTH = 6
+DESK_SCALE_LIMIT = 4**MAX_WORD_LENGTH
 
 # Differences (mod 4) that make two Shrikhande vertices adjacent.
 SHRIKHANDE_CONNECTION_SET = frozenset(
@@ -193,10 +197,11 @@ class Graph(_FrozenRecord):
 
 
 def check_desk_scale(params: DoobParams):
-    """Refuse parameters whose graph exceeds the desk-scale vertex limit."""
-    if params.vertex_count > DESK_SCALE_LIMIT:
+    """Refuse parameters whose graph exceeds the desk-scale vertex limit,
+    by word length: 4^(2m+n) is never computed for them."""
+    if params.word_length > MAX_WORD_LENGTH:
         raise DeskScaleError(
-            f"{params} has 4^{params.word_length} = {params.vertex_count} vertices, "
+            f"{params} has 4^{params.word_length} vertices, "
             f"over the desk-scale limit {DESK_SCALE_LIMIT}"
         )
 

@@ -215,6 +215,7 @@ def rule_from_obj(obj) -> ParityRule:
 
 def rule_from_hex(params: DoobParams, text: str) -> ParityRule:
     """Inline hex form: the bit string read as a big-endian hex integer."""
+    check_desk_scale(params)  # before 2 ** size: size is 2^40 for D(20,0)
     size = rule_domain_size(params)
     try:
         value = int(text, 16)

@@ -1,15 +1,15 @@
 """Reducing Shrikhande coordinates to pairs of K4 coordinates.
 
 The 16 maximum independent sets of the Shrikhande graph can be matched with
-16 of the 24 maximum independent sets of K4 x K4 so that two Shrikhande codes
-intersect exactly when their partners do.  Applying that table fiberwise at
-the last Shrikhande coordinate turns a code of D(m+1,n) into a code of
-D(m,n+2); iterating eliminates all Shrikhande coordinates and lands in a
-Hamming graph.  The table is not unique, so the canonical one here is the
-lexicographically least valid assignment under the canonical orderings of
-both code lists.  The end result of the iteration can depend on the order in
-which Shrikhande coordinates are consumed; the order is therefore an explicit
-argument.
+16 of the 24 maximum independent sets of K4 x K4 so that two Shrikhande
+codes intersect exactly when their partners do.  Applying that table
+fiberwise at the last Shrikhande coordinate turns a code of D(m+1,n) into a
+code of D(m,n+2); iterating eliminates all Shrikhande coordinates and lands
+in a Hamming graph.  The table is not unique, so the canonical one here is
+the lexicographically least valid assignment under the canonical orderings
+of both code lists, and every reduction applies it.  The end result of the
+iteration can depend on the order in which Shrikhande coordinates are
+consumed; the order is therefore an explicit argument.
 
 The reduction works on the code's mask, an int.  Vertex (prefix, s, suffix)
 of D(m,n) and vertex (prefix, z, suffix) of D(m-1,n+2) have the same index
@@ -18,11 +18,13 @@ The last Shrikhande digit s is index bits 2n..2n+3.  A few delta swaps on
 the mask, each exchanging two index bits, move it to index bits 0..3, so
 that every fiber is one 16-bit word of the mask with bit s for value s; a
 Shrikhande code's mask is such a word, and so is its partner's.  The words
-are read through a memoryview of the mask's bytes, mapped through the
-table, and the swaps are undone on the result.  All m steps of a full
-reduction run on the int, and one Code is built at the end.  Permuting
-Shrikhande coordinates permutes 4-bit groups of index bits, so it is the
-same delta swaps with other index bits.
+are read through a memoryview of the mask's bytes, mapped through the table,
+and the swaps are undone on the result.  The input is checked to be a
+maximum independent set first, so every fiber is one of the 16 Shrikhande
+codes, the table's whole domain, and no word lacks a partner.  All m steps
+of a full reduction run on the int, and one Code is built at the end.
+Permuting Shrikhande coordinates permutes 4-bit groups of index bits, so it
+is the same delta swaps with other index bits.
 """
 
 from __future__ import annotations
@@ -189,41 +191,11 @@ def _reduce_mask(mask: int, vertex_count: int, n: int, partners: dict) -> int:
     into, back = _fiber_swaps(vertex_count, n)
     mask = _swap_index_bits(mask, into)
     words = memoryview(mask.to_bytes(vertex_count // 8, byteorder)).cast("H")
-    try:
-        images = b"".join(map(partners.__getitem__, words))
-    except KeyError:
-        raise _fiber_error(mask, vertex_count, n, partners) from None
+    images = b"".join(map(partners.__getitem__, words))
     return _swap_index_bits(int.from_bytes(images, byteorder), back)
 
 
-def _fiber_error(mask: int, vertex_count: int, n: int, partners: dict) -> ConsistencyError:
-    """The error naming the non-Shrikhande fiber that holds the lowest member.
-
-    mask has the fiber digit at index bits 0..3, so fiber w is bits 16w..16w+15.
-    """
-    back = _fiber_swaps(vertex_count, n)[1]
-    stride = 4**n
-
-    def original_index(v: int) -> int:
-        return _swap_index_bits(1 << v, back).bit_length() - 1
-
-    bad = []
-    for w in range(vertex_count // 16):
-        word = mask >> 16 * w & 0xFFFF
-        if word not in partners:
-            base = original_index(16 * w)
-            # An empty fiber holds no member, so it sorts after every fiber that does.
-            lowest = base + stride * ((word & -word).bit_length() - 1) if word else vertex_count + base
-            bad.append((lowest, base, word))
-    _, base, word = min(bad)
-    prefix, suffix = divmod(base, 16 * stride)
-    values = tuple(s for s in range(16) if word >> s & 1)
-    return ConsistencyError(
-        f"fiber {values} at prefix {prefix}, suffix {suffix} is not a Shrikhande code"
-    )
-
-
-def reduce_last_sh_coordinate(code: Code, table: Optional[PairingTable] = None) -> Code:
+def reduce_last_sh_coordinate(code: Code) -> Code:
     """Replace the last Shrikhande coordinate by two K4 coordinates.
 
     Every fiber of a maximum independent set at that coordinate is one of the
@@ -236,7 +208,7 @@ def reduce_last_sh_coordinate(code: Code, table: Optional[PairingTable] = None) 
     if params.m < 1:
         raise ValueError("code has no Shrikhande coordinate to reduce")
     code.assert_mds(context="reduction input")
-    partners = (table or derive_pairing()).partner_words
+    partners = derive_pairing().partner_words
     mask = _reduce_mask(code.mask, params.vertex_count, params.n, partners)
     return Code.from_mask(_params(params.m - 1, params.n + 2), mask)
 
@@ -260,11 +232,7 @@ def permute_sh_coordinates(code: Code, perm: Sequence[int]) -> Code:
     return Code.from_mask(params, _swap_index_bits(code.mask, swaps))
 
 
-def reduce_sh_coordinates(
-    code: Code,
-    table: Optional[PairingTable] = None,
-    order: Optional[Sequence[int]] = None,
-) -> Code:
+def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> Code:
     """Eliminate all Shrikhande coordinates, landing in a Hamming graph.
 
     order lists original Shrikhande coordinate positions in the order they
@@ -283,7 +251,7 @@ def reduce_sh_coordinates(
     code.assert_mds(context="reduction input")
     if m == 0:
         return code
-    partners = (table or derive_pairing()).partner_words
+    partners = derive_pairing().partner_words
     size, n = params.vertex_count, params.n
     mask = code.mask
     for step in range(m):

@@ -96,6 +96,10 @@ PUBLISHED_COUNTS = {
 # Sub-codes per block when building vertex-incidence bitsets.
 TRANSPOSE_BLOCK = 1024
 
+# Largest word length whose codes are listed (D(0,4) has 55296 codes, D(0,5)
+# 36972288): the most a split may split off, and the most enumerate_mds builds.
+_LISTED_WORD_LENGTH = 4
+
 
 class EnumerationResult(_FrozenRecord):
     """The maximum independent sets of D(m,n), in canonical order."""
@@ -134,22 +138,26 @@ def _decompose(params: DoobParams):
     """Split off the last coordinate: (params of the rest, factor graph).
 
     The rest is None when the graph is a single factor.  Counting and
-    enumeration both list every code of the rest, so a rest past word length
-    4 (D(0,4)'s 55296 codes) is refused: D(0,5) alone has 36972288 codes of
-    1024 bits.  D(3,0) splits off D(2,0) and is admitted.
+    enumeration both list every code of the rest, so a rest past the listed
+    word length is refused.  D(3,0) splits off D(2,0) and is admitted.
     """
     if params.n >= 1:
         rest = DoobParams(params.m, params.n - 1) if params.word_length > 1 else None
     else:
         rest = DoobParams(params.m - 1, 0) if params.m >= 2 else None
-    if rest is not None and rest.word_length > 4:
-        from .errors import DeskScaleError
-
-        raise DeskScaleError(
-            f"{params} splits off {rest}, whose codes are too many to list "
-            f"(the split limit is word length 4, D(0,4)'s 55296 codes)"
-        )
+    if rest is not None and rest.word_length > _LISTED_WORD_LENGTH:
+        raise _too_many_to_list(f"{params} splits off {rest}, whose codes are")
     return rest, complete_graph(4) if params.n else shrikhande()
+
+
+def _too_many_to_list(subject: str):
+    """The DeskScaleError refusing to list codes, subject naming them."""
+    from .errors import DeskScaleError
+
+    return DeskScaleError(
+        f"{subject} too many to list (the limit is word length "
+        f"{_LISTED_WORD_LENGTH}, D(0,4)'s 55296 codes)"
+    )
 
 
 class _DisjointRows(dict):
@@ -244,9 +252,12 @@ def _member_tuples(params: DoobParams) -> list[int]:
     orbit representatives' blocks are searched; every other block is the
     image of its parent's block in the orbit's Schreier tree, under the
     generator lifted to the product.  (The name is older than the masks;
-    bench/tracing.py wraps the function under it.)
+    bench/tracing.py wraps the function under it.)  Past the listed word
+    length it refuses, after the split has refused a rest too large.
     """
     rest, factor = _decompose(params)
+    if params.word_length > _LISTED_WORD_LENGTH:
+        raise _too_many_to_list(f"the codes of {params} are")
     if rest is None:
         return [_mask(t) for t in independent_sets_of_size(factor, params.code_size)]
     sub_masks = _member_tuples(rest)
@@ -304,10 +315,13 @@ def _lexicographic_key(size: int):
 def enumerate_mds(params: DoobParams) -> EnumerationResult:
     """All maximum independent sets of D(m,n), in canonical order.
 
-    The search runs in this process.  The codes are built from masks, in
-    lexicographic order of their member tuples, and are not checked again:
-    each is assembled from |F| codes of G, disjoint across the edges of F, so
-    it is independent and of maximum size.
+    Parameters past desk scale are refused first, then those past the
+    listed word length, 4: D(2,1) alone has 3707136 codes of 1024 bits,
+    which count_mds counts without listing them.  The search runs in this
+    process.  The codes are built from masks, in lexicographic order of
+    their member tuples, and are not checked again: each is assembled from
+    |F| codes of G, disjoint across the edges of F, so it is independent and
+    of maximum size.
     """
     from .codes import Code
 

@@ -279,22 +279,14 @@ def last_sh_fibers(members, n):
     return {key: tuple(sorted(values)) for key, values in fibers.items()}
 
 
-class NotAShrikhandeFiber(LookupError):
-    """A fiber with no partner: args are (fiber, prefix, suffix)."""
-
-
 def reduce_last_sh(members, n, partner_of):
     """Reference reduction of the last Shrikhande coordinate, member by member.
 
     partner_of maps a Shrikhande code's sorted member tuple to its partner's.
-    Raises NotAShrikhandeFiber for the first fiber, in order of lowest member,
-    that has no partner.
     """
     suffix_size = 4**n
     out = []
     for (prefix, suffix), fiber in last_sh_fibers(members, n).items():
-        if fiber not in partner_of:
-            raise NotAShrikhandeFiber(fiber, prefix, suffix)
         for z in partner_of[fiber]:
             out.append(prefix * 16 * suffix_size + z * suffix_size + suffix)
     return tuple(sorted(out))

@@ -162,6 +162,11 @@ def test_enumerate_stale_file_count_recomputes(capsys):
 def test_enumerate_guard_and_bad_input(capsys):
     code, _, err = run(capsys, "enumerate", "0", "7", "--count-only")
     assert code == 2 and err.startswith("error:")
+    # 4^7144 has over 4300 digits, past Python's int-to-text limit; the guard
+    # goes by word length and never forms it.
+    code, out, err = run(capsys, "enumerate", "3572", "0", "--count-only")
+    assert (code, out) == (2, "")
+    assert err == "error: D(3572,0) has 4^7144 vertices, over the desk-scale limit 4096\n"
     code, _, err = run(capsys, "enumerate", "0", "0", "--count-only")
     assert code == 3
     code, _, err = run(capsys, "enumerate", "0", "2", "--jobs", "0")
@@ -176,6 +181,18 @@ def test_enumerate_refuses_a_split_past_word_length_4(capsys):
     assert time.monotonic() - started < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: D(0,6) splits off D(0,5)")
+
+
+def test_enumerate_refuses_to_list_codes_past_word_length_4(tmp_path, capsys):
+    # D(2,1) passes both the vertex and the split guard, but has 3707136 codes
+    # of 1024 bits: refused before the search, and before any directory is made.
+    out_dir = tmp_path / "big"
+    started = time.monotonic()
+    code, out, err = run(capsys, "enumerate", "2", "1", "--out", str(out_dir))
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the codes of D(2,1) are too many to list")
+    assert not out_dir.exists()
 
 
 def test_jobs_give_byte_identical_output(tmp_path, capsys):
@@ -402,6 +419,14 @@ def test_lambda_input_errors(tmp_path, capsys):
     assert run(capsys, "lambda", "--inline", "1", "0", "zz")[0] == 3
     assert run(capsys, "lambda", "--inline", "1", "0", "100")[0] == 3
     assert run(capsys, "lambda", str(tmp_path / "absent.json"))[0] == 3
+
+
+def test_lambda_inline_guard(capsys):
+    # D(20,0) has a rule table of 2^40 bits; it is refused before that is sized.
+    for m in ("7", "20"):
+        code, out, err = run(capsys, "lambda", "--inline", m, "0", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: D({m},0) has 4^{2 * int(m)} vertices, over the desk-scale limit 4096\n"
 
 
 def test_bounds_lines(capsys):

@@ -169,8 +169,8 @@ def test_independence_checks_match_member_loop(codes_by_params, m, n):
     # Full-size codes with one member moved, so assert_mds reaches the
     # adjacency check: every mismatch of result or message would show.  Past
     # word length 4, parity codes perturbed as in the line cover test, which
-    # also drops a member.  Each check runs with no graph and with the
-    # product graph.
+    # also drops a member.  The checks on D(m,n)'s closed-form shifts agree
+    # with the member loop and with the same kernels on the product graph's.
     params = DoobParams(m, n)
     graph = doob_graph(params)
     rng = random.Random(m * 10 + n)
@@ -191,26 +191,20 @@ def test_independence_checks_match_member_loop(codes_by_params, m, n):
             for mask in perturbed_masks(build_parity_code(rule), rng):
                 moved_codes.append(Code.from_mask(params, mask))
     seen = set()
+    shifts = graph.edge_shifts
     for moved in moved_codes:
         expected = member_loop_pair(moved, graph)
         seen.add(expected is None)
-        for g in (None, graph):
-            assert moved.is_independent(g) == (expected is None)
-            assert moved.first_adjacent_pair(g) == expected
-            if expected is None and len(moved) == params.code_size:
-                moved.assert_mds(g)
-                continue
-            with pytest.raises(ConsistencyError) as info:
-                moved.assert_mds(g, context="moved")
-            assert str(info.value) == expected_mds_error(moved, graph, "moved")
+        independent = expected is None
+        assert moved.is_independent() == codes._independent(moved.mask, shifts) == independent
+        assert moved.first_adjacent_pair() == codes._first_pair(moved.mask, shifts) == expected
+        if independent and len(moved) == params.code_size:
+            moved.assert_mds()
+            continue
+        with pytest.raises(ConsistencyError) as info:
+            moved.assert_mds(context="moved")
+        assert str(info.value) == expected_mds_error(moved, graph, "moved")
     assert False in seen
-
-
-def test_graph_parameter_guard(codes_by_params, sh_graph, rook_graph):
-    code = codes_by_params[(1, 0)][0]
-    assert code.is_independent(sh_graph)
-    with pytest.raises(ParameterMismatchError):
-        code.is_independent(rook_graph)
 
 
 # Every D(m,n) with 2m + n <= 6, up to 4096 vertices.
@@ -320,53 +314,38 @@ def test_mds_check_by_line_cover_matches_the_edge_shift_oracle(m, n):
             moved = Code.from_mask(params, mask)
             expected = oracles.is_mds_by_edge_shifts(moved, graph)
             outcomes.add(expected)
-            assert moved.is_mds() == moved.is_mds(graph) == expected, (params, hex(mask))
+            assert moved.is_mds() == expected, (params, hex(mask))
             if expected:
                 moved.assert_mds()
                 continue
             with pytest.raises(ConsistencyError) as info:
                 moved.assert_mds(context="moved")
             assert str(info.value) == expected_mds_error(moved, graph, "moved")
-            with pytest.raises(ConsistencyError) as info:
-                moved.assert_mds(graph, context="moved")
-            assert str(info.value) == expected_mds_error(moved, graph, "moved")
     assert False in outcomes
 
 
-def test_assert_mds_texts_are_pinned(sh_graph, rook_graph):
+def test_assert_mds_texts_are_pinned():
     params = DoobParams(1, 2)
     code = build_parity_code(rule_from_hex(params, "c3a5"))
     assert code.members[:2] == (1, 4)
     k4_line = Code.from_mask(params, code.mask ^ 0b11)  # member 1 moved to 0 on its K4 line
     sh_edge = Code.from_mask(params, code.mask ^ 0b110011)  # 1, 4 trade last digits: 0, 5
     short = Code.from_mask(params, code.mask ^ 0b10)
-    graph = doob_graph(params)
-    for g in (None, graph):
-        assert code.is_mds(g)
-        code.assert_mds(g)
-        for bad, text in [
-            (k4_line, "x: adjacent members 0 and 4"),
-            (sh_edge, "x: adjacent members 0 and 16"),
-            (short, "x: 63 members, expected 64"),
-        ]:
-            assert not bad.is_mds(g)
-            with pytest.raises(ConsistencyError) as info:
-                bad.assert_mds(g, context="x")
-            assert str(info.value) == text
+    assert code.is_mds()
+    code.assert_mds()
+    for bad, text in [
+        (k4_line, "x: adjacent members 0 and 4"),
+        (sh_edge, "x: adjacent members 0 and 16"),
+        (short, "x: 63 members, expected 64"),
+    ]:
+        assert not bad.is_mds()
+        with pytest.raises(ConsistencyError) as info:
+            bad.assert_mds(context="x")
+        assert str(info.value) == text
     # sh_edge meets every K4 line once, so only a Shrikhande shift rejects it.
     kernel = codes._line_cover(params.m, params.n)
     assert codes._mds_by_line_cover(sh_edge.mask, (kernel[0], ()))
     assert not codes._mds_by_line_cover(k4_line.mask, (kernel[0], ()))
-    # A graph of other parameters is refused whenever the size is right.
-    for wrong in (sh_graph, rook_graph):
-        for bad in (code, sh_edge):
-            with pytest.raises(ParameterMismatchError):
-                bad.is_mds(wrong)
-            with pytest.raises(ParameterMismatchError):
-                bad.assert_mds(wrong)
-    with pytest.raises(ParameterMismatchError):
-        code.is_independent(rook_graph)
-    assert not short.is_mds(rook_graph)  # the size decides before the graph is resolved
 
 
 def test_line_cover_kernel_is_cached_per_parameters():

@@ -27,7 +27,9 @@ from doobmds import (
     encode_vertex,
     shrikhande,
 )
+from doobmds.codes import _first_pair, _independent
 from doobmds.graphs import (
+    MAX_WORD_LENGTH,
     SHRIKHANDE_CONNECTION_SET,
     _edge_shifts,
     cartesian_product,
@@ -221,12 +223,24 @@ def test_desk_scale_guard():
     with pytest.raises(DeskScaleError) as from_shifts:
         _edge_shifts(3, 1)
     assert str(from_graph.value) == str(from_check.value) == str(from_shifts.value) == (
-        "D(3,1) has 4^7 = 16384 vertices, over the desk-scale limit 4096"
+        "D(3,1) has 4^7 vertices, over the desk-scale limit 4096"
     )
-    with pytest.raises(DeskScaleError, match="16384"):
+    with pytest.raises(DeskScaleError) as info:
         check_desk_scale(DoobParams(0, 7))
+    assert str(info.value) == "D(0,7) has 4^7 vertices, over the desk-scale limit 4096"
     check_desk_scale(DoobParams(3, 0))  # 4096 exactly is allowed
-    assert DESK_SCALE_LIMIT == 4096
+    assert DESK_SCALE_LIMIT == 4**MAX_WORD_LENGTH == 4096
+
+
+def test_desk_scale_guard_computes_no_vertex_count():
+    # 4^(2 * 10^12) would not fit in memory; the guard reads the word length only.
+    params = DoobParams(10**12, 0)
+    with pytest.raises(DeskScaleError) as info:
+        check_desk_scale(params)
+    assert str(info.value) == (
+        "D(1000000000000,0) has 4^2000000000000 vertices, over the desk-scale limit 4096"
+    )
+    assert "vertex_count" not in vars(params)
 
 
 def test_cartesian_product_rule(sh_graph):
@@ -339,9 +353,9 @@ def shift_edges(graph):
 
 
 def check_random_sets(graph, params, edges, seed):
-    """Code.is_independent on graph agrees with a pair test over edges, on
-    random vertex sets and on random independent sets with and without one
-    extra vertex."""
+    """The independence kernel on graph's edge shifts, and Code.is_independent
+    on D(m,n)'s, agree with a pair test over edges, on random vertex sets and
+    on random independent sets with and without one extra vertex."""
     rng = random.Random(seed)
     outcomes = set()
     for trial in range(300):
@@ -356,7 +370,8 @@ def check_random_sets(graph, params, edges, seed):
                 kept.append(members[-1])
             members = set(kept)
         independent = not any((u, w) in edges for u in members for w in members)
-        assert Code(params, tuple(sorted(members))).is_independent(graph) == independent
+        code = Code(params, tuple(sorted(members)))
+        assert _independent(code.mask, graph.edge_shifts) == code.is_independent() == independent
         outcomes.add(independent)
     assert outcomes == {True, False}
 
@@ -415,7 +430,8 @@ def test_edge_shifts_on_one_sided_adjacency(sh_graph, keep):
     check_random_sets(one_sided, params, oracle_edges_by_index(1, 0), seed=len(keep))
     u, w = min(oracle_edges_by_index(1, 0))
     spread = Code(params, tuple(sorted({u, w, 10, 15})))
-    pair = spread.first_adjacent_pair(one_sided)
+    pair = _first_pair(spread.mask, one_sided.edge_shifts)
+    assert pair == spread.first_adjacent_pair()
     assert pair is not None and (min(pair), max(pair)) in oracle_edges_by_index(1, 0)
     with pytest.raises(ConsistencyError, match=f"adjacent members {pair[0]} and {pair[1]}"):
-        spread.assert_mds(one_sided)
+        spread.assert_mds()

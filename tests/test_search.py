@@ -98,7 +98,8 @@ def test_every_enumerated_code_is_verified(codes_by_params):
         enumerated[key] = enumerate_mds(DoobParams(*key)).codes
     for key, codes in enumerated.items():
         graph = doob_graph(DoobParams(*key))
-        assert all(code.is_mds(graph) for code in codes), key
+        assert all(code.is_mds() for code in codes), key
+        assert all(oracles.is_mds_by_edge_shifts(code, graph) for code in codes), key
 
 
 def test_enumeration_does_not_recheck_its_codes(monkeypatch):
@@ -265,6 +266,19 @@ def test_split_guard_refuses_a_rest_past_word_length_4(m, n, rest):
     with pytest.raises(DeskScaleError, match=message):
         count_mds(DoobParams(m, n))
     with pytest.raises(DeskScaleError, match=message):
+        enumerate_mds(DoobParams(m, n))
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (0, 5), (3, 0)])
+def test_enumeration_guard_refuses_past_word_length_4(monkeypatch, m, n):
+    # Each rest passes the split guard, and each graph has millions of codes
+    # (D(3,0) at least 2^32), so enumerate_mds refuses before any search.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumeration searched something")
+
+    monkeypatch.setattr(search, "_orbit_trees", refuse)
+    monkeypatch.setattr(search, "_assemble", refuse)
+    with pytest.raises(DeskScaleError, match=re.escape(f"the codes of D({m},{n}) are too many")):
         enumerate_mds(DoobParams(m, n))
 
 
