@@ -123,8 +123,12 @@ class Code:
 
     @classmethod
     def from_mask(cls, params: DoobParams, mask: int) -> "Code":
-        """The code whose members are the set bits of mask."""
-        return cls(params, mask=mask)
+        """The code whose members are the set bits of mask: __init__'s work
+        without its keyword call."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "params", params)
+        code.__post_init__(None, mask)
+        return code
 
     @classmethod
     def from_members(cls, params: DoobParams, members: Iterable[int]) -> "Code":
@@ -241,12 +245,13 @@ def _first_pair(mask: int, shifts) -> Optional[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _line_base(vertex_count: int) -> int:
-    """4i - 48 in byte i for each K4 line i of vertex_count <= 256 vertices,
-    so that adding the ASCII place "0"-"3" of line i's member gives 4i + place."""
+def _line_layout(vertex_count: int) -> tuple[str, int]:
+    """The format spec of the mask's hex digits, one per K4 line of
+    vertex_count <= 256 vertices, and 4i - 48 in byte i for each line i, so
+    that adding the ASCII place "0"-"3" of line i's member gives 4i + place."""
     lines = vertex_count // 4
     starts = int.from_bytes(bytes(range(0, vertex_count, 4)), "little")
-    return starts - int.from_bytes(b"0" * lines, "little")
+    return f"0{lines}x", starts - int.from_bytes(b"0" * lines, "little")
 
 
 def _line_members(mask: int, vertex_count: int) -> Optional[tuple[int, ...]]:
@@ -256,13 +261,14 @@ def _line_members(mask: int, vertex_count: int) -> Optional[tuple[int, ...]]:
 
     Hex digit i of the mask is line i's word; _K4_DIGIT gives the place of
     its one member, and one int addition adds each line's base 4i to it.
+    The digits are written most significant first, so read big-endian.
     """
-    lines = vertex_count // 4
-    places = format(mask, f"0{lines}x")[::-1].encode().translate(_K4_DIGIT)
+    spec, base = _line_layout(vertex_count)
+    places = format(mask, spec).encode().translate(_K4_DIGIT)
     if b"x" in places:
         return None
-    members = int.from_bytes(places, "little") + _line_base(vertex_count)
-    return tuple(members.to_bytes(lines, "little"))
+    members = int.from_bytes(places, "big") + base
+    return tuple(members.to_bytes(vertex_count // 4, "little"))
 
 
 @lru_cache(maxsize=None)

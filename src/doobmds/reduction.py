@@ -18,13 +18,27 @@ The last Shrikhande digit s is index bits 2n..2n+3.  A few delta swaps on
 the mask, each exchanging two index bits, move it to index bits 0..3, so
 that every fiber is one 16-bit word of the mask with bit s for value s; a
 Shrikhande code's mask is such a word, and so is its partner's.  The words
-are read through a memoryview of the mask's bytes, mapped through the table,
-and the swaps are undone on the result.  The input is checked to be a
-maximum independent set first, so every fiber is one of the 16 Shrikhande
-codes, the table's whole domain, and no word lacks a partner.  All m steps
-of a full reduction run on the int, and one Code is built at the end.
+are read two at a time, as 32-bit words through a memoryview of the mask's
+bytes, and each pair is looked up in one table of the 256 pairs of
+Shrikhande codes; D(1,0), a single word, is read as one 16-bit word and
+looked up among the 16 single codes in the same table.  Both words of a
+pair key are nonzero, so it is at least 2^16 and above every single key.
+The swaps are undone on the result.  All m steps of a full reduction run on
+the int, from one plan per (m, n), and one Code is built at the end.
 Permuting Shrikhande coordinates permutes 4-bit groups of index bits, so it
 is the same delta swaps with other index bits.
+
+The lookups are reduce_sh_coordinates' check of its input.  A code whose
+every lookup succeeds, and which meets every line of its n K4 directions,
+is a maximum independent set: each step finds a Shrikhande code in every
+fiber, so the code has no edge along that coordinate, and the first step
+gives it code_size members; the table preserves meeting, so a step keeps or
+removes no edge along any other coordinate; and code_size members meeting
+every K4 line of a direction hold one on each, so no K4 edge joins two.  A
+maximum independent set passes all of this, so on any other input a lookup
+fails or a line is missed, and the input's assert_mds names the fault.
+reduce_last_sh_coordinate reduces one coordinate of several and checks its
+input with assert_mds first.
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from functools import cached_property, lru_cache
 from sys import byteorder
 from typing import Optional, Sequence
 
-from .codes import Code
+from .codes import Code, _line_cover, _mds_by_line_cover
 from .errors import ConsistencyError
 from .graphs import DoobParams, _FrozenRecord
 from .search import enumerate_mds
@@ -63,14 +77,24 @@ class PairingTable(_FrozenRecord):
 
     @cached_property
     def partner_words(self) -> dict[int, bytes]:
-        """The mask of each domain code, mapped to its partner's as two bytes
-        in native order.  Both masks are 16-bit words: bit s of a Shrikhande
-        code's mask is vertex s, and bit z = 4a + b of a K4-pair code's is the
-        pair of K4 values (a, b)."""
-        return {
-            dom.mask: img.mask.to_bytes(2, byteorder)
+        """Fiber words, one or two at a time, mapped to their partners' bytes
+        in native order.
+
+        Both masks of a pair are 16-bit words: bit s of a Shrikhande code's
+        mask is vertex s, and bit z = 4a + b of a K4-pair code's is the pair
+        of K4 values (a, b).  The 16 single keys are the domain masks, and
+        the 256 pair keys are two domain masks' native bytes read as one
+        32-bit word, mapped to their partners' four bytes.
+        """
+        words = [
+            (dom.mask.to_bytes(2, byteorder), img.mask.to_bytes(2, byteorder))
             for dom, img in zip(self.domain, self.image)
-        }
+        ]
+        table = {int.from_bytes(dom, byteorder): img for dom, img in words}
+        for low, low_image in words:
+            for high, high_image in words:
+                table[int.from_bytes(low + high, byteorder)] = low_image + high_image
+        return table
 
 
 @lru_cache(maxsize=None)
@@ -161,15 +185,6 @@ def _exchanges(entries: list, targets) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _fiber_swaps(vertex_count: int, n: int) -> tuple[tuple, tuple]:
-    """Delta swaps that move the last Shrikhande digit, index bits 2n..2n+3 of
-    D(m,n), to bits 0..3 in order, and the same swaps reversed, which undo them."""
-    pairs = _exchanges(list(range(2 * n + 4)), range(2 * n, 2 * n + 4))
-    swaps = _delta_swaps(vertex_count, pairs)
-    return swaps, swaps[::-1]
-
-
-@lru_cache(maxsize=None)
 def _slot_swaps(vertex_count: int, m: int, n: int, perm: tuple[int, ...]) -> tuple:
     """Delta swaps that move old Shrikhande coordinate perm[p] to slot p.
 
@@ -184,13 +199,36 @@ def _slot_swaps(vertex_count: int, m: int, n: int, perm: tuple[int, ...]) -> tup
     return _delta_swaps(vertex_count, pairs)
 
 
-def _reduce_mask(mask: int, vertex_count: int, n: int, partners: dict) -> int:
-    """The mask after one reduction step of a code over D(m,n) with
-    vertex_count vertices: every fiber at the last Shrikhande coordinate is
-    replaced by its partner."""
-    into, back = _fiber_swaps(vertex_count, n)
+@lru_cache(maxsize=None)
+def _plan(m: int, n: int) -> tuple[tuple, tuple]:
+    """(steps, lines) for reducing codes of D(m,n), m >= 1.
+
+    steps[i] is (into, back, length, format, params) for the step from
+    D(m-i, n+2i) to params = D(m-i-1, n+2i+2): delta swaps that move that
+    graph's last Shrikhande digit to index bits 0..3 in order, the same
+    swaps reversed, which undo them, and the mask's byte length and the
+    memoryview format its fiber words are read in.  lines is the line-cover
+    kernel of D(m,n)'s n K4 directions, with no Shrikhande edges.
+    """
+    params = DoobParams(m, n)
+    length = params.vertex_count // 8
+    form = "I" if length % 4 == 0 else "H"  # D(1,0) is one 16-bit word
+    steps = []
+    for step in range(m):
+        k = n + 2 * step  # K4 coordinates before the step
+        pairs = _exchanges(list(range(2 * k + 4)), range(2 * k, 2 * k + 4))
+        swaps = _delta_swaps(params.vertex_count, pairs)
+        steps.append((swaps, swaps[::-1], length, form, DoobParams(m - 1 - step, k + 2)))
+    return tuple(steps), (_line_cover(m, n)[0], ())
+
+
+def _reduce_mask(mask: int, step, partners: dict) -> int:
+    """The mask after one reduction step (a step of _plan): every fiber at
+    the last Shrikhande coordinate is replaced by its partner.  Raises
+    KeyError if some fiber is not a Shrikhande code."""
+    into, back, length, form, _ = step
     mask = _swap_index_bits(mask, into)
-    words = memoryview(mask.to_bytes(vertex_count // 8, byteorder)).cast("H")
+    words = memoryview(mask.to_bytes(length, byteorder)).cast(form)
     images = b"".join(map(partners.__getitem__, words))
     return _swap_index_bits(int.from_bytes(images, byteorder), back)
 
@@ -208,16 +246,9 @@ def reduce_last_sh_coordinate(code: Code) -> Code:
     if params.m < 1:
         raise ValueError("code has no Shrikhande coordinate to reduce")
     code.assert_mds(context="reduction input")
-    partners = derive_pairing().partner_words
-    mask = _reduce_mask(code.mask, params.vertex_count, params.n, partners)
-    return Code.from_mask(_params(params.m - 1, params.n + 2), mask)
-
-
-@lru_cache(maxsize=None)
-def _params(m: int, n: int) -> DoobParams:
-    """D(m,n), one object per (m, n), whose vertex_count and code_size are
-    computed once."""
-    return DoobParams(m, n)
+    step = _plan(params.m, params.n)[0][0]
+    mask = _reduce_mask(code.mask, step, derive_pairing().partner_words)
+    return Code.from_mask(step[-1], mask)
 
 
 def permute_sh_coordinates(code: Code, perm: Sequence[int]) -> Code:
@@ -237,7 +268,9 @@ def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> 
 
     order lists original Shrikhande coordinate positions in the order they
     are consumed; default is last first (m-1, m-2, ..., 0).  Different orders
-    can produce different results.
+    can produce different results.  The input must be a maximum independent
+    set; the steps' own lookups and a K4 line cover check that it is, and
+    any other input raises the ConsistencyError of its assert_mds.
     """
     params = code.params
     m = params.m
@@ -247,13 +280,18 @@ def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> 
             raise ValueError(f"{order!r} is not a permutation of the {m} Shrikhande coordinates")
         # Arrange slots so that last-coordinate steps consume them in order.
         code = permute_sh_coordinates(code, order[::-1])
-    # Checked once: each step maps a maximum independent set to another.
-    code.assert_mds(context="reduction input")
     if m == 0:
+        code.assert_mds(context="reduction input")
         return code
+    steps, lines = _plan(m, params.n)
     partners = derive_pairing().partner_words
-    size, n = params.vertex_count, params.n
     mask = code.mask
-    for step in range(m):
-        mask = _reduce_mask(mask, size, n + 2 * step, partners)
-    return Code.from_mask(_params(0, n + 2 * m), mask)
+    try:
+        for step in steps:
+            mask = _reduce_mask(mask, step, partners)
+    except KeyError:  # a fiber that is no Shrikhande code
+        mask = None
+    if mask is None or not _mds_by_line_cover(code.mask, lines):
+        code.assert_mds(context="reduction input")
+        raise ConsistencyError("reduction input: passed assert_mds but not the pairing table")
+    return Code.from_mask(steps[-1][-1], mask)

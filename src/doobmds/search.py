@@ -306,10 +306,17 @@ def _lexicographic_key(size: int):
 
     Of two such codes, the one holding the lowest vertex where they differ
     has the smaller member tuple; reversing the size bits puts that vertex
-    at the highest differing bit, where that code has a 1.
+    at the highest differing bit, where that code has a 1.  The bits are
+    reversed a byte at a time: each byte of the little-endian bytes through
+    a table of reversed bytes, read big-endian, then shifted past the
+    padding of the last byte (D(0,1) has 4 vertices).
     """
-    spec = f"0{size}b"
-    return lambda mask: int(format(mask, spec)[::-1], 2)
+    reversed_bytes = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+    length = (size + 7) // 8
+    padding = 8 * length - size
+    return lambda mask: (
+        int.from_bytes(mask.to_bytes(length, "little").translate(reversed_bytes), "big") >> padding
+    )
 
 
 def enumerate_mds(params: DoobParams) -> EnumerationResult:

@@ -18,7 +18,8 @@ from doobmds import (
     reduce_sh_coordinates,
     sh_codes,
 )
-from doobmds.parity import rule_domain_size
+from doobmds import reduction
+from doobmds.parity import rule_domain_size, rule_from_hex
 
 import oracles
 
@@ -195,25 +196,116 @@ def test_reduction_matches_member_by_member_reference(codes_by_params, m, n):
             assert reduced.params == DoobParams(0, n + 2 * m)
 
 
-def test_reduction_checks_its_input_once(codes_by_params, monkeypatch):
-    """A two-step reduction verifies the D(2,0) input, not the D(1,2) code in between."""
-    checked = []
-    assert_mds = Code.assert_mds
+def test_valid_input_is_checked_by_the_table_alone(codes_by_params, monkeypatch):
+    """A valid D(2,0) code, reduced in either order, runs no assert_mds, and
+    no Code is built over the D(1,2) in between, so nothing checks it."""
+    checked, built = [], []
+    assert_mds, post_init = Code.assert_mds, vars(Code)["__post_init__"]
 
-    def counting(self, *args, **kwargs):
+    def counting_check(self, *args, **kwargs):
         checked.append(self.params)
         return assert_mds(self, *args, **kwargs)
 
-    monkeypatch.setattr(Code, "assert_mds", counting)
+    def counting_build(self, *args):
+        built.append(self.params)
+        return post_init(self, *args)
+
+    monkeypatch.setattr(Code, "assert_mds", counting_check)
+    monkeypatch.setattr(Code, "__post_init__", counting_build)
     for code in codes_by_params[(2, 0)][:50]:
         for order in [(1, 0), (0, 1)]:
-            checked.clear()
-            reduced = reduce_sh_coordinates(code, order=order)
-            assert checked == [DoobParams(2, 0)]
-            assert reduced.params == DoobParams(0, 4)
-    checked.clear()
+            assert reduce_sh_coordinates(code, order=order).params == DoobParams(0, 4)
+    assert checked == []
+    assert DoobParams(1, 2) not in built
     reduce_last_sh_coordinate(codes_by_params[(2, 0)][0])
     assert checked == [DoobParams(2, 0)]  # the public single step still checks
+
+
+def reduction_outcome(code, order=None):
+    """The ConsistencyError message of reduce_sh_coordinates, or None."""
+    try:
+        reduce_sh_coordinates(code, order=order)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def assert_mds_outcome(code, order=None):
+    """The ConsistencyError message of assert_mds on the input as the
+    reduction arranges it for order, or None."""
+    if order is not None:
+        code = permute_sh_coordinates(code, tuple(order)[::-1])
+    try:
+        code.assert_mds(context="reduction input")
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def moved_member(code, v, w):
+    """code with member v moved to vertex w (merged into w if w is a member)."""
+    return Code.from_mask(code.params, code.mask & ~(1 << v) | 1 << w)
+
+
+def test_table_check_agrees_with_assert_mds_on_d11(codes_by_params):
+    # Every D(1,1) code with its last fiber (K4 value 3) at the Shrikhande
+    # coordinate replaced by each Shrikhande code: every lookup succeeds, and
+    # only the K4 line cover can fail.  Then each member moved along each
+    # index bit.
+    params = DoobParams(1, 1)
+    last = sum(1 << (4 * s + 3) for s in range(16))
+    spread = [sum(1 << (4 * s + 3) for s in fiber.members) for fiber in sh_codes()]
+    raised = passed = 0
+    for code in codes_by_params[(1, 1)]:
+        inputs = [Code.from_mask(params, code.mask & ~last | fiber) for fiber in spread]
+        inputs += [moved_member(code, v, v ^ 1 << b) for v in code.members for b in range(6)]
+        for bad in inputs:
+            expected = assert_mds_outcome(bad)
+            assert reduction_outcome(bad) == expected, bad
+            raised += expected is not None
+            passed += expected is None
+    assert raised and passed
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 0)])
+def test_table_check_agrees_with_assert_mds_on_samples(codes_by_params, m, n):
+    params = DoobParams(m, n)
+    codes = codes_by_params[(m, n)] if (m, n) in codes_by_params else enumerate_mds(params).codes
+    rng = random.Random(100 * m + n)
+    orders = [None] + list(itertools.permutations(range(m)))
+    for code in rng.sample(codes, 60):
+        v = rng.choice(code.members)
+        inputs = [code, moved_member(code, v, rng.randrange(params.vertex_count))]
+        inputs += [moved_member(code, v, v ^ 1 << b) for b in range(params.vertex_count.bit_length() - 1)]
+        for bad in inputs:
+            for order in orders:
+                assert reduction_outcome(bad, order) == assert_mds_outcome(bad, order)
+
+
+def test_a_later_step_catches_a_repeated_row():
+    """Row 1 of a D(2,0) parity code set to row 0: every fiber at the last
+    Shrikhande coordinate is still a Shrikhande code, so the first step's
+    lookups succeed, and the second step's fail."""
+    params = DoobParams(2, 0)
+    code = build_parity_code(rule_from_hex(params, "c3a5"))
+    row0 = code.mask & 0xFFFF
+    bad = Code.from_mask(params, code.mask & ~(0xFFFF << 16) | row0 << 16)
+    first, second = reduction._plan(2, 0)[0]
+    partners = derive_pairing().partner_words
+    after_first = reduction._reduce_mask(bad.mask, first, partners)
+    with pytest.raises(KeyError):
+        reduction._reduce_mask(after_first, second, partners)
+    with pytest.raises(ConsistencyError, match=r"^reduction input: adjacent members 1 and 17$"):
+        reduce_sh_coordinates(bad)
+    assert reduction_outcome(bad) == assert_mds_outcome(bad)
+
+
+def test_table_check_on_pure_k4_input():
+    # No Shrikhande coordinate: assert_mds is the whole check.
+    params = DoobParams(0, 2)
+    for mask in (0, 1, 0b1000_0100_0010_0001, 0b0001_0001_0001_0001, 0b1000_0100_0010_0011):
+        bad = Code.from_mask(params, mask)
+        assert reduction_outcome(bad) == assert_mds_outcome(bad)
 
 
 # Strides 4^n of 1, 4, 16, 64 and 256, each with several rows (prefixes).
