@@ -61,55 +61,7 @@ _SOURCES = {
     "orbits_of_codes": "symmetry",
 }
 
-__all__ = [
-    "__version__",
-    "AutomorphismGroup",
-    "BoundsReport",
-    "Code",
-    "ConsistencyError",
-    "DESK_SCALE_LIMIT",
-    "DeskScaleError",
-    "DoobError",
-    "DoobParams",
-    "DoobVertex",
-    "EnumerationResult",
-    "EssentialClassCount",
-    "FormatError",
-    "Graph",
-    "OrbitPartition",
-    "PairingTable",
-    "ParameterMismatchError",
-    "ParityRule",
-    "apply_perm_to_code",
-    "bounds_report",
-    "build_parity_code",
-    "canonical_json",
-    "check_desk_scale",
-    "code_from_obj",
-    "code_to_obj",
-    "complete_graph",
-    "count_essential_classes",
-    "count_mds",
-    "decode_vertex",
-    "derive_pairing",
-    "doob_graph",
-    "doob_symmetries",
-    "dump_code",
-    "encode_vertex",
-    "enumerate_mds",
-    "graph_from_predicate",
-    "k4_pair_codes",
-    "load_code",
-    "orbits_of_codes",
-    "permute_sh_coordinates",
-    "read_code",
-    "reduce_last_sh_coordinate",
-    "reduce_sh_coordinates",
-    "representative_rules",
-    "sh_codes",
-    "shrikhande",
-    "write_code",
-]
+__all__ = ["__version__", *_SOURCES]
 
 
 def __getattr__(name):

@@ -83,7 +83,12 @@ def _manifest_obj(params: DoobParams, count: int) -> dict:
 
 
 def _cached_count(directory: Path, params: DoobParams):
-    """Count from a valid cache directory, or None to recompute."""
+    """Count from a valid cache directory, or None to recompute.
+
+    The manifest's count is taken only if it is an int equal to count_mds,
+    and as many code files are there: a cache is listed only up to word
+    length 4, where counting takes milliseconds.
+    """
     import json
 
     manifest_path = directory / "manifest.json"
@@ -97,12 +102,13 @@ def _cached_count(directory: Path, params: DoobParams):
     if (
         manifest.get("tool_version") != __version__
         or manifest.get("params") != [params.m, params.n]
-        or not isinstance(count, int)
+        or type(count) is not int
+        or len(list(directory.glob("code_*.code"))) != count
     ):
         return None
-    if len(list(directory.glob("code_*.code"))) != count:
-        return None
-    return count
+    from .search import count_mds
+
+    return count if count == count_mds(params) else None
 
 
 def _write_files(directory: Path, params: DoobParams, codes):

@@ -30,7 +30,8 @@ when n = 0.  So a canonical dump over D(m,n) is a fixed text, built once per
 (m, n), except at the last coordinate's digits.  The text must equal that
 template with those digits zeroed; the digits then give each fiber's word in
 hex (a K4 value v is the digit 1 << v, an Sh fiber's eight digits are looked
-up among the 16 codes), and one int() of the hex is the code's mask.  Any
+up among the 16 codes, which graphs.independent_sets_of_size lists, as it
+does for the search), and one int() of the hex is the code's mask.  Any
 other text, including every set of members that is not fibered so, goes
 through the full JSON parse and validation, which also gives every error
 message; both ways give the same code for the same document.  dump_code
@@ -67,35 +68,43 @@ from __future__ import annotations
 import json
 import os
 from functools import lru_cache
-from itertools import combinations, compress, count
+from itertools import compress, count
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, FormatError
-from .graphs import MAX_WORD_LENGTH, DoobParams, DoobVertex, _edge_shifts, decode_vertex, encode_vertex
+from .graphs import (
+    MAX_WORD_LENGTH,
+    DoobParams,
+    DoobVertex,
+    _edge_shifts,
+    _FrozenRecord,
+    decode_vertex,
+    encode_vertex,
+    independent_sets_of_size,
+    shrikhande,
+)
 
 
 class Code:
     """An immutable vertex subset of D(m,n), stored as its membership mask.
 
     Code(params, members) validates a strictly increasing sequence of vertex
-    indices and keeps it as given; Code.from_mask(params, mask) checks only
-    the mask's type, sign and width.  Both run __post_init__.  Equality and
-    hashing use (params, mask), and a mask-built code derives its members
-    tuple from the mask on first read.
+    indices and keeps it as given; Code.from_mask(params, mask), the one mask
+    constructor, checks only the mask's type, sign and width.  Both run
+    __post_init__.  Equality and hashing use (params, mask), and a mask-built
+    code derives its members tuple from the mask on first read.
     """
 
     __slots__ = ("params", "mask", "_members")
+    __setattr__ = _FrozenRecord.__setattr__
+    __delattr__ = _FrozenRecord.__delattr__
 
-    def __init__(
-        self, params: DoobParams, members: Optional[Sequence[int]] = None, *, mask=None
-    ):
+    def __init__(self, params: DoobParams, members: Sequence[int]):
         object.__setattr__(self, "params", params)
-        self.__post_init__(members, mask)
+        self.__post_init__(members, None)
 
     def __post_init__(self, members, mask):
         if mask is not None:
-            if members is not None:
-                raise TypeError("give a code's members or its mask, not both")
             if type(mask) is not int:
                 raise ValueError(f"mask {mask!r} is not an int")
             if mask < 0:
@@ -123,8 +132,7 @@ class Code:
 
     @classmethod
     def from_mask(cls, params: DoobParams, mask: int) -> "Code":
-        """The code whose members are the set bits of mask: __init__'s work
-        without its keyword call."""
+        """The code whose members are the set bits of mask."""
         code = object.__new__(cls)
         object.__setattr__(code, "params", params)
         code.__post_init__(None, mask)
@@ -148,16 +156,6 @@ class Code:
                 members = tuple(compress(count(), bit_bytes(self.mask, 0)))
             object.__setattr__(self, "_members", members)
         return members
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Code.from_mask, (self.params, self.mask)
@@ -295,10 +293,7 @@ def _mds_by_line_cover(mask: int, kernel) -> bool:
         hit = mask | mask >> s
         if (hit | hit >> double) & line != line:
             return False
-    for d, selector in shifts:
-        if (mask & selector) << d & mask:
-            return False
-    return True
+    return _independent(mask, shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +353,8 @@ def params_from_obj(obj) -> DoobParams:
             raise FormatError(f"missing key {key!r}")
         if not _plain_int(obj[key]) or obj[key] < 0:
             raise FormatError(f"key {key!r} must be a nonnegative integer")
-    # Before DoobParams, so no 4 ** (2m + n) is computed for parameters past desk scale.
+    # A rule table has 4^m 2^n bits and a code's mask 4^(2m + n), both sized from
+    # these; parameters past desk scale are a format error before either is.
     if 2 * obj["m"] + obj["n"] > MAX_WORD_LENGTH:
         raise FormatError(
             f"parameters m = {obj['m']}, n = {obj['n']} have word length 2m + n "
@@ -431,15 +427,12 @@ def _fiber_layout(m: int, n: int):
             for member in range(4)
             for offset in (width - 5, width - 3)
         )
-        sh_shifts = _edge_shifts(1, 0)
         table, spell = {}, {}
-        for members in combinations(range(16), 4):
-            mask = sum(1 << s for s in members)
-            if _independent(mask, sh_shifts):
-                fiber_hex = format(mask, "04x")
-                key = tuple(48 + digit for s in members for digit in divmod(s, 4))
-                table[key] = fiber_hex[::-1]
-                spell[tuple(fiber_hex[::-1].encode())] = bytes(key)
+        for members in independent_sets_of_size(shrikhande(), 4):
+            fiber_hex = format(sum(1 << s for s in members), "04x")
+            key = tuple(48 + digit for s in members for digit in divmod(s, 4))
+            table[key] = fiber_hex[::-1]
+            spell[tuple(fiber_hex[::-1].encode())] = bytes(key)
     # Any code of this layout will do: one fiber everywhere, repeated over
     # the code_size hex digits of a mask.  Its digits are then zeroed.
     code = Code.from_mask(params, int(fiber_hex * (params.code_size // len(fiber_hex)), 16))
@@ -507,15 +500,17 @@ def _load_canonical(data: bytes) -> Optional[Code]:
     return Code.from_mask(params, int(hexs[::-1], 16))
 
 
-def load_code(text: str) -> Code:
-    code = _load_canonical(text.encode()) if text.isascii() else None
-    if code is not None:
-        return code
+def _parse_json(text: str):
+    """The JSON document text, with any parse failure as a FormatError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise FormatError(f"invalid JSON: {exc}") from None
-    return code_from_obj(obj)
+
+
+def load_code(text: str) -> Code:
+    code = _load_canonical(text.encode()) if text.isascii() else None
+    return code_from_obj(_parse_json(text)) if code is None else code
 
 
 def write_code(code: Code, path):

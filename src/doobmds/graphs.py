@@ -10,6 +10,13 @@ rejected outright instead of degrading.  The check compares the word length
 The edge shifts of D(m,n), which the checks on codes read, are a closed form
 of (m, n) built from those of Sh and K4, so those checks build no product
 graph.
+
+Two kernels here serve several modules.  _repeat repeats a bit pattern in
+every block of a mask, by doubling: the edge shifts' selectors, the
+index-bit masks of the reduction's delta swaps and the packed selectors of
+the orbit search are all made by it.  independent_sets_of_size lists the codes of a single factor: the
+search's base case, and the 16 Shrikhande codes that canonical code files
+are read and written by.
 """
 
 from __future__ import annotations
@@ -302,17 +309,53 @@ def _edge_shifts(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """
     params = DoobParams(m, n)
     check_desk_scale(params)
-    every = (1 << params.vertex_count) - 1
     slots = [(4**j, complete_graph(4)) for j in range(n)]
     slots += [(4**n * 16**p, shrikhande()) for p in range(m)]
     pairs = []
     for s, factor in slots:
         q = factor.vertex_count
-        repeat = every // ((1 << q * s) - 1)  # a 1 at the start of each block of q s bits
         for d, selector in factor.edge_shifts:
             spread = sum(((1 << s) - 1) << x * s for x in range(q) if selector >> x & 1)
-            pairs.append((d * s, spread * repeat))
+            pairs.append((d * s, _repeat(spread, q * s, params.vertex_count)))
     return tuple(sorted(pairs))
+
+
+def _repeat(pattern: int, period: int, total: int) -> int:
+    """pattern, at most period bits wide, repeated every period bits through
+    total bits, a multiple of period.
+
+    By doubling: each OR of a shifted copy costs time linear in its width.
+    A product with a unit of total bits would cost the pattern's width times
+    that, which is an order of magnitude more for the 1024-bit selectors of
+    D(1,2) over 512 blocks.
+    """
+    out, width = pattern, period
+    while width < total:
+        out |= out << width
+        width *= 2
+    return out & (1 << total) - 1
+
+
+def independent_sets_of_size(graph: Graph, size: int) -> list[tuple[int, ...]]:
+    """All independent sets of exactly the given size, lexicographically ordered."""
+    n = graph.vertex_count
+    masks = graph.neighbor_masks
+    out = []
+    chosen = []
+
+    def walk(start, banned, need):
+        if need == 0:
+            out.append(tuple(chosen))
+            return
+        for v in range(start, n - need + 1):
+            if banned >> v & 1:
+                continue
+            chosen.append(v)
+            walk(v + 1, banned | masks[v] | 1 << v, need - 1)
+            chosen.pop()
+
+    walk(0, 0, size)
+    return out
 
 
 def encode_vertex(vertex: DoobVertex, params: DoobParams) -> int:

@@ -15,12 +15,11 @@ graph H(2m+n,4).
 
 from __future__ import annotations
 
-import json
 import operator
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .codes import Code, _read_text, canonical_json, params_from_obj
+from .codes import Code, _parse_json, _read_text, canonical_json, params_from_obj
 from .errors import DeskScaleError, FormatError
 from .graphs import DoobParams, _FrozenRecord, check_desk_scale, decode_vertex
 from .search import count_mds
@@ -30,6 +29,8 @@ _RULE_ENUMERATION_LIMIT = 16
 
 # Above this word length the class count 2^(2^(2m+n-1)) is left symbolic.
 _EXACT_CLASS_COUNT_LIMIT = 6
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def rule_domain_size(params: DoobParams) -> int:
@@ -214,14 +215,15 @@ def rule_from_obj(obj) -> ParityRule:
 
 
 def rule_from_hex(params: DoobParams, text: str) -> ParityRule:
-    """Inline hex form: the bit string read as a big-endian hex integer."""
+    """Inline hex form: the bit string read as a big-endian hex integer, in
+    hex digits only (int(text, 16) would also take a sign, "0x", "_" and
+    surrounding whitespace)."""
     check_desk_scale(params)  # before 2 ** size: size is 2^40 for D(20,0)
     size = rule_domain_size(params)
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise FormatError(f"not a hex string: {text!r}") from None
-    if value < 0 or value >= 2 ** size:
+    if not text or not set(text) <= _HEX_DIGITS:
+        raise FormatError(f"not a hex string: {text!r}")
+    value = int(text, 16)
+    if value >= 2 ** size:
         raise FormatError(f"hex value {text!r} out of range for a {size}-bit table")
     return ParityRule(params, _unpack_bits(value, size))
 
@@ -231,11 +233,7 @@ def dump_rule(rule: ParityRule) -> str:
 
 
 def load_rule(text: str) -> ParityRule:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
-        raise FormatError(f"invalid JSON: {exc}") from None
-    return rule_from_obj(obj)
+    return rule_from_obj(_parse_json(text))
 
 
 def write_rule(rule: ParityRule, path):

@@ -20,9 +20,10 @@ that every fiber is one 16-bit word of the mask with bit s for value s; a
 Shrikhande code's mask is such a word, and so is its partner's.  The words
 are read two at a time, as 32-bit words through a memoryview of the mask's
 bytes, and each pair is looked up in one table of the 256 pairs of
-Shrikhande codes; D(1,0), a single word, is read as one 16-bit word and
-looked up among the 16 single codes in the same table.  Both words of a
-pair key are nonzero, so it is at least 2^16 and above every single key.
+Shrikhande codes; D(1,0), a single word, is read zero-padded to one 32-bit
+word, whose value is that word's, and looked up among the 16 single codes in
+the same table.  Both words of a pair key are nonzero, so it is at least
+2^16 and above every single key.
 The swaps are undone on the result.  All m steps of a full reduction run on
 the int, from one plan per (m, n), and one Code is built at the end.
 Permuting Shrikhande coordinates permutes 4-bit groups of index bits, so it
@@ -49,7 +50,7 @@ from typing import Optional, Sequence
 
 from .codes import Code, _line_cover, _mds_by_line_cover
 from .errors import ConsistencyError
-from .graphs import DoobParams, _FrozenRecord
+from .graphs import DoobParams, _FrozenRecord, _repeat
 from .search import enumerate_mds
 
 
@@ -145,7 +146,7 @@ def derive_pairing() -> PairingTable:
 def _index_bit_set(bit: int, vertex_count: int) -> int:
     """The mask of the vertex indices below vertex_count that have the given bit."""
     half = 1 << bit
-    return (((1 << half) - 1) << half) * (((1 << vertex_count) - 1) // ((1 << 2 * half) - 1))
+    return _repeat(((1 << half) - 1) << half, 2 * half, vertex_count)
 
 
 def _delta_swaps(vertex_count: int, pairs: Sequence[tuple[int, int]]) -> tuple:
@@ -203,22 +204,22 @@ def _slot_swaps(vertex_count: int, m: int, n: int, perm: tuple[int, ...]) -> tup
 def _plan(m: int, n: int) -> tuple[tuple, tuple]:
     """(steps, lines) for reducing codes of D(m,n), m >= 1.
 
-    steps[i] is (into, back, length, format, params) for the step from
-    D(m-i, n+2i) to params = D(m-i-1, n+2i+2): delta swaps that move that
-    graph's last Shrikhande digit to index bits 0..3 in order, the same
-    swaps reversed, which undo them, and the mask's byte length and the
-    memoryview format its fiber words are read in.  lines is the line-cover
-    kernel of D(m,n)'s n K4 directions, with no Shrikhande edges.
+    steps[i] is (into, back, length, params) for the step from D(m-i, n+2i)
+    to params = D(m-i-1, n+2i+2): delta swaps that move that graph's last
+    Shrikhande digit to index bits 0..3 in order, the same swaps reversed,
+    which undo them, and the byte length the mask is read at, a multiple of
+    4, so that its fiber words are read two at a time as 32-bit words.
+    lines is the line-cover kernel of D(m,n)'s n K4 directions, with no
+    Shrikhande edges.
     """
     params = DoobParams(m, n)
-    length = params.vertex_count // 8
-    form = "I" if length % 4 == 0 else "H"  # D(1,0) is one 16-bit word
+    length = max(4, params.vertex_count // 8)  # D(1,0): one word, zero-padded
     steps = []
     for step in range(m):
         k = n + 2 * step  # K4 coordinates before the step
         pairs = _exchanges(list(range(2 * k + 4)), range(2 * k, 2 * k + 4))
         swaps = _delta_swaps(params.vertex_count, pairs)
-        steps.append((swaps, swaps[::-1], length, form, DoobParams(m - 1 - step, k + 2)))
+        steps.append((swaps, swaps[::-1], length, DoobParams(m - 1 - step, k + 2)))
     return tuple(steps), (_line_cover(m, n)[0], ())
 
 
@@ -226,9 +227,9 @@ def _reduce_mask(mask: int, step, partners: dict) -> int:
     """The mask after one reduction step (a step of _plan): every fiber at
     the last Shrikhande coordinate is replaced by its partner.  Raises
     KeyError if some fiber is not a Shrikhande code."""
-    into, back, length, form, _ = step
+    into, back, length, _ = step
     mask = _swap_index_bits(mask, into)
-    words = memoryview(mask.to_bytes(length, byteorder)).cast(form)
+    words = memoryview(mask.to_bytes(length, byteorder)).cast("I")
     images = b"".join(map(partners.__getitem__, words))
     return _swap_index_bits(int.from_bytes(images, byteorder), back)
 

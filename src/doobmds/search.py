@@ -64,10 +64,10 @@ import operator
 
 from .graphs import (
     DoobParams,
-    Graph,
     _FrozenRecord,
     check_desk_scale,
     complete_graph,
+    independent_sets_of_size,
     shrikhande,
 )
 from .symmetry import (
@@ -110,28 +110,6 @@ class EnumerationResult(_FrozenRecord):
     @property
     def count(self) -> int:
         return len(self.codes)
-
-
-def independent_sets_of_size(graph: Graph, size: int) -> list[tuple[int, ...]]:
-    """All independent sets of exactly the given size, lexicographically ordered."""
-    n = graph.vertex_count
-    masks = graph.neighbor_masks
-    out = []
-    chosen = []
-
-    def walk(start, banned, need):
-        if need == 0:
-            out.append(tuple(chosen))
-            return
-        for v in range(start, n - need + 1):
-            if banned >> v & 1:
-                continue
-            chosen.append(v)
-            walk(v + 1, banned | masks[v] | 1 << v, need - 1)
-            chosen.pop()
-
-    walk(0, 0, size)
-    return out
 
 
 def _decompose(params: DoobParams):
@@ -259,7 +237,7 @@ def _member_tuples(params: DoobParams) -> list[int]:
     if params.word_length > _LISTED_WORD_LENGTH:
         raise _too_many_to_list(f"the codes of {params} are")
     if rest is None:
-        return [_mask(t) for t in independent_sets_of_size(factor, params.code_size)]
+        return [sum(1 << v for v in t) for t in independent_sets_of_size(factor, params.code_size)]
     sub_masks = _member_tuples(rest)
     plans = _generator_plans(rest)
     trees, parent, via = _orbit_trees(sub_masks, plans)
@@ -291,13 +269,6 @@ def _member_tuples(params: DoobParams) -> list[int]:
             start[j] = len(out)
             out += [_apply_plan(plan, mask) for mask in out[source : source + size]]
     return out
-
-
-def _mask(members) -> int:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    return mask
 
 
 def _lexicographic_key(size: int):

@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import ConsistencyError, ParameterMismatchError
-from .graphs import DoobParams, _FrozenRecord
+from .graphs import DoobParams, _FrozenRecord, _repeat
 
 Perm = tuple[int, ...]
 
@@ -205,15 +205,6 @@ def _apply_plan(plan, mask: int) -> int:
     return image
 
 
-def _repeated(selector: int, bits: int, blocks: int) -> int:
-    """selector repeated in at least blocks blocks of bits bits, by doubling."""
-    out, filled = selector, 1
-    while filled < blocks:
-        out |= out << filled * bits
-        filled *= 2
-    return out
-
-
 def _image_positions(masks: Sequence[int], plans) -> array:
     """Position in masks of the image of masks[i] under plans[k], at index
     i * len(plans) + k, by the packed action; -1 for an image outside the
@@ -236,14 +227,12 @@ def _image_positions(masks: Sequence[int], plans) -> array:
     first = itemgetter(0)
     little, outside = repeat("little"), repeat(-1)
     images = array("i", [-1]) * (count * len(plans))
+    total = 8 * size * min(count, _PACK)
     for k, plan in enumerate(plans):
-        repeated = [(_repeated(sel, 8 * size, min(count, _PACK)), shift) for sel, shift in plan]
+        repeated = [(_repeat(sel, 8 * size, total), shift) for sel, shift in plan]
         found = array("i")
         for length, chunk in packed:
-            image = 0
-            for sel, shift in repeated:
-                part = chunk & sel
-                image |= part << shift if shift >= 0 else part >> -shift
+            image = _apply_plan(repeated, chunk)
             blocks = map(first, split(image.to_bytes(length, "little")))
             found.extend(map(position.get, map(int.from_bytes, blocks, little), outside))
         images[k :: len(plans)] = found

@@ -159,6 +159,27 @@ def test_enumerate_stale_file_count_recomputes(capsys):
     assert len(list((cache_root() / "d0_2").glob("code_*.code"))) == 24
 
 
+@pytest.mark.parametrize("claimed, kept", [(True, 1), (5, 5)], ids=["true", "as-many-files"])
+def test_enumerate_cache_count_is_checked_against_the_search(capsys, claimed, kept):
+    # A manifest count is a hit only if it is an int equal to the true count:
+    # not true with one file left, nor any N with N files left.
+    run(capsys, "enumerate", "1", "1")
+    directory = cache_root() / "d1_1"
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for path in sorted(directory.glob("code_*.code"))[kept:]:
+        path.unlink()
+    manifest_path.write_text(canonical_json({**manifest, "count": claimed}))
+    code, out, err = run(capsys, "enumerate", "1", "1")
+    assert (code, out) == (0, "240\n")
+    assert "enumerated" in err
+    assert json.loads(manifest_path.read_text()) == manifest
+    assert len(list(directory.glob("code_*.code"))) == 240
+    code, out, err = run(capsys, "enumerate", "1", "1")
+    assert (code, out) == (0, "240\n")
+    assert "reused cache" in err
+
+
 def test_enumerate_guard_and_bad_input(capsys):
     code, _, err = run(capsys, "enumerate", "0", "7", "--count-only")
     assert code == 2 and err.startswith("error:")
@@ -418,6 +439,10 @@ def test_lambda_input_errors(tmp_path, capsys):
     assert run(capsys, "lambda", str(rule_path), "--inline", "1", "0", "0")[0] == 3
     assert run(capsys, "lambda", "--inline", "1", "0", "zz")[0] == 3
     assert run(capsys, "lambda", "--inline", "1", "0", "100")[0] == 3
+    # int(text, 16) takes all of these; the inline rule is hex digits only.
+    for text in ("c_3a5", "0xc3a5", " c3a5", "+c3a5", "-0", ""):
+        code, out, err = run(capsys, "lambda", "--inline", "1", "2", text)
+        assert (code, out, err) == (3, "", f"error: not a hex string: {text!r}\n")
     assert run(capsys, "lambda", str(tmp_path / "absent.json"))[0] == 3
 
 

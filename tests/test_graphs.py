@@ -32,9 +32,11 @@ from doobmds.graphs import (
     MAX_WORD_LENGTH,
     SHRIKHANDE_CONNECTION_SET,
     _edge_shifts,
+    _repeat,
     cartesian_product,
     sh_index,
 )
+from doobmds.symmetry import _PACK
 
 import oracles
 from oracles import (
@@ -435,3 +437,32 @@ def test_edge_shifts_on_one_sided_adjacency(sh_graph, keep):
     assert pair is not None and (min(pair), max(pair)) in oracle_edges_by_index(1, 0)
     with pytest.raises(ConsistencyError, match=f"adjacent members {pair[0]} and {pair[1]}"):
         spread.assert_mds()
+
+
+def doubled(pattern, period, blocks):
+    """pattern in at least blocks blocks of period bits, by doubling, with
+    no cut at the last block: enough for the packed orbit action, which
+    only ANDs a repeated selector with masks of blocks blocks."""
+    out, filled = pattern, 1
+    while filled < blocks:
+        out |= out << filled * period
+        filled *= 2
+    return out
+
+
+def repeated_bit_by_bit(pattern, period, total):
+    """Bit t is bit t mod period of pattern, for t < total."""
+    bits = [pattern >> t % period & 1 for t in range(total)]
+    return int("".join(map(str, reversed(bits))), 2)
+
+
+@pytest.mark.parametrize("period", [1, 3, 8, 64, 1024])
+def test_repeat_matches_doubling_and_its_definition(period):
+    # _PACK blocks is a full run of the packed action; fewer is its last run.
+    rng = random.Random(period)
+    for blocks in (1, 2, 3, 100, _PACK - 1, _PACK):
+        total = period * blocks
+        for pattern in (0, (1 << period) - 1, rng.getrandbits(period), rng.getrandbits(period)):
+            repeated = _repeat(pattern, period, total)
+            assert repeated == doubled(pattern, period, blocks) & (1 << total) - 1
+            assert repeated == repeated_bit_by_bit(pattern, period, total)

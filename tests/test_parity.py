@@ -237,6 +237,10 @@ def test_rule_from_hex():
         rule_from_hex(DoobParams(1, 0), "zz")
     with pytest.raises(FormatError):
         rule_from_hex(DoobParams(1, 0), "100")  # 9 bits into a 4-entry table
+    assert rule_from_hex(DoobParams(1, 2), "C3A5") == rule_from_hex(DoobParams(1, 2), "c3a5")
+    for text in ("c_3a5", "0xc3a5", " c3a5", "c3a5\n", "+c3a5", "-0", "", "\uff11"):
+        with pytest.raises(FormatError, match="not a hex string"):
+            rule_from_hex(DoobParams(1, 2), text)
 
 
 def packed_bits(packed, width):

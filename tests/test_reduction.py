@@ -282,6 +282,20 @@ def test_table_check_agrees_with_assert_mds_on_samples(codes_by_params, m, n):
                 assert reduction_outcome(bad, order) == assert_mds_outcome(bad, order)
 
 
+def test_every_d10_four_set_fails_as_assert_mds_unless_a_shrikhande_code():
+    # D(1,0) is one 16-bit fiber word, read zero-padded as a 32-bit one.
+    params = DoobParams(1, 0)
+    shrikhande_masks = {code.mask for code in sh_codes()}
+    failed = 0
+    for members in itertools.combinations(range(16), 4):
+        code = Code(params, members)
+        expected = assert_mds_outcome(code)
+        assert reduction_outcome(code) == expected
+        assert (expected is None) == (code.mask in shrikhande_masks)
+        failed += expected is not None
+    assert failed == 1804
+
+
 def test_a_later_step_catches_a_repeated_row():
     """Row 1 of a D(2,0) parity code set to row 0: every fiber at the last
     Shrikhande coordinate is still a Shrikhande code, so the first step's
