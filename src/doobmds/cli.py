@@ -69,11 +69,12 @@ def _note(message: str):
 # ---------------------------------------------------------------------------
 
 
-def _manifest_obj(params: DoobParams, count: int) -> dict:
+def _manifest_obj(params: DoobParams, count: int, digest: str) -> dict:
     from .search import PUBLISHED_COUNTS
 
     provenance = "published" if (params.m, params.n) in PUBLISHED_COUNTS else "derived"
     return {
+        "codes_sha256": digest,
         "command": "enumerate",
         "count": count,
         "count_provenance": provenance,
@@ -82,12 +83,25 @@ def _manifest_obj(params: DoobParams, count: int) -> dict:
     }
 
 
+def _codes_digest(paths) -> str:
+    """SHA-256 of the files' bytes, read in the given order and concatenated:
+    for a directory of code files, what `cat code_*.code | sha256sum` prints."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
+
+
 def _cached_count(directory: Path, params: DoobParams):
     """Count from a valid cache directory, or None to recompute.
 
     The manifest's count is taken only if it is an int equal to count_mds,
-    and as many code files are there: a cache is listed only up to word
-    length 4, where counting takes milliseconds.
+    as many code files are there, and the manifest's digest of their bytes
+    matches them: a cache is listed only up to word length 4, where counting
+    takes milliseconds.
     """
     import json
 
@@ -99,11 +113,13 @@ def _cached_count(directory: Path, params: DoobParams):
     if not isinstance(manifest, dict):
         return None
     count = manifest.get("count")
+    files = sorted(directory.glob("code_*.code"))
     if (
         manifest.get("tool_version") != __version__
         or manifest.get("params") != [params.m, params.n]
         or type(count) is not int
-        or len(list(directory.glob("code_*.code"))) != count
+        or len(files) != count
+        or manifest.get("codes_sha256") != _codes_digest(files)
     ):
         return None
     from .search import count_mds
@@ -115,10 +131,11 @@ def _write_files(directory: Path, params: DoobParams, codes):
     from .codes import canonical_json, write_code
 
     width = max(1, len(str(len(codes) - 1)))
-    for i, code in enumerate(codes):
-        write_code(code, directory / f"code_{i:0{width}d}.code")
+    paths = [directory / f"code_{i:0{width}d}.code" for i in range(len(codes))]
+    for code, path in zip(codes, paths):
+        write_code(code, path)
     (directory / "manifest.json").write_text(
-        canonical_json(_manifest_obj(params, len(codes)))
+        canonical_json(_manifest_obj(params, len(codes), _codes_digest(paths)))
     )
 
 

@@ -11,19 +11,22 @@ The edge shifts of D(m,n), which the checks on codes read, are a closed form
 of (m, n) built from those of Sh and K4, so those checks build no product
 graph.
 
-Two kernels here serve several modules.  _repeat repeats a bit pattern in
+Three kernels here serve several modules.  _repeat repeats a bit pattern in
 every block of a mask, by doubling: the edge shifts' selectors, the
-index-bit masks of the reduction's delta swaps and the packed selectors of
-the orbit search are all made by it.  independent_sets_of_size lists the codes of a single factor: the
-search's base case, and the 16 Shrikhande codes that canonical code files
-are read and written by.
+index-bit masks of the delta swaps and the packed selectors of the orbit
+search are all made by it.  The delta swaps (_delta_swaps,
+_swap_index_bits) exchange index bits of a mask: the reduction moves a
+Shrikhande digit with them, and the search transposes the bit matrix of its
+sub-codes' masks with them.  independent_sets_of_size lists the codes of a
+single factor: the search's base case, and the 16 Shrikhande codes that
+canonical code files are read and written by.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import DeskScaleError
 
@@ -334,6 +337,35 @@ def _repeat(pattern: int, period: int, total: int) -> int:
         out |= out << width
         width *= 2
     return out & (1 << total) - 1
+
+
+def _index_bit_set(bit: int, vertex_count: int) -> int:
+    """The mask of the vertex indices below vertex_count that have the given bit."""
+    half = 1 << bit
+    return _repeat(((1 << half) - 1) << half, 2 * half, vertex_count)
+
+
+def _delta_swaps(vertex_count: int, pairs: Sequence[tuple[int, int]]) -> tuple:
+    """(d, selector) for each exchange of index bits j < k in pairs, in order.
+
+    The selector holds the indices with bit j set and bit k clear; adding
+    d = 2^k - 2^j to one of them exchanges the two bits.
+    """
+    return tuple(
+        (
+            (1 << k) - (1 << j),
+            _index_bit_set(j, vertex_count) & ~_index_bit_set(k, vertex_count),
+        )
+        for j, k in pairs
+    )
+
+
+def _swap_index_bits(mask: int, swaps) -> int:
+    """Move bit v of mask to the index v has after each exchange of swaps."""
+    for d, selector in swaps:
+        t = ((mask >> d) ^ mask) & selector
+        mask ^= t ^ (t << d)
+    return mask
 
 
 def independent_sets_of_size(graph: Graph, size: int) -> list[tuple[int, ...]]:

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 from .codes import Code, _line_cover, _mds_by_line_cover
 from .errors import ConsistencyError
-from .graphs import DoobParams, _FrozenRecord, _repeat
+from .graphs import DoobParams, _FrozenRecord, _delta_swaps, _swap_index_bits
 from .search import enumerate_mds
 
 
@@ -141,35 +141,6 @@ def derive_pairing() -> PairingTable:
             "K4-pair codes exists; the Shrikhande connection set is wrong"
         )
     return PairingTable(domain, tuple(candidates[c] for c in assignment))
-
-
-def _index_bit_set(bit: int, vertex_count: int) -> int:
-    """The mask of the vertex indices below vertex_count that have the given bit."""
-    half = 1 << bit
-    return _repeat(((1 << half) - 1) << half, 2 * half, vertex_count)
-
-
-def _delta_swaps(vertex_count: int, pairs: Sequence[tuple[int, int]]) -> tuple:
-    """(d, selector) for each exchange of index bits j < k in pairs, in order.
-
-    The selector holds the indices with bit j set and bit k clear; adding
-    d = 2^k - 2^j to one of them exchanges the two bits.
-    """
-    return tuple(
-        (
-            (1 << k) - (1 << j),
-            _index_bit_set(j, vertex_count) & ~_index_bit_set(k, vertex_count),
-        )
-        for j, k in pairs
-    )
-
-
-def _swap_index_bits(mask: int, swaps) -> int:
-    """Move bit v of mask to the index v has after each exchange of swaps."""
-    for d, selector in swaps:
-        t = ((mask >> d) ^ mask) & selector
-        mask ^= t ^ (t << d)
-    return mask
 
 
 def _exchanges(entries: list, targets) -> list[tuple[int, int]]:

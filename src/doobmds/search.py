@@ -35,9 +35,26 @@ product.  The lift sends product vertex u * |F| + f to g(u) * |F| + f, so its
 shift plan is g's plan with each selector spread over the |F| bits of every
 vertex u and each shift multiplied by |F|; an image costs one orbit step.
 
-Counting on the Shrikhande split weights each representative by its orbit,
+On the Shrikhande split the same step is taken again at level 1, factor
+vertex 1, which is adjacent to vertex 0.  The stabilizer Stab(r) of the
+representative r maps the assignments with (r, c) at factor vertices 0 and
+1 onto those with (r, h c), so beside r one choice c per Stab(r)-orbit of
+the sub-codes disjoint from r is searched.  Stab(r) acts by Schreier
+generators t_{g x}^-1 g t_x, read off r's Schreier tree by its transversal
+(t_x, the tree path from r to x); the list is capped, which gives a
+subgroup H of Stab(r), whose orbits are finer.  Every step below holds for
+any such H, so the cap costs speed, not exactness.  Enumeration builds r's
+block from level-1 blocks as it builds the level-0 blocks: one searched per
+H-orbit, each other one the image of its parent's block in that orbit's
+Schreier tree under the lifted Schreier generator.  The K4 split stays at
+level 0: there the level-1 orbits are small and their set-up costs more
+than it saves.
 
-    count(G x Sh) = sum over orbits O of the sub-codes of |O| * |A(rep_O)|,
+Counting on the Shrikhande split weights each representative by its orbit,
+and each level-1 representative by its H-orbit,
+
+    count(G x Sh) = sum over orbits O of the sub-codes of |O| *
+                    sum over the H-orbits O1 beside rep_O of |O1| * |A(rep_O, rep_O1)|,
 
 and adds up the choices left at the last factor vertex instead of visiting
 them.  On the K4 split the four fibers are pairwise disjoint codes of G, so
@@ -56,15 +73,26 @@ X): the first part is a sub-code disjoint from c through the lowest vertex
 outside c, the second one disjoint from both through the lowest vertex
 outside both, and the third, the vertices left, is looked up among the
 sub-codes.  Neither the last part nor the orderings are searched.
+
+The split is an argument of _decompose and _count: count_mds splits off a
+K4 coordinate when there is one, and the Shrikhande split of the same graph
+(D(2,1) = D(1,1) x Sh, D(1,3) = D(0,3) x Sh) counts it a second way.  Both
+read disjointness rows of the sub-codes, made from a vertex-incidence
+bitset per vertex: the transpose of the code-by-vertex bit matrix, which
+delta swaps (graphs._swap_index_bits, the reduction's kernel) build one
+square block of codes at a time.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 from .graphs import (
     DoobParams,
+    _delta_swaps,
     _FrozenRecord,
+    _swap_index_bits,
     check_desk_scale,
     complete_graph,
     independent_sets_of_size,
@@ -73,6 +101,7 @@ from .graphs import (
 from .symmetry import (
     _apply_plan,
     _orbit_trees,
+    _schreier_generators,
     _shift_plan,
     _vertex_zero_stabilizer,
     doob_symmetries,
@@ -93,8 +122,9 @@ PUBLISHED_COUNTS = {
     (0, 5): 36972288,
 }
 
-# Sub-codes per block when building vertex-incidence bitsets.
-TRANSPOSE_BLOCK = 1024
+# Most Schreier generators of a stabilizer that level 1 of the Shrikhande
+# split acts by.
+_SCHREIER_CAP = 16
 
 # Largest word length whose codes are listed (D(0,4) has 55296 codes, D(0,5)
 # 36972288): the most a split may split off, and the most enumerate_mds builds.
@@ -112,20 +142,24 @@ class EnumerationResult(_FrozenRecord):
         return len(self.codes)
 
 
-def _decompose(params: DoobParams):
-    """Split off the last coordinate: (params of the rest, factor graph).
+def _decompose(params: DoobParams, sh=None):
+    """Split off one coordinate: (params of the rest, factor graph).
 
-    The rest is None when the graph is a single factor.  Counting and
-    enumeration both list every code of the rest, so a rest past the listed
-    word length is refused.  D(3,0) splits off D(2,0) and is admitted.
+    sh true splits off a Shrikhande coordinate, false a K4 one; by default
+    a K4 one, or a Shrikhande one when n = 0.  The rest is None when the
+    graph is a single factor.  Counting and enumeration both list every
+    code of the rest, so a rest past the listed word length is refused.
+    D(3,0) splits off D(2,0) and is admitted.
     """
-    if params.n >= 1:
-        rest = DoobParams(params.m, params.n - 1) if params.word_length > 1 else None
-    else:
-        rest = DoobParams(params.m - 1, 0) if params.m >= 2 else None
+    if sh is None:
+        sh = params.n == 0
+    m, n = (params.m - 1, params.n) if sh else (params.m, params.n - 1)
+    if min(m, n) < 0:
+        raise ValueError(f"{params} has no {'Shrikhande' if sh else 'K4'} coordinate")
+    rest = DoobParams(m, n) if m + n else None
     if rest is not None and rest.word_length > _LISTED_WORD_LENGTH:
         raise _too_many_to_list(f"{params} splits off {rest}, whose codes are")
-    return rest, complete_graph(4) if params.n else shrikhande()
+    return rest, shrikhande() if sh else complete_graph(4)
 
 
 def _too_many_to_list(subject: str):
@@ -143,7 +177,12 @@ class _DisjointRows(dict):
 
     Rows are computed on first use from vertex-incidence bitsets: with B[v]
     the set of sub-codes containing v, the codes meeting code c are
-    OR_{v in c} B[v].  No pair of codes is ever compared directly.
+    OR_{v in c} B[v].  No pair of codes is ever compared directly.  The OR
+    is taken a byte of c's mask at a time: parts[p][b] is the OR of the B[v]
+    of the vertices 8p + k for the bits k of byte value b, made when a row
+    first needs it.  Codes share their bytes' values (the codes of D(2,0),
+    D(1,2) and D(0,4) show 12 values per byte), so a row costs about one OR
+    per byte, not one per vertex.
     """
 
     def __init__(self, sub_masks):
@@ -151,26 +190,48 @@ class _DisjointRows(dict):
         self.masks = sub_masks
         self.full = (1 << len(sub_masks)) - 1
         width = max(sub_masks, default=0).bit_length()
-        # Transpose the code-by-vertex bit matrix by string slicing, one block
-        # of codes at a time to bound the text's size.  Line k of a block's
-        # text is its code len-1-k, vertex 0 last, so the characters in
-        # column v, read as binary, are that block's part of B[v].
-        self.incidence = [0] * width
-        for start in range(0, len(sub_masks), TRANSPOSE_BLOCK):
-            block = sub_masks[start : start + TRANSPOSE_BLOCK]
-            text = "".join([format(mask, f"0{width}b") for mask in reversed(block)])
-            for v in range(width):
-                self.incidence[v] |= int(text[width - 1 - v :: width], 2) << start
+        # Transpose the code-by-vertex bit matrix by delta swaps, one square
+        # block of side codes at a time.  Laid side by side, bit v of the
+        # block's mask k is index k * side + v; exchanging index bits b and
+        # log2(side) + b for every b moves it to v * side + k, so bytes
+        # v * side / 8 and up of the result are the block's part of B[v].
+        side = max(8, 1 << (width - 1).bit_length())
+        size = side // 8
+        swaps = _transpose_swaps(side)
+        columns = []
+        for start in range(0, len(sub_masks), side):
+            block = [mask.to_bytes(size, "little") for mask in sub_masks[start : start + side]]
+            laid = _swap_index_bits(int.from_bytes(b"".join(block), "little"), swaps)
+            data = laid.to_bytes(side * size, "little")
+            columns.append([data[at : at + size] for at in range(0, width * size, size)])
+        self.incidence = [int.from_bytes(b"".join(parts), "little") for parts in zip(*columns)]
+        self.parts = [{} for _ in range(0, width, 8)]
 
     def __missing__(self, i):
         meets = 0
-        mask = self.masks[i]
-        while mask:
-            low = mask & -mask
-            meets |= self.incidence[low.bit_length() - 1]
-            mask ^= low
+        byte_parts = self.parts
+        for p, byte in enumerate(self.masks[i].to_bytes(len(byte_parts), "little")):
+            if byte:
+                part = byte_parts[p].get(byte)
+                if part is None:
+                    part = byte_parts[p][byte] = self._part(p, byte)
+                meets |= part
         row = self[i] = self.full ^ meets
         return row
+
+    def _part(self, p, byte):
+        part = 0
+        for k in range(8):
+            if byte >> k & 1:
+                part |= self.incidence[8 * p + k]
+        return part
+
+
+@lru_cache(maxsize=None)
+def _transpose_swaps(side: int) -> tuple:
+    """Delta swaps transposing a side x side bit matrix, side a power of two."""
+    log = side.bit_length() - 1
+    return _delta_swaps(side * side, [(b, log + b) for b in range(log)])
 
 
 def _compatibility(sub_masks):
@@ -178,25 +239,27 @@ def _compatibility(sub_masks):
     return _DisjointRows(sub_masks)
 
 
-def _assemble(factor_masks, compat, first, count_only=False):
+def _assemble(factor_masks, compat, first, count_only=False, second=None):
     """Assign a sub-code to every factor vertex, disjoint across factor edges.
 
     Returns assignment tuples (sub-code index per factor vertex), or just
     their number when count_only; counting adds up the choices left at the
     last factor vertex instead of visiting them.  first, a bitmask over
-    sub-code indices, restricts the choice at factor vertex 0: the searches
-    run one orbit representative at a time.
+    sub-code indices, restricts the choice at factor vertex 0, and second,
+    if given, the choice at factor vertex 1: the searches run one orbit
+    representative at a time.
     """
     factor_count = len(factor_masks)
     last = factor_count - 1
     full = compat.full
+    bounds = [first, full if second is None else second] + [full] * (factor_count - 2)
     assignment = [0] * factor_count
     out = []
     total = 0
 
     def walk(t):
         nonlocal total
-        allowed = full if t else first
+        allowed = bounds[t]
         row = factor_masks[t] & ((1 << t) - 1)
         while row and allowed:
             low = row & -row
@@ -218,9 +281,39 @@ def _assemble(factor_masks, compat, first, count_only=False):
     return total if count_only else out
 
 
-def _generator_plans(params: DoobParams):
-    """Shift plans of the generators of Aut D(m,n)."""
-    return [_shift_plan(perm) for perm in doob_symmetries(params).generators]
+def _level_one(sub_masks, compat, tree, parent, via, perms, degree: int):
+    """The choices at factor vertex 1 of the Shrikhande split beside the
+    representative r = tree[0] at factor vertex 0, in orbits under Stab(r).
+
+    Factor vertex 1, (0,1), is adjacent to vertex 0, so the choices are the
+    sub-codes disjoint from r.  Returns (choices, trees, parent, via, plans):
+    the choices as positions in sub_masks, the Schreier trees of their orbits
+    (_orbit_trees) as positions in choices, and the shift plans of the
+    Schreier generators of Stab(r), at most _SCHREIER_CAP, that the trees
+    were built with.  Stab(r) is read off r's tree in Aut G, whose perms
+    reached it.  The plans go by their number of parts, fewest first, so
+    that the trees reach each choice by the cheapest image they can.
+    """
+    stabilizer = _schreier_generators(sub_masks, tree, parent, via, perms, degree, _SCHREIER_CAP)
+    plans = sorted(map(_shift_plan, stabilizer), key=len)
+    disjoint = compat[tree[0]]
+    choices = [j for j in range(len(sub_masks)) if disjoint >> j & 1]
+    return (choices, *_orbit_trees([sub_masks[j] for j in choices], plans), plans)
+
+
+def _add_blocks(out: list, trees, parent, via, lifted, search):
+    """Append each tree's blocks to out: the root's block, which search(tree)
+    appends, then each other node's, the image of its parent's block under
+    the lifted plan lifted[via[node]].  Blocks of one tree are equally long."""
+    start = {}  # tree node -> index of its block's first mask in out
+    for tree in trees:
+        start[tree[0]] = len(out)
+        search(tree)
+        size = len(out) - start[tree[0]]
+        for j in tree[1:]:
+            plan, source = lifted[via[j]], start[parent[j]]
+            start[j] = len(out)
+            out += [_apply_plan(plan, mask) for mask in out[source : source + size]]
 
 
 def _member_tuples(params: DoobParams) -> list[int]:
@@ -229,9 +322,13 @@ def _member_tuples(params: DoobParams) -> list[int]:
     The codes with one sub-code c at factor vertex 0 form a block.  Only the
     orbit representatives' blocks are searched; every other block is the
     image of its parent's block in the orbit's Schreier tree, under the
-    generator lifted to the product.  (The name is older than the masks;
-    bench/tracing.py wraps the function under it.)  Past the listed word
-    length it refuses, after the split has refused a rest too large.
+    generator lifted to the product.  On the Shrikhande split a
+    representative's block is itself built so, one level down: one block
+    per Stab(r)-orbit of the choices at factor vertex 1 is searched, and the
+    others are images under the lifted Schreier generators.  (The name is
+    older than the masks; bench/tracing.py wraps the function under it.)
+    Past the listed word length it refuses, after the split has refused a
+    rest too large.
     """
     rest, factor = _decompose(params)
     if params.word_length > _LISTED_WORD_LENGTH:
@@ -239,7 +336,8 @@ def _member_tuples(params: DoobParams) -> list[int]:
     if rest is None:
         return [sum(1 << v for v in t) for t in independent_sets_of_size(factor, params.code_size)]
     sub_masks = _member_tuples(rest)
-    plans = _generator_plans(rest)
+    perms = doob_symmetries(rest).generators
+    plans = [_shift_plan(perm) for perm in perms]
     trees, parent, via = _orbit_trees(sub_masks, plans)
     width = factor.vertex_count
     spread_digits = str.maketrans({"0": "0" * width, "1": "0" * (width - 1) + "1"})
@@ -250,24 +348,40 @@ def _member_tuples(params: DoobParams) -> list[int]:
     # Vertex u of a spread mask sits at bit u * width, so times (2^width - 1)
     # it fills u's whole block u * width + f, f < width.
     block = (1 << width) - 1
-    lifted = [tuple((spread(sel) * block, shift * width) for sel, shift in plan) for plan in plans]
+
+    def lift(plans):
+        return [
+            tuple((spread(sel) * block, shift * width) for sel, shift in plan) for plan in plans
+        ]
+
     spreads = [spread(mask) for mask in sub_masks]
     shifts = range(width)
-    out = []
-    start = {}  # tree node -> index of its block's first mask in out
     compat = _compatibility(sub_masks)
-    searched = [_assemble(factor.neighbor_masks, compat, 1 << tree[0]) for tree in trees]
-    for tree, assignments in zip(trees, searched):
-        size = len(assignments)
-        start[tree[0]] = len(out)
-        out += [
-            sum(map(operator.lshift, map(spreads.__getitem__, assignment), shifts))
-            for assignment in assignments
-        ]
-        for j in tree[1:]:
-            plan, source = lifted[via[j]], start[parent[j]]
-            start[j] = len(out)
-            out += [_apply_plan(plan, mask) for mask in out[source : source + size]]
+    out = []
+
+    def search(first, second=None):
+        assignments = _assemble(factor.neighbor_masks, compat, first, second=second)
+        out.extend(
+            [
+                sum(map(operator.lshift, map(spreads.__getitem__, assignment), shifts))
+                for assignment in assignments
+            ]
+        )
+
+    def search_by_level_one(tree):
+        r = tree[0]
+        choices, trees1, parent1, via1, plans1 = _level_one(
+            sub_masks, compat, tree, parent, via, perms, rest.vertex_count
+        )
+        _add_blocks(
+            out, trees1, parent1, via1, lift(plans1), lambda t: search(1 << r, 1 << choices[t[0]])
+        )
+
+    def search_alone(tree):
+        search(1 << tree[0])
+
+    level_zero = search_by_level_one if factor is shrikhande() else search_alone
+    _add_blocks(out, trees, parent, via, lift(plans), level_zero)
     return out
 
 
@@ -315,21 +429,37 @@ def count_mds(params: DoobParams) -> int:
 
     Orbit-weighted, in this process: on the K4 split one exact cover per
     Stab(0)-orbit of the parts through vertex 0, on the Shrikhande split one
-    assignment search per orbit of the first-fiber sub-codes.
+    assignment search per orbit of the first-fiber sub-codes and, beside
+    each, per Stab-orbit of the second-fiber ones.
     """
     check_desk_scale(params)
-    rest, factor = _decompose(params)
+    return _count(params)
+
+
+def _count(params: DoobParams, sh=None) -> int:
+    """count_mds on the split that sh chooses, as in _decompose."""
+    rest, factor = _decompose(params, sh)
     if rest is None:
         return len(independent_sets_of_size(factor, params.code_size))
     sub_masks = _member_tuples(rest)
     compat = _compatibility(sub_masks)
-    if params.n:
+    if factor is not shrikhande():
         return _count_latin_colorings(rest, sub_masks, compat)
-    trees, _, _ = _orbit_trees(sub_masks, _generator_plans(rest))
-    return sum(
-        len(tree) * _assemble(factor.neighbor_masks, compat, 1 << tree[0], count_only=True)
-        for tree in trees
-    )
+    perms = doob_symmetries(rest).generators
+    trees, parent, via = _orbit_trees(sub_masks, [_shift_plan(perm) for perm in perms])
+    total = 0
+    for tree in trees:
+        choices, trees1, _, _, _ = _level_one(
+            sub_masks, compat, tree, parent, via, perms, rest.vertex_count
+        )
+        total += len(tree) * sum(
+            len(tree1)
+            * _assemble(
+                factor.neighbor_masks, compat, 1 << tree[0], True, 1 << choices[tree1[0]]
+            )
+            for tree1 in trees1
+        )
+    return total
 
 
 def _count_latin_colorings(rest: DoobParams, sub_masks, compat) -> int:

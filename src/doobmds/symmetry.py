@@ -24,6 +24,13 @@ ints, are looked up among the masks, which gives the list position of every
 mask's image under every generator before the breadth-first search starts.
 The lookup is keyed by the masks themselves, not by their bytes, so that it
 holds no second copy of the list.
+
+The Schreier trees also give stabilizers (Seress, Permutation Group
+Algorithms, 2003).  The transversal t_x of an orbit, the product of the
+generators along the tree path from the root r to x, maps r to x; then
+t_{g x}^-1 g t_x fixes r for every generator g, and these Schreier
+generators generate Stab(r).  Elements are composed and inverted as
+permutation tuples, and the search applies the few it keeps as shift plans.
 """
 
 from __future__ import annotations
@@ -274,6 +281,67 @@ def _orbit_trees(masks: Sequence[int], plans):
                     tree.append(j)
         trees.append(tree)
     return trees, parent, via
+
+
+# ---------------------------------------------------------------------------
+# Stabilizers: transversals and Schreier generators
+# ---------------------------------------------------------------------------
+
+
+def _compose(p: Perm, q: Perm) -> Perm:
+    """The permutation that applies p first, then q: v -> q[p[v]]."""
+    return tuple(map(q.__getitem__, p))
+
+
+def _invert(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for v, image in enumerate(p):
+        out[image] = v
+    return tuple(out)
+
+
+def _transversal(tree, parent, via, perms, degree: int) -> dict[int, Perm]:
+    """t[x] for each position x of one Schreier tree of _orbit_trees(masks,
+    plans of perms): an element mapping the root's mask to masks[x], the
+    product of the perms along the tree path, t[x] = t[parent[x]] then
+    perms[via[x]]."""
+    t = {tree[0]: tuple(range(degree))}
+    for x in tree[1:]:
+        t[x] = _compose(t[parent[x]], perms[via[x]])
+    return t
+
+
+def _schreier_generators(masks, tree, parent, via, perms, degree: int, cap=None) -> list[Perm]:
+    """Generators of the stabilizer of masks[tree[0]] in the group perms
+    generate, from that orbit's Schreier tree (_orbit_trees).
+
+    For each x of the orbit in tree order, and each g of perms in order, the
+    element t[x], then g, then the inverse of t[g x] maps the root's mask to
+    itself; by Schreier's lemma these elements generate the whole stabilizer
+    (Seress, Permutation Group Algorithms, 2003).  Identities and repeats
+    are dropped, and the list stops at cap elements.  Fewer generators give
+    a subgroup, whose orbits are finer: an orbit-weighted count over them is
+    still exact, and only slower.
+    """
+    t = _transversal(tree, parent, via, perms, degree)
+    inverse = {}
+    position = {masks[x]: x for x in tree}
+    plans = [_shift_plan(g) for g in perms]
+    identity = t[tree[0]]
+    found = {}
+    for x in tree:
+        for k, (g, plan) in enumerate(zip(perms, plans)):
+            y = position[_apply_plan(plan, masks[x])]
+            if parent[y] == x and via[y] == k and y != tree[0]:
+                continue  # a tree edge: t[y] is t[x] then g
+            if y not in inverse:
+                inverse[y] = _invert(t[y]).__getitem__
+            s = tuple(map(inverse[y], map(g.__getitem__, t[x])))
+            if s != identity:
+                found[s] = None
+                if len(found) == cap:
+                    return list(found)
+    return list(found)
 
 
 def orbits_of_masks(

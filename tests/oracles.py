@@ -469,7 +469,9 @@ def orbit_assembly_count(params):
     if rest is None:
         return len(search.independent_sets_of_size(factor, params.code_size))
     sub_masks = search._member_tuples(rest)
-    trees, _, _ = search._orbit_trees(sub_masks, search._generator_plans(rest))
+    trees, _, _ = search._orbit_trees(
+        sub_masks, [symmetry._shift_plan(perm) for perm in symmetry.doob_symmetries(rest).generators]
+    )
     compat = search._compatibility(sub_masks)
     return sum(
         len(tree)
@@ -597,7 +599,7 @@ def compose(p, q):
     """Apply p first, then q."""
     if len(p) != len(q):
         raise ValueError("composing permutations of different sizes")
-    return tuple(q[p[v]] for v in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def invert(p):

@@ -180,6 +180,38 @@ def test_enumerate_cache_count_is_checked_against_the_search(capsys, claimed, ke
     assert "reused cache" in err
 
 
+def test_enumerate_manifest_holds_the_digest_of_the_code_files(capsys):
+    import hashlib
+
+    run(capsys, "enumerate", "1", "1")
+    directory = cache_root() / "d1_1"
+    manifest = json.loads((directory / "manifest.json").read_text())
+    joined = b"".join(path.read_bytes() for path in sorted(directory.glob("code_*.code")))
+    assert manifest["codes_sha256"] == hashlib.sha256(joined).hexdigest()
+
+
+@pytest.mark.parametrize("damage", ["duplicate", "no-digest"])
+def test_enumerate_cache_with_changed_files_or_no_digest_recomputes(capsys, damage):
+    # A file copied over another leaves the count and the file count right;
+    # reused, the cache would hold a duplicate code that classify refuses.
+    run(capsys, "enumerate", "1", "1")
+    directory = cache_root() / "d1_1"
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if damage == "duplicate":
+        (directory / "code_000.code").write_bytes((directory / "code_001.code").read_bytes())
+    else:
+        del manifest["codes_sha256"]
+        manifest_path.write_text(canonical_json(manifest))
+    code, out, err = run(capsys, "enumerate", "1", "1")
+    assert (code, out) == (0, "240\n")
+    assert "enumerated" in err and "reused cache" not in err
+    code, out, _ = run(capsys, "classify", str(directory))
+    assert (code, out) == (0, "orbits: 24, 72, 144\n")
+    code, out, err = run(capsys, "enumerate", "1", "1")
+    assert (code, out) == (0, "240\n") and "reused cache" in err
+
+
 def test_enumerate_guard_and_bad_input(capsys):
     code, _, err = run(capsys, "enumerate", "0", "7", "--count-only")
     assert code == 2 and err.startswith("error:")

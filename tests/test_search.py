@@ -26,8 +26,9 @@ import oracles
 # Counts not stated in the source material, pinned after independent derivation.
 # (2, 1) and (1, 3) come from the exhaustive leaf walk that preceded
 # orbit-weighted counting.  count_mds now counts them as latin colorings (exact
-# covers by four sub-codes), and oracles.orbit_assembly_count reproduces them
-# by the orbit-weighted assembly, a second method.
+# covers by four sub-codes); oracles.orbit_assembly_count reproduces them by
+# the orbit-weighted assembly, and the Shrikhande split, weighted at two
+# levels, by a product with a different last factor.
 DERIVED_COUNTS = {
     (1, 1): 240,
     (2, 0): 5856,
@@ -129,8 +130,22 @@ def test_counts_match_materialization(codes_by_params):
         assert count_mds(DoobParams(m, n)) == len(codes)
 
 
+@pytest.mark.parametrize("m, n", [(0, 1), (0, 2), (1, 0), (1, 1), (0, 3), (2, 0)])
+def test_incidence_is_the_transposed_bit_matrix(codes_by_params, m, n):
+    # Square blocks of 8 (D(0,1)'s 4 vertices, padded), 16, 64 and 256 codes;
+    # D(1,1)'s 240 codes fill part of one block, D(2,0)'s 5856 fill 23.
+    masks = [code.mask for code in codes_by_params[(m, n)]]
+    incidence = search._compatibility(masks).incidence
+    assert len(incidence) == DoobParams(m, n).vertex_count
+    for v, column in enumerate(incidence):
+        assert column == sum(1 << i for i, mask in enumerate(masks) if mask >> v & 1)
+    rows = search._compatibility(masks)
+    for i in range(0, len(masks), 1 + len(masks) // 300):
+        assert rows[i] == sum(1 << j for j, other in enumerate(masks) if not masks[i] & other)
+
+
 def test_disjoint_rows_match_pairwise_test(codes_by_params):
-    # 5856 sub-codes span several transpose blocks of the incidence bitsets.
+    # 5856 sub-codes span 23 transpose blocks of the incidence bitsets.
     masks = [code.mask for code in codes_by_params[(2, 0)]]
     rows = search._compatibility(masks)
     for i in list(range(0, len(masks), 397)) + [len(masks) - 1]:
@@ -149,21 +164,77 @@ def test_member_masks_match_the_full_assembly(m, n):
     assert set(masks) == set(reference)
 
 
+def _image(perm, mask):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
 def test_one_representative_per_orbit_is_searched(monkeypatch):
-    firsts = []
+    # D(2,0) = D(1,0) x Sh: one search per Aut-orbit of the first fiber and,
+    # beside each, per Stab(r)-orbit of the second, with Stab(r) found here
+    # from the 192 elements of Aut Sh.
+    searched = []
     original = search._assemble
 
-    def recorded(factor_masks, compat, first, count_only=False):
-        firsts.append(first)
-        return original(factor_masks, compat, first, count_only)
+    def recorded(factor_masks, compat, first, count_only=False, second=None):
+        searched.append((first, second))
+        return original(factor_masks, compat, first, count_only, second)
 
     monkeypatch.setattr(search, "_assemble", recorded)
     assert len(search._member_tuples(DoobParams(2, 0))) == 5856
-    searched = [i for i in range(16) if any(first >> i & 1 for first in firsts)]
+    pairs = [(first.bit_length() - 1, second.bit_length() - 1) for first, second in searched]
+    assert [(1 << r, 1 << c) for r, c in pairs] == searched
     sh = DoobParams(1, 0)
-    orbits = orbits_of_masks(search._member_tuples(sh), doob_symmetries(sh).generators, 16)
-    assert len(searched) == len(orbits) == 2
-    assert all(len(set(orbit) & set(searched)) == 1 for orbit in orbits)
+    masks = search._member_tuples(sh)
+    generators = doob_symmetries(sh).generators
+    orbits = orbits_of_masks(masks, generators, 16)
+    firsts = sorted({r for r, _ in pairs})
+    assert len(firsts) == len(orbits) == 2
+    assert all(len(set(orbit) & set(firsts)) == 1 for orbit in orbits)
+    group = oracles.closure(generators, 16)
+    assert len(group) == 192
+    level_one_sizes = []
+    for r in firsts:
+        stabilizer = [g for g in group if _image(g, masks[r]) == masks[r]]
+        choices = [j for j, mask in enumerate(masks) if not mask & masks[r]]
+        level_one = orbits_of_masks([masks[j] for j in choices], stabilizer, 16)
+        seconds = [c for first, c in pairs if first == r]
+        assert len(seconds) == len(set(seconds)) == len(level_one)
+        for orbit in level_one:
+            assert len({choices[i] for i in orbit} & set(seconds)) == 1
+        level_one_sizes.append(sorted(map(len, level_one)))
+    assert sorted(level_one_sizes) == [[1, 2, 2], [3, 6]]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (1, 3)])
+def test_both_splits_give_the_same_count(m, n):
+    # The second method at word length 5: D(2,1) = D(1,1) x Sh and
+    # D(1,3) = D(0,3) x Sh, counted on the weighted Shrikhande split, against
+    # the latin colorings of the K4 split.
+    params = DoobParams(m, n)
+    on_sh = search._count(params, sh=True)
+    assert on_sh == search._count(params, sh=False) == DERIVED_COUNTS[(m, n)]
+
+
+@pytest.mark.parametrize("m, n", [(2, 0), (1, 1), (1, 2)])
+def test_weighted_shrikhande_split_matches_plain_assembly(m, n):
+    # Plain: every sub-code tried at both first fibers, no weights.
+    params = DoobParams(m, n)
+    rest, factor = search._decompose(params, sh=True)
+    assert factor is shrikhande()
+    compat = search._compatibility(search._member_tuples(rest))
+    plain = search._assemble(factor.neighbor_masks, compat, compat.full, count_only=True)
+    weighted = count_mds(params) if n == 0 else search._count(params, sh=True)
+    assert weighted == plain == len(enumerate_mds(params).codes)
+
+
+def test_split_choice_needs_the_coordinate():
+    assert search._decompose(DoobParams(1, 2), sh=True)[0] == DoobParams(0, 2)
+    assert search._decompose(DoobParams(1, 2), sh=False)[0] == DoobParams(1, 1)
+    assert search._decompose(DoobParams(1, 0), sh=True)[0] is None
+    with pytest.raises(ValueError, match="no K4 coordinate"):
+        search._decompose(DoobParams(2, 0), sh=False)
+    with pytest.raises(ValueError, match="no Shrikhande coordinate"):
+        search._decompose(DoobParams(0, 3), sh=True)
 
 
 def test_parallel_enumeration_identical(codes_by_params):

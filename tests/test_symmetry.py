@@ -22,8 +22,12 @@ from doobmds import (
 from doobmds.symmetry import (
     _PACK,
     _apply_plan,
+    _compose,
+    _invert,
     _orbit_trees,
+    _schreier_generators,
     _shift_plan,
+    _transversal,
     _vertex_zero_stabilizer,
     lift_factor_perm,
     swap_slots_perm,
@@ -324,6 +328,45 @@ def test_orbit_trees_record_how_each_code_was_reached(codes_by_params):
         for j in tree[1:]:
             assert tree.index(parent[j]) < tree.index(j)
             assert _apply_plan(plans[via[j]], masks[parent[j]]) == masks[j]
+
+
+def test_compose_and_invert_match_the_oracle():
+    rng = random.Random(3)
+    p, q = (tuple(rng.sample(range(64), 64)) for _ in range(2))
+    assert _compose(p, q) == compose(p, q)
+    assert _invert(p) == invert(p)
+    assert _compose(p, _invert(p)) == identity_perm(64)
+
+
+def _rooted_trees(masks, r, perms):
+    """Orbit trees of masks with masks[r] moved to position 0, so that the
+    tree holding it is rooted there; and that tree."""
+    reordered = [masks[r]] + masks[:r] + masks[r + 1 :]
+    trees, parent, via = _orbit_trees(reordered, [_shift_plan(perm) for perm in perms])
+    return reordered, trees[0], parent, via
+
+
+def _image(perm, mask):
+    return sum(1 << perm[v] for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (1, 1)])
+def test_schreier_generators_fix_the_root_and_generate_its_stabilizer(codes_by_params, m, n):
+    params = DoobParams(m, n)
+    group = doob_symmetries(params)
+    perms, degree = group.generators, params.vertex_count
+    masks = [code.mask for code in codes_by_params[(m, n)]]
+    for r in range(len(masks)):
+        reordered, tree, parent, via = _rooted_trees(masks, r, perms)
+        t = _transversal(tree, parent, via, perms, degree)
+        assert all(_image(t[x], masks[r]) == reordered[x] for x in tree)
+        uncapped = _schreier_generators(reordered, tree, parent, via, perms, degree)
+        capped = _schreier_generators(reordered, tree, parent, via, perms, degree, 16)
+        assert 0 < len(capped) <= 16 and capped == uncapped[: len(capped)]
+        assert all(_image(s, masks[r]) == masks[r] for s in uncapped)
+        # They fix r, so they generate a subgroup of Stab(r), of order
+        # |Aut| / |orbit(r)|; they generate all of it.
+        assert len(closure(uncapped, degree)) == group.order // len(tree)
 
 
 def _trees_or_error(orbit_trees, masks, plans):
