@@ -4,9 +4,11 @@ Subcommands: enumerate, verify, xi, kappa, lambda, bounds, classify.  All
 emitted JSON is canonical (sorted keys, compact, trailing newline) and
 contains nothing run-dependent, so repeated runs produce byte-identical
 files; timing goes to stderr only.  `enumerate --jobs` must be at least 1
-and changes nothing: enumeration and counting run in this process.  Exit
-codes: 0 success, 1 a checked input code failed verification, 2 desk-scale
-guard, 3 input parse problem, 4 internal consistency failure.
+and changes nothing: enumeration and counting run in this process.  An
+empty `--out` or `--order` is refused.  Exit codes: 0 success, 1 a checked
+input code failed verification, 2 desk-scale guard or a usage error that
+argparse reports (a missing argument, a bad `--jobs`, an unknown
+subcommand), 3 input parse problem, 4 internal consistency failure.
 
 Each subcommand imports the modules it uses when it runs, so a run loads and
 compiles only those: `enumerate --count-only` needs graphs, symmetry and
@@ -463,10 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise FormatError("--jobs must be at least 1")
+        for option in ("out", "order"):
+            if getattr(args, option, None) == "":
+                raise FormatError(f"--{option} must not be empty")
         return args.func(args)
     except DeskScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)

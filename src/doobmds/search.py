@@ -39,22 +39,20 @@ On the Shrikhande split the same step is taken again at level 1, factor
 vertex 1, which is adjacent to vertex 0.  The stabilizer Stab(r) of the
 representative r maps the assignments with (r, c) at factor vertices 0 and
 1 onto those with (r, h c), so beside r one choice c per Stab(r)-orbit of
-the sub-codes disjoint from r is searched.  Stab(r) acts by Schreier
-generators t_{g x}^-1 g t_x, read off r's Schreier tree by its transversal
-(t_x, the tree path from r to x); the list is capped, which gives a
-subgroup H of Stab(r), whose orbits are finer.  Every step below holds for
-any such H, so the cap costs speed, not exactness.  Enumeration builds r's
+the sub-codes disjoint from r is searched.  Stab(r) acts by all its Schreier
+generators t_{g x}^-1 g t_x, read off r's Schreier tree and the level-0
+image table: t_x is the tree path from r to x.  Enumeration builds r's
 block from level-1 blocks as it builds the level-0 blocks: one searched per
-H-orbit, each other one the image of its parent's block in that orbit's
-Schreier tree under the lifted Schreier generator.  The K4 split stays at
-level 0: there the level-1 orbits are small and their set-up costs more
-than it saves.
+Stab(r)-orbit, each other one the image of its parent's block in that
+orbit's Schreier tree under the lifted Schreier generator.  The K4 split
+stays at level 0: there the level-1 orbits are small and their set-up costs
+more than it saves.
 
 Counting on the Shrikhande split weights each representative by its orbit,
-and each level-1 representative by its H-orbit,
+and each level-1 representative by its Stab(r)-orbit,
 
     count(G x Sh) = sum over orbits O of the sub-codes of |O| *
-                    sum over the H-orbits O1 beside rep_O of |O1| * |A(rep_O, rep_O1)|,
+                    sum over the Stab-orbits O1 beside rep_O of |O1| * |A(rep_O, rep_O1)|,
 
 and adds up the choices left at the last factor vertex instead of visiting
 them.  On the K4 split the four fibers are pairwise disjoint codes of G, so
@@ -121,10 +119,6 @@ PUBLISHED_COUNTS = {
     (0, 4): 55296,
     (0, 5): 36972288,
 }
-
-# Most Schreier generators of a stabilizer that level 1 of the Shrikhande
-# split acts by.
-_SCHREIER_CAP = 16
 
 # Largest word length whose codes are listed (D(0,4) has 55296 codes, D(0,5)
 # 36972288): the most a split may split off, and the most enumerate_mds builds.
@@ -281,24 +275,25 @@ def _assemble(factor_masks, compat, first, count_only=False, second=None):
     return total if count_only else out
 
 
-def _level_one(sub_masks, compat, tree, parent, via, perms, degree: int):
+def _level_one(sub_masks, compat, orbits, tree, perms):
     """The choices at factor vertex 1 of the Shrikhande split beside the
     representative r = tree[0] at factor vertex 0, in orbits under Stab(r).
 
     Factor vertex 1, (0,1), is adjacent to vertex 0, so the choices are the
-    sub-codes disjoint from r.  Returns (choices, trees, parent, via, plans):
-    the choices as positions in sub_masks, the Schreier trees of their orbits
-    (_orbit_trees) as positions in choices, and the shift plans of the
-    Schreier generators of Stab(r), at most _SCHREIER_CAP, that the trees
-    were built with.  Stab(r) is read off r's tree in Aut G, whose perms
-    reached it.  The plans go by their number of parts, fewest first, so
-    that the trees reach each choice by the cheapest image they can.
+    sub-codes disjoint from r.  orbits is the level-0 result,
+    _orbit_trees(sub_masks, plans of perms) for the generators perms of
+    Aut G, and tree one of its trees.  Returns (choices, trees, parent, via,
+    plans): the choices as positions in sub_masks, the Schreier trees of
+    their orbits (_orbit_trees) as positions in choices, and the shift plans
+    of the Schreier generators of Stab(r) that the trees were built with.
+    The plans go by their number of parts, fewest first, so that the trees
+    reach each choice by the cheapest image they can.
     """
-    stabilizer = _schreier_generators(sub_masks, tree, parent, via, perms, degree, _SCHREIER_CAP)
+    stabilizer = _schreier_generators(tree, *orbits[1:], perms)
     plans = sorted(map(_shift_plan, stabilizer), key=len)
     disjoint = compat[tree[0]]
     choices = [j for j in range(len(sub_masks)) if disjoint >> j & 1]
-    return (choices, *_orbit_trees([sub_masks[j] for j in choices], plans), plans)
+    return (choices, *_orbit_trees([sub_masks[j] for j in choices], plans)[:3], plans)
 
 
 def _add_blocks(out: list, trees, parent, via, lifted, search):
@@ -338,7 +333,7 @@ def _member_tuples(params: DoobParams) -> list[int]:
     sub_masks = _member_tuples(rest)
     perms = doob_symmetries(rest).generators
     plans = [_shift_plan(perm) for perm in perms]
-    trees, parent, via = _orbit_trees(sub_masks, plans)
+    orbits = _orbit_trees(sub_masks, plans)
     width = factor.vertex_count
     spread_digits = str.maketrans({"0": "0" * width, "1": "0" * (width - 1) + "1"})
 
@@ -370,9 +365,7 @@ def _member_tuples(params: DoobParams) -> list[int]:
 
     def search_by_level_one(tree):
         r = tree[0]
-        choices, trees1, parent1, via1, plans1 = _level_one(
-            sub_masks, compat, tree, parent, via, perms, rest.vertex_count
-        )
+        choices, trees1, parent1, via1, plans1 = _level_one(sub_masks, compat, orbits, tree, perms)
         _add_blocks(
             out, trees1, parent1, via1, lift(plans1), lambda t: search(1 << r, 1 << choices[t[0]])
         )
@@ -381,7 +374,7 @@ def _member_tuples(params: DoobParams) -> list[int]:
         search(1 << tree[0])
 
     level_zero = search_by_level_one if factor is shrikhande() else search_alone
-    _add_blocks(out, trees, parent, via, lift(plans), level_zero)
+    _add_blocks(out, *orbits[:3], lift(plans), level_zero)
     return out
 
 
@@ -446,12 +439,10 @@ def _count(params: DoobParams, sh=None) -> int:
     if factor is not shrikhande():
         return _count_latin_colorings(rest, sub_masks, compat)
     perms = doob_symmetries(rest).generators
-    trees, parent, via = _orbit_trees(sub_masks, [_shift_plan(perm) for perm in perms])
+    orbits = _orbit_trees(sub_masks, [_shift_plan(perm) for perm in perms])
     total = 0
-    for tree in trees:
-        choices, trees1, _, _, _ = _level_one(
-            sub_masks, compat, tree, parent, via, perms, rest.vertex_count
-        )
+    for tree in orbits[0]:
+        choices, trees1, _, _, _ = _level_one(sub_masks, compat, orbits, tree, perms)
         total += len(tree) * sum(
             len(tree1)
             * _assemble(
@@ -468,7 +459,7 @@ def _count_latin_colorings(rest: DoobParams, sub_masks, compat) -> int:
     """
     through_zero = [i for i, mask in enumerate(sub_masks) if mask & 1]
     plans = [_shift_plan(perm) for perm in _vertex_zero_stabilizer(rest)]
-    trees, _, _ = _orbit_trees([sub_masks[i] for i in through_zero], plans)
+    trees = _orbit_trees([sub_masks[i] for i in through_zero], plans)[0]
     codes = set(sub_masks)
     incidence = compat.incidence
     full = (1 << rest.vertex_count) - 1

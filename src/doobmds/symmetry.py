@@ -29,8 +29,9 @@ The Schreier trees also give stabilizers (Seress, Permutation Group
 Algorithms, 2003).  The transversal t_x of an orbit, the product of the
 generators along the tree path from the root r to x, maps r to x; then
 t_{g x}^-1 g t_x fixes r for every generator g, and these Schreier
-generators generate Stab(r).  Elements are composed and inverted as
-permutation tuples, and the search applies the few it keeps as shift plans.
+generators generate Stab(r).  The position of g x is read off the image
+table the orbit search already built.  Elements are composed and inverted
+as permutation tuples, and the search applies them as shift plans.
 """
 
 from __future__ import annotations
@@ -249,11 +250,13 @@ def _image_positions(masks: Sequence[int], plans) -> array:
 def _orbit_trees(masks: Sequence[int], plans):
     """Breadth-first (Schreier) trees of the orbits of distinct masks under plans.
 
-    Returns (trees, parent, via).  Each tree lists list positions in the
-    order the search reached them, rooted at the least position not in an
-    earlier tree; a non-root position j was reached as the image of
-    masks[parent[j]] under plans[via[j]].  A root is its own parent.  A
-    duplicate mask, or an image outside the list, is an inconsistency.
+    Returns (trees, parent, via, images).  Each tree lists list positions in
+    the order the search reached them, rooted at the least position not in
+    an earlier tree; a non-root position j was reached as the image of
+    masks[parent[j]] under plans[via[j]].  A root is its own parent.
+    images[i * len(plans) + k] is the position of the image of masks[i]
+    under plans[k].  A duplicate mask, or an image outside the list, is an
+    inconsistency.
 
     The plans are shift plans of permutations (_shift_plan).  Every mask's
     image under every plan is found before the search, by the packed action
@@ -280,11 +283,11 @@ def _orbit_trees(masks: Sequence[int], plans):
                     via[j] = k
                     tree.append(j)
         trees.append(tree)
-    return trees, parent, via
+    return trees, parent, via, images
 
 
 # ---------------------------------------------------------------------------
-# Stabilizers: transversals and Schreier generators
+# Stabilizers: Schreier generators
 # ---------------------------------------------------------------------------
 
 
@@ -300,38 +303,28 @@ def _invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _transversal(tree, parent, via, perms, degree: int) -> dict[int, Perm]:
-    """t[x] for each position x of one Schreier tree of _orbit_trees(masks,
-    plans of perms): an element mapping the root's mask to masks[x], the
-    product of the perms along the tree path, t[x] = t[parent[x]] then
-    perms[via[x]]."""
-    t = {tree[0]: tuple(range(degree))}
+def _schreier_generators(tree, parent, via, images, perms) -> list[Perm]:
+    """Generators of the stabilizer of the root r = tree[0] in the group perms
+    generate, from r's tree in (trees, parent, via, images) = _orbit_trees(
+    masks, plans of perms).
+
+    The transversal t[x], the product of the perms along the tree path from
+    r to x (t[x] is t[parent[x]] then perms[via[x]]), maps r's mask to
+    masks[x].  For each x of the orbit in tree order, and each g of perms in
+    order, the element t[x], then g, then the inverse of t[g x] maps r's mask
+    to itself, g x read off images; by Schreier's lemma these elements
+    generate the whole stabilizer (Seress, Permutation Group Algorithms,
+    2003).  Tree edges, identities and repeats are dropped.
+    """
+    identity = tuple(range(len(perms[0])))
+    t = {tree[0]: identity}
     for x in tree[1:]:
         t[x] = _compose(t[parent[x]], perms[via[x]])
-    return t
-
-
-def _schreier_generators(masks, tree, parent, via, perms, degree: int, cap=None) -> list[Perm]:
-    """Generators of the stabilizer of masks[tree[0]] in the group perms
-    generate, from that orbit's Schreier tree (_orbit_trees).
-
-    For each x of the orbit in tree order, and each g of perms in order, the
-    element t[x], then g, then the inverse of t[g x] maps the root's mask to
-    itself; by Schreier's lemma these elements generate the whole stabilizer
-    (Seress, Permutation Group Algorithms, 2003).  Identities and repeats
-    are dropped, and the list stops at cap elements.  Fewer generators give
-    a subgroup, whose orbits are finer: an orbit-weighted count over them is
-    still exact, and only slower.
-    """
-    t = _transversal(tree, parent, via, perms, degree)
     inverse = {}
-    position = {masks[x]: x for x in tree}
-    plans = [_shift_plan(g) for g in perms]
-    identity = t[tree[0]]
     found = {}
     for x in tree:
-        for k, (g, plan) in enumerate(zip(perms, plans)):
-            y = position[_apply_plan(plan, masks[x])]
+        for k, g in enumerate(perms):
+            y = images[x * len(perms) + k]
             if parent[y] == x and via[y] == k and y != tree[0]:
                 continue  # a tree edge: t[y] is t[x] then g
             if y not in inverse:
@@ -339,8 +332,6 @@ def _schreier_generators(masks, tree, parent, via, perms, degree: int, cap=None)
             s = tuple(map(inverse[y], map(g.__getitem__, t[x])))
             if s != identity:
                 found[s] = None
-                if len(found) == cap:
-                    return list(found)
     return list(found)
 
 
@@ -361,7 +352,7 @@ def orbits_of_masks(
             )
         if sorted(perm) != list(range(degree)):
             raise ValueError(f"not a permutation of {degree} points")
-    trees, _, _ = _orbit_trees(masks, [_shift_plan(perm) for perm in perms])
+    trees = _orbit_trees(masks, [_shift_plan(perm) for perm in perms])[0]
     return tuple(tuple(sorted(tree)) for tree in trees)
 
 

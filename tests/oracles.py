@@ -27,6 +27,7 @@ exhaustive backtracking automorphism search, the reference for the
 closed-form generators of doob_symmetries.
 """
 
+import array
 import collections
 import itertools
 
@@ -469,9 +470,9 @@ def orbit_assembly_count(params):
     if rest is None:
         return len(search.independent_sets_of_size(factor, params.code_size))
     sub_masks = search._member_tuples(rest)
-    trees, _, _ = search._orbit_trees(
+    trees = search._orbit_trees(
         sub_masks, [symmetry._shift_plan(perm) for perm in symmetry.doob_symmetries(rest).generators]
-    )
+    )[0]
     compat = search._compatibility(sub_masks)
     return sum(
         len(tree)
@@ -485,15 +486,18 @@ def orbit_trees(masks, plans):
     for its packed action.
 
     Breadth-first (Schreier) trees of the orbits of distinct masks under the
-    shift plans, as (trees, parent, via), with each image made by
-    symmetry._apply_plan and looked up by its int.  Errors (a duplicate mask,
-    an image outside the list) have the packed version's text.
+    shift plans, as (trees, parent, via, images), with each image made by
+    symmetry._apply_plan and looked up by its int; images[i * len(plans) + k]
+    is the position of the image of masks[i] under plans[k].  Errors (a
+    duplicate mask, an image outside the list) have the packed version's
+    text.
     """
     position = {mask: i for i, mask in enumerate(masks)}
     if len(position) != len(masks):
         raise ConsistencyError("duplicate codes in the list to classify")
     parent = [-1] * len(masks)
     via = [0] * len(masks)
+    images = array.array("i", [-1]) * (len(masks) * len(plans))
     outside = []
     trees = []
     for start in range(len(masks)):
@@ -506,7 +510,9 @@ def orbit_trees(masks, plans):
                 j = position.get(symmetry._apply_plan(plan, masks[i]))
                 if j is None:
                     outside.append(i)
-                elif parent[j] < 0:
+                    continue
+                images[i * len(plans) + k] = j
+                if parent[j] < 0:
                     parent[j] = i
                     via[j] = k
                     tree.append(j)
@@ -515,7 +521,7 @@ def orbit_trees(masks, plans):
         raise ConsistencyError(
             f"a group generator maps code {min(outside)} outside the given list"
         )
-    return trees, parent, via
+    return trees, parent, via, images
 
 
 # ---------------------------------------------------------------------------

@@ -603,6 +603,31 @@ def test_classify_report_keeps_the_least_member_representatives(
     assert report.read_text() == canonical_json(payload)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "0", "2", "--out", ""],
+        ["xi", "--out", ""],
+        ["kappa", "{code}", "--out", ""],
+        ["kappa", "{code}", "--order", ""],
+        ["lambda", "--inline", "1", "2", "c3a5", "--out", ""],
+        ["classify", "{dir}", "--out", ""],
+    ],
+    ids=["enumerate", "xi", "kappa-out", "kappa-order", "lambda", "classify"],
+)
+def test_empty_out_or_order_is_refused(tmp_path, capsys, argv):
+    # Each command tests these values for truth, so an empty one used to
+    # fall back to the cache, stdout, no report or the default order.
+    code_dir = tmp_path / "codes"
+    code_dir.mkdir()
+    code_path = code_dir / "l12.code"
+    assert run(capsys, "lambda", "--inline", "1", "2", "c3a5", "--out", str(code_path))[0] == 0
+    argv = [arg.format(code=code_path, dir=code_dir) for arg in argv]
+    option = argv[-2]
+    assert run(capsys, *argv) == (3, "", f"error: {option} must not be empty\n")
+    assert not cache_root().exists()
+
+
 def test_usage_error_is_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["enumerate"])

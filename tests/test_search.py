@@ -19,7 +19,7 @@ from doobmds import (
 )
 from doobmds import cli, search
 from doobmds.search import PUBLISHED_COUNTS, independent_sets_of_size
-from doobmds.symmetry import orbits_of_masks
+from doobmds.symmetry import _shift_plan, orbits_of_masks
 
 import oracles
 
@@ -203,6 +203,46 @@ def test_one_representative_per_orbit_is_searched(monkeypatch):
             assert len({choices[i] for i in orbit} & set(seconds)) == 1
         level_one_sizes.append(sorted(map(len, level_one)))
     assert sorted(level_one_sizes) == [[1, 2, 2], [3, 6]]
+
+
+@pytest.fixture(scope="module")
+def d30_level_one():
+    """Level 1 of D(3,0) = D(2,0) x Sh: the disjointness rows of D(2,0)'s
+    codes, and _level_one's result beside each of the 14 orbit
+    representatives among them, by representative."""
+    rest = DoobParams(2, 0)
+    sub_masks = search._member_tuples(rest)
+    compat = search._compatibility(sub_masks)
+    perms = doob_symmetries(rest).generators
+    orbits = search._orbit_trees(sub_masks, [_shift_plan(perm) for perm in perms])
+    level_one = {
+        tree[0]: search._level_one(sub_masks, compat, orbits, tree, perms) for tree in orbits[0]
+    }
+    return compat, level_one
+
+
+def test_level_one_orbits_are_those_of_the_whole_stabilizer(d30_level_one):
+    # Every Schreier generator counts: the first 16 of each list generate a
+    # subgroup of each Stab(r), with finer orbits that total 390.
+    _, level_one = d30_level_one
+    assert len(level_one) == 14
+    assert sum(len(trees1) for _, trees1, _, _, _ in level_one.values()) == 360
+
+
+@pytest.mark.parametrize("r", [74, 122, 2766])
+def test_weighted_level_one_matches_plain_on_light_d30_representatives(d30_level_one, r):
+    # D(3,0)'s three representatives with 33 level-1 choices each: the count
+    # beside r weighted by Stab(r)-orbits equals the plain search beside r.
+    compat, level_one = d30_level_one
+    factor_masks = shrikhande().neighbor_masks
+    choices, trees1, _, _, _ = level_one[r]
+    assert len(choices) == 33
+    weighted = sum(
+        len(tree1) * search._assemble(factor_masks, compat, 1 << r, True, 1 << choices[tree1[0]])
+        for tree1 in trees1
+    )
+    plain = search._assemble(factor_masks, compat, 1 << r, True)
+    assert weighted == plain == 25296
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (1, 3)])

@@ -27,7 +27,6 @@ from doobmds.symmetry import (
     _orbit_trees,
     _schreier_generators,
     _shift_plan,
-    _transversal,
     _vertex_zero_stabilizer,
     lift_factor_perm,
     swap_slots_perm,
@@ -321,13 +320,17 @@ def test_shift_plans_of_the_generators_are_short():
 def test_orbit_trees_record_how_each_code_was_reached(codes_by_params):
     masks = [code.mask for code in codes_by_params[(1, 1)]]
     plans = [_shift_plan(perm) for perm in doob_symmetries(DoobParams(1, 1)).generators]
-    trees, parent, via = _orbit_trees(masks, plans)
+    trees, parent, via, images = _orbit_trees(masks, plans)
     assert sorted(len(tree) for tree in trees) == [24, 72, 144]
     for tree in trees:
         assert parent[tree[0]] == tree[0] == min(tree)
         for j in tree[1:]:
             assert tree.index(parent[j]) < tree.index(j)
             assert _apply_plan(plans[via[j]], masks[parent[j]]) == masks[j]
+    assert len(images) == len(masks) * len(plans)
+    for i, mask in enumerate(masks):
+        for k, plan in enumerate(plans):
+            assert masks[images[i * len(plans) + k]] == _apply_plan(plan, mask)
 
 
 def test_compose_and_invert_match_the_oracle():
@@ -340,10 +343,11 @@ def test_compose_and_invert_match_the_oracle():
 
 def _rooted_trees(masks, r, perms):
     """Orbit trees of masks with masks[r] moved to position 0, so that the
-    tree holding it is rooted there; and that tree."""
+    tree holding it is rooted there: that tree, and the parent, via and
+    images of _orbit_trees."""
     reordered = [masks[r]] + masks[:r] + masks[r + 1 :]
-    trees, parent, via = _orbit_trees(reordered, [_shift_plan(perm) for perm in perms])
-    return reordered, trees[0], parent, via
+    trees, *rest = _orbit_trees(reordered, [_shift_plan(perm) for perm in perms])
+    return trees[0], *rest
 
 
 def _image(perm, mask):
@@ -357,16 +361,12 @@ def test_schreier_generators_fix_the_root_and_generate_its_stabilizer(codes_by_p
     perms, degree = group.generators, params.vertex_count
     masks = [code.mask for code in codes_by_params[(m, n)]]
     for r in range(len(masks)):
-        reordered, tree, parent, via = _rooted_trees(masks, r, perms)
-        t = _transversal(tree, parent, via, perms, degree)
-        assert all(_image(t[x], masks[r]) == reordered[x] for x in tree)
-        uncapped = _schreier_generators(reordered, tree, parent, via, perms, degree)
-        capped = _schreier_generators(reordered, tree, parent, via, perms, degree, 16)
-        assert 0 < len(capped) <= 16 and capped == uncapped[: len(capped)]
-        assert all(_image(s, masks[r]) == masks[r] for s in uncapped)
+        tree, parent, via, images = _rooted_trees(masks, r, perms)
+        generators = _schreier_generators(tree, parent, via, images, perms)
+        assert all(_image(s, masks[r]) == masks[r] for s in generators)
         # They fix r, so they generate a subgroup of Stab(r), of order
         # |Aut| / |orbit(r)|; they generate all of it.
-        assert len(closure(uncapped, degree)) == group.order // len(tree)
+        assert len(closure(generators, degree)) == group.order // len(tree)
 
 
 def _trees_or_error(orbit_trees, masks, plans):
@@ -377,8 +377,9 @@ def _trees_or_error(orbit_trees, masks, plans):
 
 
 def test_packed_orbit_trees_match_the_per_mask_oracle(codes_by_params):
-    """The packed action gives the per-mask search's (trees, parent, via),
-    and its errors, for lists of every length around the packing size."""
+    """The packed action gives the per-mask search's (trees, parent, via,
+    images), and its errors, for lists of every length around the packing
+    size."""
     cases = []
     for key, codes in codes_by_params.items():
         params = DoobParams(*key)
