@@ -35,7 +35,6 @@ _SOURCES = {
     "decode_vertex": "graphs",
     "doob_graph": "graphs",
     "encode_vertex": "graphs",
-    "graph_from_predicate": "graphs",
     "shrikhande": "graphs",
     "BoundsReport": "parity",
     "EssentialClassCount": "parity",

@@ -186,16 +186,18 @@ def cmd_enumerate(args) -> int:
         print(count)
         _note(f"counted {params} in {time.monotonic() - started:.2f}s")
         return EXIT_OK
+    from .search import _LISTED_WORD_LENGTH, enumerate_mds
+
     directory = Path(args.out) if args.out else _cache_dir(params)
-    if args.out is None and not args.no_cache:
+    # No cache is ever written past the listed word length; enumerate_mds
+    # refuses there before a forged one could make _cached_count count.
+    if args.out is None and not args.no_cache and params.word_length <= _LISTED_WORD_LENGTH:
         cached = _cached_count(directory, params)
         if cached is not None:
             _check_against_known(params, cached)
             print(cached)
             _note(f"reused cache {directory}")
             return EXIT_OK
-    from .search import enumerate_mds
-
     result = enumerate_mds(params)
     _check_against_known(params, result.count)
     _write_code_dir(directory, params, result.codes, replace=not args.out)

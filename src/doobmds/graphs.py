@@ -1,4 +1,4 @@
-"""Shrikhande graph, complete graphs, Cartesian products, and Doob graph vertex indexing.
+"""Shrikhande graph, complete graphs, Doob graphs and their vertex indexing.
 
 The Doob graph D(m,n) is the Cartesian product of m copies of the Shrikhande
 graph Sh and n copies of K4.  Vertices of Sh are the elements of Z4 x Z4 with
@@ -7,9 +7,9 @@ slanted diagonals.  Graphs are stored as per-vertex neighbor bitmasks and are
 immutable after construction; parameters past DESK_SCALE_LIMIT vertices are
 rejected outright instead of degrading.  The check compares the word length
 2m + n with MAX_WORD_LENGTH, so no refused vertex count is ever computed.
-The edge shifts of D(m,n), which the checks on codes read, are a closed form
-of (m, n) built from those of Sh and K4, so those checks build no product
-graph.
+The edge shifts of D(m,n) are a closed form of (m, n) built from those of
+Sh and K4.  They are the one definition of its adjacency: the checks on
+codes read them, and doob_graph is built from them.
 
 Three kernels here serve several modules.  _repeat repeats a bit pattern in
 every block of a mask, by doubling: the edge shifts' selectors, the
@@ -24,9 +24,9 @@ canonical code files are read and written by.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DeskScaleError
 
@@ -168,22 +168,6 @@ class Graph(_FrozenRecord):
     params: Optional[DoobParams] = None
     label: str = ""
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.neighbor_masks[u] >> v & 1)
-
-    def neighbors(self, u: int) -> Iterator[int]:
-        mask = self.neighbor_masks[u]
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def degree(self, u: int) -> int:
-        return self.neighbor_masks[u].bit_count()
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.neighbor_masks) // 2
-
     @cached_property
     def edge_shifts(self) -> tuple[tuple[int, int], ...]:
         """Pairs (d, selector), d ascending: u ~ u + d exactly for the u in selector.
@@ -216,17 +200,6 @@ def check_desk_scale(params: DoobParams):
         )
 
 
-def graph_from_predicate(n, adjacent, params=None, label=""):
-    """Build a Graph from an adjacency predicate on index pairs."""
-    masks = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if adjacent(u, v):
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-    return Graph(n, tuple(masks), params=params, label=label)
-
-
 def sh_index(a: int, b: int) -> int:
     """Index of the Shrikhande vertex (a, b): 4a + b."""
     if not (0 <= a <= 3 and 0 <= b <= 3):
@@ -237,13 +210,12 @@ def sh_index(a: int, b: int) -> int:
 @lru_cache(maxsize=None)
 def shrikhande() -> Graph:
     """The Shrikhande graph on Z4 x Z4, vertex (a,b) at index 4a + b."""
-
-    def adjacent(u, v):
-        a, b = divmod(u, 4)
-        c, d = divmod(v, 4)
-        return ((a - c) % 4, (b - d) % 4) in SHRIKHANDE_CONNECTION_SET
-
-    return graph_from_predicate(16, adjacent, label="Sh")
+    masks = tuple(
+        sum(1 << sh_index((a + da) % 4, (b + db) % 4) for da, db in SHRIKHANDE_CONNECTION_SET)
+        for a in range(4)
+        for b in range(4)
+    )
+    return Graph(16, masks, label="Sh")
 
 
 @lru_cache(maxsize=None)
@@ -251,55 +223,32 @@ def complete_graph(q: int) -> Graph:
     """The complete graph K_q."""
     if q < 2:
         raise ValueError(f"complete graph order must be at least 2, got {q}")
-    return graph_from_predicate(q, lambda u, v: True, label=f"K{q}")
-
-
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product: (u1,v1) ~ (u2,v2) iff equal in one slot, adjacent in the other.
-
-    The pair (u, v) maps to index u * h.vertex_count + v, so the left factor
-    is the more significant digit.
-    """
-    if g.vertex_count == 0 or h.vertex_count == 0:
-        raise ValueError("cartesian product of an empty graph")
-    n = g.vertex_count * h.vertex_count
-    hn = h.vertex_count
-    masks = []
-    for u in range(g.vertex_count):
-        g_row = g.neighbor_masks[u]
-        for v in range(hn):
-            mask = h.neighbor_masks[v] << (u * hn)
-            row = g_row
-            while row:
-                low = row & -row
-                u2 = low.bit_length() - 1
-                mask |= 1 << (u2 * hn + v)
-                row ^= low
-            masks.append(mask)
-    return Graph(n, tuple(masks))
+    full = (1 << q) - 1
+    return Graph(q, tuple(full ^ 1 << u for u in range(q)), label=f"K{q}")
 
 
 @lru_cache(maxsize=None)
 def doob_graph(params: DoobParams) -> Graph:
     """The Doob graph D(m,n), vertices indexed by encode_vertex.
 
-    Built as the left-to-right Cartesian product of m Shrikhande factors and
-    n K4 factors, so coordinate 0 is the most significant digit.
+    Built from _edge_shifts: u ~ u + d for each pair (d, selector) and each
+    u in selector.  The shifts refuse parameters past desk scale first.
     """
-    check_desk_scale(params)
-    factors = [shrikhande()] * params.m + [complete_graph(4)] * params.n
-    product = reduce(cartesian_product, factors)
-    return Graph(
-        product.vertex_count,
-        product.neighbor_masks,
-        params=params,
-        label=str(params),
-    )
+    shifts = _edge_shifts(params.m, params.n)
+    masks = [0] * params.vertex_count
+    for d, selector in shifts:
+        while selector:
+            low = selector & -selector
+            u = low.bit_length() - 1
+            masks[u] |= low << d
+            masks[u + d] |= low
+            selector ^= low
+    return Graph(params.vertex_count, tuple(masks), params, str(params))
 
 
 @lru_cache(maxsize=None)
 def _edge_shifts(m: int, n: int) -> tuple[tuple[int, int], ...]:
-    """doob_graph(DoobParams(m, n)).edge_shifts, in closed form.
+    """The edge shifts of D(m,n), as in Graph.edge_shifts, in closed form.
 
     An edge of D(m,n) changes one coordinate, so it is an edge of that
     coordinate's factor, Sh or K4, moved by the stride s of its digit in the
@@ -308,7 +257,7 @@ def _edge_shifts(m: int, n: int) -> tuple[tuple[int, int], ...]:
     the factor, q vertices, gives the pair (d s, selector spread to s bits
     per factor vertex and repeated every q s bits).  A coordinate's shifts
     lie in [s, q s), and these ranges do not overlap, so each d is one
-    coordinate's and the pairs sorted by d are Graph.edge_shifts.
+    coordinate's, and sorted by d the pairs are in Graph.edge_shifts' form.
     """
     params = DoobParams(m, n)
     check_desk_scale(params)

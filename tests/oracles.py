@@ -22,8 +22,9 @@ orbit-weighted assembly that count_mds used before it counted latin
 colorings, the second method for its K4 split; and the Schreier trees of
 orbits built one mask and one generator at a time, the reference for the
 packed action of symmetry._orbit_trees.  The last section works on the
-package's Graph objects: graph invariants, permutation arithmetic, and an
-exhaustive backtracking automorphism search, the reference for the
+package's Graph objects: a graph from an adjacency predicate, the adjacency
+queries over neighbor masks, graph invariants, permutation arithmetic, and
+an exhaustive backtracking automorphism search, the reference for the
 closed-form generators of doob_symmetries.
 """
 
@@ -33,6 +34,7 @@ import itertools
 
 from doobmds import (
     ConsistencyError,
+    Graph,
     ParameterMismatchError,
     ParityRule,
     decode_vertex,
@@ -528,16 +530,48 @@ def orbit_trees(masks, plans):
 # Graph invariants and the symmetry search, on the package's Graph objects
 # ---------------------------------------------------------------------------
 #
-# These read only a graph's vertex_count, neighbor_masks, neighbors(),
-# degree() and edge_count().  The backtracking search finds whole
-# automorphism groups of graphs up to 64 vertices, the reference that the
-# closed-form generators of doob_symmetries are checked against.
+# These read only a graph's vertex_count and neighbor_masks.  The
+# backtracking search finds whole automorphism groups of graphs up to 64
+# vertices, the reference that the closed-form generators of
+# doob_symmetries are checked against.
 
 # Backtracking group search is restricted to graphs this small.
 GROUP_SEARCH_LIMIT = 64
 
 # Full element lists are materialized only up to this group order.
 ELEMENT_LIST_LIMIT = 10_000
+
+
+def graph_from_predicate(n, adjacent):
+    """A Graph on n vertices from an adjacency predicate on index pairs u < v."""
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adjacent(u, v):
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return Graph(n, tuple(masks))
+
+
+def adjacent(graph, u, v):
+    return bool(graph.neighbor_masks[u] >> v & 1)
+
+
+def neighbors(graph, u):
+    """The neighbors of u in increasing order."""
+    mask = graph.neighbor_masks[u]
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def degree(graph, u):
+    return graph.neighbor_masks[u].bit_count()
+
+
+def edge_count(graph):
+    return sum(mask.bit_count() for mask in graph.neighbor_masks) // 2
 
 
 def sh_pair(i):
@@ -561,7 +595,7 @@ def k4_value(a, b):
 
 def regular_degree(graph):
     """Common degree if the graph is regular, else None."""
-    degrees = {graph.degree(u) for u in range(graph.vertex_count)}
+    degrees = {degree(graph, u) for u in range(graph.vertex_count)}
     return degrees.pop() if len(degrees) == 1 else None
 
 
@@ -574,7 +608,7 @@ def summary(graph):
     deg = regular_degree(graph)
     shape = f"{deg}-regular" if deg is not None else "irregular"
     tag = f" [{graph.params}]" if graph.params is not None else ""
-    return f"{name}: {graph.vertex_count} vertices, {graph.edge_count()} edges, {shape}{tag}"
+    return f"{name}: {graph.vertex_count} vertices, {edge_count(graph)} edges, {shape}{tag}"
 
 
 def clique_number(graph):
@@ -622,7 +656,7 @@ def is_automorphism(graph, perm):
         return False
     for u in range(n):
         image_mask = 0
-        for w in graph.neighbors(u):
+        for w in neighbors(graph, u):
             image_mask |= 1 << perm[w]
         if image_mask != graph.neighbor_masks[perm[u]]:
             return False
@@ -635,15 +669,15 @@ def _joint_colors(g, h):
     Every round is isomorphism-invariant, so the coloring is sound for
     pruning whether or not the fixpoint was reached at the iteration cap.
     """
-    cg = [g.degree(v) for v in range(g.vertex_count)]
-    ch = [h.degree(v) for v in range(h.vertex_count)]
+    cg = [degree(g, v) for v in range(g.vertex_count)]
+    ch = [degree(h, v) for v in range(h.vertex_count)]
     for _ in range(g.vertex_count + 2):
         sig_g = [
-            (cg[v], tuple(sorted(cg[w] for w in g.neighbors(v))))
+            (cg[v], tuple(sorted(cg[w] for w in neighbors(g, v))))
             for v in range(g.vertex_count)
         ]
         sig_h = [
-            (ch[v], tuple(sorted(ch[w] for w in h.neighbors(v))))
+            (ch[v], tuple(sorted(ch[w] for w in neighbors(h, v))))
             for v in range(h.vertex_count)
         ]
         palette = {sig: i for i, sig in enumerate(sorted(set(sig_g) | set(sig_h)))}
@@ -687,7 +721,7 @@ def isomorphisms(g, h, limit=None):
     order.
     """
     n = g.vertex_count
-    if n != h.vertex_count or g.edge_count() != h.edge_count():
+    if n != h.vertex_count or edge_count(g) != edge_count(h):
         return []
     if n > GROUP_SEARCH_LIMIT:
         raise ValueError(
@@ -715,7 +749,7 @@ def isomorphisms(g, h, limit=None):
         for u in order[:depth]:
             if not allowed:
                 return False
-            if g.adjacent(u, v):
+            if adjacent(g, u, v):
                 allowed &= h.neighbor_masks[mapping[u]]
             else:
                 allowed &= full & ~h.neighbor_masks[mapping[u]]

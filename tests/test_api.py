@@ -38,7 +38,6 @@ PUBLIC_NAMES = {
     "dump_code",
     "encode_vertex",
     "enumerate_mds",
-    "graph_from_predicate",
     "k4_pair_codes",
     "load_code",
     "orbits_of_codes",
@@ -54,7 +53,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_api_is_pinned():
-    assert len(doobmds.__all__) == len(PUBLIC_NAMES) == 47
+    assert len(doobmds.__all__) == len(PUBLIC_NAMES) == 46
     assert set(doobmds.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(doobmds, name), name

@@ -248,6 +248,32 @@ def test_enumerate_refuses_to_list_codes_past_word_length_4(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_enumerate_reads_no_cache_past_word_length_4(capsys, monkeypatch):
+    # A cache is only ever written up to word length 4.  A forged D(3,0)
+    # manifest that matches its (absent) code files must not get as far as
+    # the hour-long count that checks a cached count.
+    import hashlib
+
+    from doobmds import search
+
+    def refuse(params):
+        raise AssertionError(f"{params} was counted")
+
+    monkeypatch.setattr(search, "count_mds", refuse)
+    directory = cache_root() / "d3_0"
+    directory.mkdir(parents=True)
+    manifest = {
+        "count": 0,
+        "codes_sha256": hashlib.sha256(b"").hexdigest(),
+        "params": [3, 0],
+        "tool_version": doobmds.__version__,
+    }
+    (directory / "manifest.json").write_text(canonical_json(manifest))
+    code, out, err = run(capsys, "enumerate", "3", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the codes of D(3,0) are too many to list")
+
+
 def test_jobs_give_byte_identical_output(tmp_path, capsys):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"

@@ -370,7 +370,6 @@ def test_default_checks_build_no_product_graph(monkeypatch, tmp_path, capsys):
         raise AssertionError("a product graph was built")
 
     monkeypatch.setattr(graphs, "doob_graph", refuse)
-    monkeypatch.setattr(graphs, "cartesian_product", refuse)
     graphs._edge_shifts.cache_clear()
     codes._line_cover.cache_clear()
     # Fresh params objects, so that nothing is found on them.

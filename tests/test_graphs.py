@@ -33,7 +33,6 @@ from doobmds.graphs import (
     SHRIKHANDE_CONNECTION_SET,
     _edge_shifts,
     _repeat,
-    cartesian_product,
     sh_index,
 )
 from doobmds.symmetry import _PACK
@@ -150,11 +149,11 @@ def test_connection_set_is_symmetric():
 def test_shrikhande_basics(sh_graph):
     assert sh_graph.vertex_count == 16
     assert regular_degree(sh_graph) == 6
-    assert sh_graph.edge_count() == 48
+    assert oracles.edge_count(sh_graph) == 48
     for u in range(16):
-        assert not sh_graph.adjacent(u, u)
+        assert not oracles.adjacent(sh_graph, u, u)
         for v in range(16):
-            assert sh_graph.adjacent(u, v) == sh_graph.adjacent(v, u)
+            assert oracles.adjacent(sh_graph, u, v) == oracles.adjacent(sh_graph, v, u)
 
 
 def test_shrikhande_matches_oracle_adjacency(sh_graph):
@@ -162,7 +161,7 @@ def test_shrikhande_matches_oracle_adjacency(sh_graph):
     for a, b in adj:
         u = sh_index(a, b)
         expected = {sh_index(c, d) for c, d in adj[(a, b)]}
-        assert set(sh_graph.neighbors(u)) == expected
+        assert set(oracles.neighbors(sh_graph, u)) == expected
 
 
 def test_shrikhande_is_strongly_regular_2_2(sh_graph):
@@ -194,7 +193,7 @@ def test_the_two_16_vertex_graphs_are_not_isomorphic(sh_graph, rook_graph):
 def test_complete_graph():
     k4 = complete_graph(4)
     assert k4.vertex_count == 4
-    assert k4.edge_count() == 6
+    assert oracles.edge_count(k4) == 6
     with pytest.raises(ValueError):
         complete_graph(1)
 
@@ -212,7 +211,7 @@ def test_doob_adjacency_matches_oracle():
         adj = oracles.doob_adjacency(m, n)
         for label, neighbors in adj.items():
             u = oracles.encode_label(label, m, n)
-            assert set(g.neighbors(u)) == {
+            assert set(oracles.neighbors(g, u)) == {
                 oracles.encode_label(w, m, n) for w in neighbors
             }
 
@@ -243,21 +242,6 @@ def test_desk_scale_guard_computes_no_vertex_count():
         "D(1000000000000,0) has 4^2000000000000 vertices, over the desk-scale limit 4096"
     )
     assert "vertex_count" not in vars(params)
-
-
-def test_cartesian_product_rule(sh_graph):
-    k4 = complete_graph(4)
-    prod = cartesian_product(sh_graph, k4)
-    assert prod.vertex_count == 64
-    # (u1,v1) ~ (u2,v2) iff equal in one slot and adjacent in the other
-    for u1 in (0, 5):
-        for v1 in range(4):
-            for u2 in (0, 7):
-                for v2 in range(4):
-                    expect = (u1 == u2 and v1 != v2) or (
-                        v1 == v2 and sh_graph.adjacent(u1, u2)
-                    )
-                    assert prod.adjacent(u1 * 4 + v1, u2 * 4 + v2) == expect
 
 
 def test_vertex_codec_worked_example():
@@ -316,15 +300,15 @@ def test_graph_summary_mentions_shape(sh_graph):
 def test_neighbors_iteration_matches_masks(sh_graph):
     for u in range(16):
         mask = 0
-        for v in sh_graph.neighbors(u):
+        for v in oracles.neighbors(sh_graph, u):
             mask |= 1 << v
         assert mask == sh_graph.neighbor_masks[u]
-        assert sh_graph.degree(u) == mask.bit_count()
+        assert oracles.degree(sh_graph, u) == mask.bit_count()
 
 
 def test_edgeless_graph_helpers():
     g = Graph(2, (0, 0))
-    assert g.edge_count() == 0
+    assert oracles.edge_count(g) == 0
     assert regular_degree(g) == 0
     assert clique_number(g) == 1
 
@@ -344,14 +328,9 @@ def oracle_edges_by_index(m, n):
     return edges
 
 
-def shift_edges(graph):
-    """Every pair (u, u + d) that Graph.edge_shifts names."""
-    return {
-        (u, u + d)
-        for d, selector in graph.edge_shifts
-        for u in range(graph.vertex_count)
-        if selector >> u & 1
-    }
+def shift_edges(shifts):
+    """Every pair (u, u + d) that edge shifts name."""
+    return {(u, u + d) for d, selector in shifts for u in oracles.mask_members(selector)}
 
 
 def check_random_sets(graph, params, edges, seed):
@@ -383,7 +362,7 @@ def test_edge_shifts_match_oracle_adjacency(m, n):
     params = DoobParams(m, n)
     graph = doob_graph(params)
     edges = oracle_edges_by_index(m, n)
-    assert shift_edges(graph) == edges
+    assert shift_edges(graph.edge_shifts) == edges
     assert [d for d, _ in graph.edge_shifts] == sorted({w - u for u, w in edges})
     check_random_sets(graph, params, edges, seed=2 * m + n)
 
@@ -394,7 +373,11 @@ WORD_LENGTH_UP_TO_6 = [(m, n) for m in range(4) for n in range(7) if 0 < m + n a
 
 @pytest.mark.parametrize("m, n", WORD_LENGTH_UP_TO_6)
 def test_closed_form_edge_shifts_match_the_product_graph(m, n):
-    assert _edge_shifts(m, n) == doob_graph(DoobParams(m, n)).edge_shifts
+    # The product rule over labeled tuples: doob_graph is built from _edge_shifts.
+    shifts = _edge_shifts(m, n)
+    edges = oracle_edges_by_index(m, n)
+    assert shift_edges(shifts) == edges
+    assert [d for d, _ in shifts] == sorted({w - u for u, w in edges})
 
 
 def test_edge_shift_counts():
@@ -406,14 +389,14 @@ def test_edge_shift_counts():
     "graph, m, n",
     [
         (shrikhande(), 1, 0),
-        (cartesian_product(complete_graph(4), complete_graph(4)), 0, 2),
+        (Graph(16, doob_graph(DoobParams(0, 2)).neighbor_masks), 0, 2),
     ],
     ids=["Sh", "K4xK4"],
 )
 def test_edge_shifts_without_params(graph, m, n):
     assert graph.params is None
     edges = oracle_edges_by_index(m, n)
-    assert shift_edges(graph) == edges
+    assert shift_edges(graph.edge_shifts) == edges
     check_random_sets(graph, DoobParams(m, n), edges, seed=m + n)
 
 

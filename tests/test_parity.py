@@ -179,7 +179,7 @@ def test_completion_properties():
                 ]
                 assert len(completions) == 4
                 for p, q in itertools.combinations(completions, 2):
-                    assert not sh.adjacent(4 * p[0] + p[1], 4 * q[0] + q[1])
+                    assert not oracles.adjacent(sh, 4 * p[0] + p[1], 4 * q[0] + q[1])
 
 
 def test_rule_enumeration_guard():

@@ -16,7 +16,6 @@ from doobmds import (
     doob_graph,
     doob_symmetries,
     enumerate_mds,
-    graph_from_predicate,
     orbits_of_codes,
 )
 from doobmds.symmetry import (
@@ -112,14 +111,14 @@ def test_is_automorphism_rejects():
     g = complete_graph(3)
     assert not is_automorphism(g, (0, 1))  # wrong size
     assert not is_automorphism(g, (0, 0, 1))  # not a bijection
-    path = graph_from_predicate(3, lambda u, v: v - u == 1)
+    path = oracles.graph_from_predicate(3, lambda u, v: v - u == 1)
     assert not is_automorphism(path, (1, 0, 2))  # moves the endpoint onto the middle
 
 
 def test_relabeled_shrikhande_is_isomorphic(sh_graph):
     relabel = tuple(reversed(range(16)))
-    shuffled = graph_from_predicate(
-        16, lambda u, v: sh_graph.adjacent(relabel[u], relabel[v])
+    shuffled = oracles.graph_from_predicate(
+        16, lambda u, v: oracles.adjacent(sh_graph, relabel[u], relabel[v])
     )
     assert are_isomorphic(sh_graph, shuffled)
     found = isomorphisms(sh_graph, shuffled, limit=5)
