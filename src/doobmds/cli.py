@@ -273,10 +273,12 @@ def cmd_xi(args) -> int:
 
 
 def _parse_order(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise FormatError(f"bad coordinate order {text!r}") from None
+    """Comma-separated ASCII decimal digits; int() would also take a sign,
+    surrounding whitespace and the digits of other scripts."""
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise FormatError(f"bad coordinate order {text!r}")
+    return tuple(map(int, parts))
 
 
 def cmd_kappa(args) -> int:

@@ -21,14 +21,11 @@ from typing import Iterator, Optional, Sequence
 
 from .codes import Code, _parse_json, _read_text, canonical_json, params_from_obj
 from .errors import DeskScaleError, FormatError
-from .graphs import DoobParams, _FrozenRecord, check_desk_scale, decode_vertex
+from .graphs import MAX_WORD_LENGTH, DoobParams, _FrozenRecord, check_desk_scale, decode_vertex
 from .search import count_mds
 
 # Most even-sum vectors a rule enumeration ranges over (2^16 representative rules).
 _RULE_ENUMERATION_LIMIT = 16
-
-# Above this word length the class count 2^(2^(2m+n-1)) is left symbolic.
-_EXACT_CLASS_COUNT_LIMIT = 6
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
@@ -149,8 +146,9 @@ class EssentialClassCount(_FrozenRecord):
 
 
 def count_essential_classes(params: DoobParams) -> EssentialClassCount:
+    """Exact at desk scale, word length up to MAX_WORD_LENGTH; symbolic past it."""
     exponent = params.word_length - 1
-    if params.word_length <= _EXACT_CLASS_COUNT_LIMIT:
+    if params.word_length <= MAX_WORD_LENGTH:
         return EssentialClassCount(exponent, 2 ** (2 ** exponent))
     return EssentialClassCount(exponent, None)
 

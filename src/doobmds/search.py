@@ -27,29 +27,33 @@ bijectively.  With A(c) the valid assignments that have c at factor vertex 0,
     A(g c) = g A(c),
 
 so only one representative per orbit of G's codes is searched.
-Enumeration walks each orbit's Schreier tree, the breadth-first tree by
-which the generators reach every code of the orbit from its representative
-(Seress, Permutation Group Algorithms, 2003): the block of a code reached
-from code p by generator g is the image of p's block under g lifted to the
-product.  The lift sends product vertex u * |F| + f to g(u) * |F| + f, so its
-shift plan is g's plan with each selector spread over the |F| bits of every
-vertex u and each shift multiplied by |F|; an image costs one orbit step.
 
-On the Shrikhande split the same step is taken again at level 1, factor
-vertex 1, which is adjacent to vertex 0.  The stabilizer Stab(r) of the
-representative r maps the assignments with (r, c) at factor vertices 0 and
-1 onto those with (r, h c), so beside r one choice c per Stab(r)-orbit of
-the sub-codes disjoint from r is searched.  Stab(r) acts by all its Schreier
-generators t_{g x}^-1 g t_x, read off r's Schreier tree and the level-0
-image table: t_x is the tree path from r to x.  Enumeration builds r's
-block from level-1 blocks as it builds the level-0 blocks: one searched per
-Stab(r)-orbit, each other one the image of its parent's block in that
-orbit's Schreier tree under the lifted Schreier generator.  The K4 split
-stays at level 0: there the level-1 orbits are small and their set-up costs
-more than it saves.
+The search repeats that step down a prefix of fixed sub-codes (_by_orbits).
+With codes fixed at factor vertices 0, ..., k-1, an element h of the group
+fixing all of them maps the assignments with that prefix and c at vertex k
+onto those with the prefix and h c, so beside the prefix one choice per
+orbit of the sub-codes allowed at vertex k (disjoint from the prefix's codes
+at its neighbors) is fixed in turn.  Each step (_orbit_step) takes the allowed
+sub-codes as a bitmask and the group by generators, and returns the orbits'
+Schreier trees, the breadth-first trees by which the generators reach every
+choice of an orbit from its root (Seress, Permutation Group Algorithms,
+2003).  The next level's group, the stabilizer Stab(r) of the root r, is
+generated by the Schreier generators t_{g x}^-1 g t_x, read off r's tree
+and the step's image table: t_x is the tree path from r to x.  The depth
+follows from the split: 2 on the Shrikhande split, where factor vertex 1,
+(0,1), is adjacent to vertex 0 and its choices are the sub-codes disjoint
+from r, and 1 on the K4 split, where the level-1 orbits are small and their
+set-up costs more than it saves.  At the last level the rest of the
+factor vertices are searched beside the prefix.
 
-Counting on the Shrikhande split weights each representative by its orbit,
-and each level-1 representative by its Stab(r)-orbit,
+Enumeration builds the blocks of the codes with a given prefix the same way
+at every level: the root's block is searched, or built from the next level,
+and the block of a choice reached from choice p by generator g is the image
+of p's block under g lifted to the product.  The lift sends product vertex
+u * |F| + f to g(u) * |F| + f, so its shift plan is g's plan with each
+selector spread over the |F| bits of every vertex u and each shift
+multiplied by |F|; an image costs one orbit step.  Counting on the
+Shrikhande split weights each root's count by its orbit's size,
 
     count(G x Sh) = sum over orbits O of the sub-codes of |O| *
                     sum over the Stab-orbits O1 beside rep_O of |O1| * |A(rep_O, rep_O1)|,
@@ -65,7 +69,8 @@ Aut G maps the partitions with part c to those with part g(c), so
     count(G x K4) = 24 * sum over the Stab(0)-orbits O' of the sub-codes
                     through vertex 0 of |O'| * P(rep_O'),
 
-with P(c) the number of partitions of V(G) minus c into three codes.  P is
+with P(c) the number of partitions of V(G) minus c into three codes; the
+orbits come from the same orbit step, on the sub-codes through vertex 0.  P is
 an exact cover that always covers the lowest vertex left (Knuth's Algorithm
 X): the first part is a sub-code disjoint from c through the lowest vertex
 outside c, the second one disjoint from both through the lowest vertex
@@ -84,7 +89,7 @@ square block of codes at a time.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .graphs import (
     DoobParams,
@@ -233,27 +238,25 @@ def _compatibility(sub_masks):
     return _DisjointRows(sub_masks)
 
 
-def _assemble(factor_masks, compat, first, count_only=False, second=None):
+def _assemble(factor_masks, compat, prefix, count_only=False):
     """Assign a sub-code to every factor vertex, disjoint across factor edges.
 
-    Returns assignment tuples (sub-code index per factor vertex), or just
-    their number when count_only; counting adds up the choices left at the
-    last factor vertex instead of visiting them.  first, a bitmask over
-    sub-code indices, restricts the choice at factor vertex 0, and second,
-    if given, the choice at factor vertex 1: the searches run one orbit
-    representative at a time.
+    Factor vertices 0, 1, ... take the sub-codes prefix names, a choice the
+    caller made disjoint across the edges among them; the search assigns the
+    rest.  Returns assignment tuples (sub-code index per factor vertex), or
+    just their number when count_only; counting adds up the choices left at
+    the last factor vertex instead of visiting them.
     """
     factor_count = len(factor_masks)
     last = factor_count - 1
     full = compat.full
-    bounds = [first, full if second is None else second] + [full] * (factor_count - 2)
-    assignment = [0] * factor_count
+    assignment = [*prefix, *[0] * (factor_count - len(prefix))]
     out = []
     total = 0
 
     def walk(t):
         nonlocal total
-        allowed = bounds[t]
+        allowed = full
         row = factor_masks[t] & ((1 << t) - 1)
         while row and allowed:
             low = row & -row
@@ -271,59 +274,75 @@ def _assemble(factor_masks, compat, first, count_only=False, second=None):
             else:
                 walk(t + 1)
 
-    walk(0)
+    walk(len(prefix))
     return total if count_only else out
 
 
-def _level_one(sub_masks, compat, orbits, tree, perms):
-    """The choices at factor vertex 1 of the Shrikhande split beside the
-    representative r = tree[0] at factor vertex 0, in orbits under Stab(r).
+def _orbit_step(sub_masks, allowed, perms):
+    """The sub-codes in allowed, a bitmask over sub-code indices, in orbits
+    under the group that perms generate, which maps allowed onto itself.
 
-    Factor vertex 1, (0,1), is adjacent to vertex 0, so the choices are the
-    sub-codes disjoint from r.  orbits is the level-0 result,
-    _orbit_trees(sub_masks, plans of perms) for the generators perms of
-    Aut G, and tree one of its trees.  Returns (choices, trees, parent, via,
-    plans): the choices as positions in sub_masks, the Schreier trees of
-    their orbits (_orbit_trees) as positions in choices, and the shift plans
-    of the Schreier generators of Stab(r) that the trees were built with.
-    The plans go by their number of parts, fewest first, so that the trees
-    reach each choice by the cheapest image they can.
+    Returns (choices, orbits, plans): the choices as positions in sub_masks,
+    in increasing order, the _orbit_trees result of their masks, as
+    positions in choices, and the shift plans of perms it was built with.
     """
-    stabilizer = _schreier_generators(tree, *orbits[1:], perms)
-    plans = sorted(map(_shift_plan, stabilizer), key=len)
-    disjoint = compat[tree[0]]
-    choices = [j for j in range(len(sub_masks)) if disjoint >> j & 1]
-    return (choices, *_orbit_trees([sub_masks[j] for j in choices], plans)[:3], plans)
+    plans = [_shift_plan(perm) for perm in perms]
+    choices = [j for j, digit in enumerate(reversed(format(allowed, "b"))) if digit == "1"]
+    return choices, _orbit_trees([sub_masks[j] for j in choices], plans), plans
 
 
-def _add_blocks(out: list, trees, parent, via, lifted, search):
-    """Append each tree's blocks to out: the root's block, which search(tree)
-    appends, then each other node's, the image of its parent's block under
-    the lifted plan lifted[via[node]].  Blocks of one tree are equally long."""
+def _by_orbits(factor, sub_masks, compat, perms, leaf, lift=None, prefix=()):
+    """leaf's results beside the fixed prefix, from one search per orbit.
+
+    Factor vertex k = len(prefix) takes the sub-codes disjoint from the
+    prefix's codes at its neighbors, in orbits under perms, which fix every
+    code of the prefix.  Beside each orbit's root r the next level is taken
+    the same way, under the Schreier generators of Stab(r) in that group,
+    down to depth 2 on the Shrikhande split and 1 on the K4 split, where
+    leaf(prefix + (r,)) searches the rest.  With lift, leaf returns code
+    masks and so does this, block by block: the root's block is searched,
+    and every other node's is the image of its parent's block under the
+    plan lifted by lift.  Without it, leaf returns a count, and this the
+    sum of each root's count times its orbit's size.
+    """
+    factor_masks = factor.neighbor_masks
+    allowed = compat.full
+    for t, c in enumerate(prefix):
+        if factor_masks[len(prefix)] >> t & 1:
+            allowed &= compat[c]
+    choices, (trees, parent, via, images), plans = _orbit_step(sub_masks, allowed, perms)
+    depth = 2 if factor is shrikhande() else 1
+    lifted = [lift(plan) for plan in plans] if lift else None
+    out = [] if lift else 0
     start = {}  # tree node -> index of its block's first mask in out
     for tree in trees:
+        fixed = (*prefix, choices[tree[0]])
+        if len(fixed) < depth:
+            stabilizer = _schreier_generators(tree, parent, via, images, perms)
+            block = _by_orbits(factor, sub_masks, compat, stabilizer, leaf, lift, fixed)
+        else:
+            block = leaf(fixed)
+        if not lift:
+            out += len(tree) * block
+            continue
         start[tree[0]] = len(out)
-        search(tree)
-        size = len(out) - start[tree[0]]
+        out += block
         for j in tree[1:]:
             plan, source = lifted[via[j]], start[parent[j]]
             start[j] = len(out)
-            out += [_apply_plan(plan, mask) for mask in out[source : source + size]]
+            out += [_apply_plan(plan, mask) for mask in out[source : source + len(block)]]
+    return out
 
 
 def _member_tuples(params: DoobParams) -> list[int]:
     """The mask of every maximum independent set of D(m,n), block by block.
 
-    The codes with one sub-code c at factor vertex 0 form a block.  Only the
-    orbit representatives' blocks are searched; every other block is the
-    image of its parent's block in the orbit's Schreier tree, under the
-    generator lifted to the product.  On the Shrikhande split a
-    representative's block is itself built so, one level down: one block
-    per Stab(r)-orbit of the choices at factor vertex 1 is searched, and the
-    others are images under the lifted Schreier generators.  (The name is
-    older than the masks; bench/tracing.py wraps the function under it.)
-    Past the listed word length it refuses, after the split has refused a
-    rest too large.
+    The codes with one sub-code c at factor vertex 0 form a block, searched
+    by _by_orbits: one per orbit, and on the Shrikhande split, within it,
+    one per Stab(r)-orbit at factor vertex 1; every other block is an image
+    under a generator lifted to the product.  (The name is older than the
+    masks; bench/tracing.py wraps the function under it.)  Past the listed
+    word length it refuses, after the split has refused a rest too large.
     """
     rest, factor = _decompose(params)
     if params.word_length > _LISTED_WORD_LENGTH:
@@ -331,9 +350,6 @@ def _member_tuples(params: DoobParams) -> list[int]:
     if rest is None:
         return [sum(1 << v for v in t) for t in independent_sets_of_size(factor, params.code_size)]
     sub_masks = _member_tuples(rest)
-    perms = doob_symmetries(rest).generators
-    plans = [_shift_plan(perm) for perm in perms]
-    orbits = _orbit_trees(sub_masks, plans)
     width = factor.vertex_count
     spread_digits = str.maketrans({"0": "0" * width, "1": "0" * (width - 1) + "1"})
 
@@ -344,38 +360,21 @@ def _member_tuples(params: DoobParams) -> list[int]:
     # it fills u's whole block u * width + f, f < width.
     block = (1 << width) - 1
 
-    def lift(plans):
-        return [
-            tuple((spread(sel) * block, shift * width) for sel, shift in plan) for plan in plans
-        ]
+    def lift(plan):
+        return tuple((spread(sel) * block, shift * width) for sel, shift in plan)
 
     spreads = [spread(mask) for mask in sub_masks]
     shifts = range(width)
     compat = _compatibility(sub_masks)
-    out = []
 
-    def search(first, second=None):
-        assignments = _assemble(factor.neighbor_masks, compat, first, second=second)
-        out.extend(
-            [
-                sum(map(operator.lshift, map(spreads.__getitem__, assignment), shifts))
-                for assignment in assignments
-            ]
-        )
+    def search(prefix):
+        return [
+            sum(map(operator.lshift, map(spreads.__getitem__, assignment), shifts))
+            for assignment in _assemble(factor.neighbor_masks, compat, prefix)
+        ]
 
-    def search_by_level_one(tree):
-        r = tree[0]
-        choices, trees1, parent1, via1, plans1 = _level_one(sub_masks, compat, orbits, tree, perms)
-        _add_blocks(
-            out, trees1, parent1, via1, lift(plans1), lambda t: search(1 << r, 1 << choices[t[0]])
-        )
-
-    def search_alone(tree):
-        search(1 << tree[0])
-
-    level_zero = search_by_level_one if factor is shrikhande() else search_alone
-    _add_blocks(out, *orbits[:3], lift(plans), level_zero)
-    return out
+    perms = doob_symmetries(rest).generators
+    return _by_orbits(factor, sub_masks, compat, perms, search, lift)
 
 
 def _lexicographic_key(size: int):
@@ -438,34 +437,21 @@ def _count(params: DoobParams, sh=None) -> int:
     compat = _compatibility(sub_masks)
     if factor is not shrikhande():
         return _count_latin_colorings(rest, sub_masks, compat)
-    perms = doob_symmetries(rest).generators
-    orbits = _orbit_trees(sub_masks, [_shift_plan(perm) for perm in perms])
-    total = 0
-    for tree in orbits[0]:
-        choices, trees1, _, _, _ = _level_one(sub_masks, compat, orbits, tree, perms)
-        total += len(tree) * sum(
-            len(tree1)
-            * _assemble(
-                factor.neighbor_masks, compat, 1 << tree[0], True, 1 << choices[tree1[0]]
-            )
-            for tree1 in trees1
-        )
-    return total
+    leaf = partial(_assemble, factor.neighbor_masks, compat, count_only=True)
+    return _by_orbits(factor, sub_masks, compat, doob_symmetries(rest).generators, leaf)
 
 
 def _count_latin_colorings(rest: DoobParams, sub_masks, compat) -> int:
     """Codes of G x K4, counted as ordered partitions of V(G) into four codes
     of G: 24 * sum over the Stab(0)-orbits O' of |O'| * P(rep_O').
     """
-    through_zero = [i for i, mask in enumerate(sub_masks) if mask & 1]
-    plans = [_shift_plan(perm) for perm in _vertex_zero_stabilizer(rest)]
-    trees = _orbit_trees([sub_masks[i] for i in through_zero], plans)[0]
-    codes = set(sub_masks)
     incidence = compat.incidence
+    choices, (trees, *_), _ = _orbit_step(sub_masks, incidence[0], _vertex_zero_stabilizer(rest))
+    codes = set(sub_masks)
     full = (1 << rest.vertex_count) - 1
     total = 0
     for tree in trees:
-        c = through_zero[tree[0]]
+        c = choices[tree[0]]
         row = compat[c]
         left = full ^ sub_masks[c]
         firsts = row & incidence[(left & -left).bit_length() - 1]

@@ -19,9 +19,11 @@ reference for the search's symmetry shortcut: the plain fibered assembly,
 which runs the search's own _assemble with every sub-code tried at the first
 fiber, and so checks the shortcut, not the assembly; and the count by
 orbit-weighted assembly that count_mds used before it counted latin
-colorings, the second method for its K4 split; and the Schreier trees of
-orbits built one mask and one generator at a time, the reference for the
-packed action of symmetry._orbit_trees.  The last section works on the
+colorings, the second method for its K4 split; the splits of a graph's
+coordinates into two sides of word length at least 2, and the codes
+reducible over a split, by the number of their distinct sections; and the
+Schreier trees of orbits built one mask and one generator at a time, the
+reference for the packed action of symmetry._orbit_trees.  The last section works on the
 package's Graph objects: a graph from an adjacency predicate, the adjacency
 queries over neighbor masks, graph invariants, permutation arithmetic, and
 an exhaustive backtracking automorphism search, the reference for the
@@ -456,7 +458,7 @@ def full_assembly_masks(params):
     ]
     return [
         sum(spreads[c] << f for f, c in enumerate(assignment))
-        for assignment in search._assemble(factor.neighbor_masks, compat, compat.full)
+        for assignment in search._assemble(factor.neighbor_masks, compat, ())
     ]
 
 
@@ -478,9 +480,69 @@ def orbit_assembly_count(params):
     compat = search._compatibility(sub_masks)
     return sum(
         len(tree)
-        * search._assemble(factor.neighbor_masks, compat, 1 << tree[0], count_only=True)
+        * search._assemble(factor.neighbor_masks, compat, (tree[0],), count_only=True)
         for tree in trees
     )
+
+
+def coordinate_splits(m, n):
+    """The splits A | B of the coordinate slots of D(m,n), each side of word
+    length at least 2, as the slots of A, the side holding slot 0."""
+    weight = [2] * m + [1] * n
+    return [
+        part
+        for size in range(1, m + n)
+        for part in itertools.combinations(range(m + n), size)
+        if part[0] == 0 and 2 <= sum(weight[s] for s in part) <= 2 * m + n - 2
+    ]
+
+
+def reducible_masks(params, masks, part):
+    """The masks among masks of the codes of D(m,n) reducible over part | the
+    other slots.
+
+    A code is reducible over A | B exactly when its sections
+    {b : (a, b) in C}, over a in V(A), take 4 distinct values.  Exchanges of
+    index bits (delta swaps) move A's digits above B's, keeping the order of
+    the slots on each side; then the section at a is the slice of |V(B)|
+    bits of the mask at a * |V(B)|.
+    """
+    m, n = params.m, params.n
+    widths = [4] * m + [2] * n
+    order = [*part, *(s for s in range(m + n) if s not in part)]
+
+    def offsets(slots):  # lowest index bit of each slot, the last slot lowest
+        out, at = {}, 0
+        for s in reversed(slots):
+            out[s] = at
+            at += widths[s]
+        return out
+
+    old, new = offsets(range(m + n)), offsets(order)
+    source = [0] * sum(widths)  # source[q]: the original index bit that goes to bit q
+    for s in order:
+        for i in range(widths[s]):
+            source[new[s] + i] = old[s] + i
+    at = list(range(len(source)))  # at[q]: the original index bit now at bit q
+    swaps = []
+    for q, bit in enumerate(source):
+        r = at.index(bit)
+        if r != q:
+            j, k = sorted((q, r))
+            selector = sum(1 << v for v in range(params.vertex_count) if v >> j & 1 and not v >> k & 1)
+            swaps.append(((1 << k) - (1 << j), selector))
+            at[q], at[r] = at[r], at[q]
+    size = 4 ** (2 * m + n - sum(widths[s] for s in part) // 2) // 8  # bytes of V(B)
+    out = set()
+    for mask in masks:
+        moved = mask
+        for d, selector in swaps:
+            t = ((moved >> d) ^ moved) & selector
+            moved ^= t ^ (t << d)
+        data = moved.to_bytes(params.vertex_count // 8, "little")
+        if len({data[i : i + size] for i in range(0, len(data), size)}) == 4:
+            out.add(mask)
+    return out
 
 
 def orbit_trees(masks, plans):

@@ -476,6 +476,18 @@ def test_kappa_errors(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("order", ["+1,0", " 1,0", "1,0 ", "0_1,0", "\u0661,\u0660", "1,-0", "1,,0"])
+def test_kappa_order_is_ascii_decimal_digits(tmp_path, capsys, order):
+    # int() takes a sign, surrounding whitespace, "_" between digits and
+    # Arabic-Indic digits, so all but the last of these read as 1,0 and gave
+    # its output.
+    source = str(tmp_path / "l20.code")
+    assert run(capsys, "lambda", "--inline", "2", "0", "c3a5", "--out", source)[0] == 0
+    assert run(capsys, "kappa", source, "--order", "1,0")[0] == 0
+    code, out, err = run(capsys, "kappa", source, "--order", order)
+    assert (code, out, err) == (3, "", f"error: bad coordinate order {order!r}\n")
+
+
 def test_lambda_from_file_and_inline(tmp_path, capsys):
     rule_path = tmp_path / "rule.json"
     rule_path.write_text('{"bits":"0000","m":1,"n":0}\n')

@@ -19,7 +19,7 @@ from doobmds import (
 )
 from doobmds import cli, search
 from doobmds.search import PUBLISHED_COUNTS, independent_sets_of_size
-from doobmds.symmetry import _shift_plan, orbits_of_masks
+from doobmds.symmetry import _schreier_generators, orbits_of_masks
 
 import oracles
 
@@ -172,17 +172,16 @@ def test_one_representative_per_orbit_is_searched(monkeypatch):
     # D(2,0) = D(1,0) x Sh: one search per Aut-orbit of the first fiber and,
     # beside each, per Stab(r)-orbit of the second, with Stab(r) found here
     # from the 192 elements of Aut Sh.
-    searched = []
+    pairs = []  # the (r, c) prefix of each search
     original = search._assemble
 
-    def recorded(factor_masks, compat, first, count_only=False, second=None):
-        searched.append((first, second))
-        return original(factor_masks, compat, first, count_only, second)
+    def recorded(factor_masks, compat, prefix, count_only=False):
+        pairs.append(tuple(prefix))
+        return original(factor_masks, compat, prefix, count_only)
 
     monkeypatch.setattr(search, "_assemble", recorded)
     assert len(search._member_tuples(DoobParams(2, 0))) == 5856
-    pairs = [(first.bit_length() - 1, second.bit_length() - 1) for first, second in searched]
-    assert [(1 << r, 1 << c) for r, c in pairs] == searched
+    assert len(pairs) == 5 and all(len(pair) == 2 for pair in pairs)
     sh = DoobParams(1, 0)
     masks = search._member_tuples(sh)
     generators = doob_symmetries(sh).generators
@@ -208,15 +207,19 @@ def test_one_representative_per_orbit_is_searched(monkeypatch):
 @pytest.fixture(scope="module")
 def d30_level_one():
     """Level 1 of D(3,0) = D(2,0) x Sh: the disjointness rows of D(2,0)'s
-    codes, and _level_one's result beside each of the 14 orbit
-    representatives among them, by representative."""
+    codes, and _orbit_step's result beside each of the 14 orbit
+    representatives r among them, by r: the codes disjoint from r, in
+    orbits under the Schreier generators of Stab(r)."""
     rest = DoobParams(2, 0)
     sub_masks = search._member_tuples(rest)
     compat = search._compatibility(sub_masks)
     perms = doob_symmetries(rest).generators
-    orbits = search._orbit_trees(sub_masks, [_shift_plan(perm) for perm in perms])
+    _, (trees, *orbits), _ = search._orbit_step(sub_masks, compat.full, perms)
     level_one = {
-        tree[0]: search._level_one(sub_masks, compat, orbits, tree, perms) for tree in orbits[0]
+        tree[0]: search._orbit_step(
+            sub_masks, compat[tree[0]], _schreier_generators(tree, *orbits, perms)
+        )
+        for tree in trees
     }
     return compat, level_one
 
@@ -226,7 +229,7 @@ def test_level_one_orbits_are_those_of_the_whole_stabilizer(d30_level_one):
     # subgroup of each Stab(r), with finer orbits that total 390.
     _, level_one = d30_level_one
     assert len(level_one) == 14
-    assert sum(len(trees1) for _, trees1, _, _, _ in level_one.values()) == 360
+    assert sum(len(orbits[0]) for _, orbits, _ in level_one.values()) == 360
 
 
 @pytest.mark.parametrize("r", [74, 122, 2766])
@@ -235,13 +238,13 @@ def test_weighted_level_one_matches_plain_on_light_d30_representatives(d30_level
     # beside r weighted by Stab(r)-orbits equals the plain search beside r.
     compat, level_one = d30_level_one
     factor_masks = shrikhande().neighbor_masks
-    choices, trees1, _, _, _ = level_one[r]
+    choices, (trees1, *_), _ = level_one[r]
     assert len(choices) == 33
     weighted = sum(
-        len(tree1) * search._assemble(factor_masks, compat, 1 << r, True, 1 << choices[tree1[0]])
+        len(tree1) * search._assemble(factor_masks, compat, (r, choices[tree1[0]]), True)
         for tree1 in trees1
     )
-    plain = search._assemble(factor_masks, compat, 1 << r, True)
+    plain = search._assemble(factor_masks, compat, (r,), True)
     assert weighted == plain == 25296
 
 
@@ -262,9 +265,35 @@ def test_weighted_shrikhande_split_matches_plain_assembly(m, n):
     rest, factor = search._decompose(params, sh=True)
     assert factor is shrikhande()
     compat = search._compatibility(search._member_tuples(rest))
-    plain = search._assemble(factor.neighbor_masks, compat, compat.full, count_only=True)
+    plain = search._assemble(factor.neighbor_masks, compat, (), count_only=True)
     weighted = count_mds(params) if n == 0 else search._count(params, sh=True)
     assert weighted == plain == len(enumerate_mds(params).codes)
+
+
+@pytest.mark.parametrize(
+    "m, n, by_split, union",
+    [
+        (1, 1, {}, 0),
+        (2, 0, {(0,): 2400}, 2400),
+        (1, 2, {(0,): 5760}, 5760),
+        (0, 4, {(0, 1): 13824, (0, 2): 13824, (0, 3): 13824}, 34560),
+    ],
+)
+def test_reducible_codes_of_each_split(m, n, by_split, union):
+    # A code reducible over A | B composes a code of D(A) x K4 with one of
+    # D(B) x K4 through their K4 coordinate, and each split has
+    # |MDS(A x K4)| * |MDS(B x K4)| / 24 of them.  D(0,4)'s splits overlap.
+    params = DoobParams(m, n)
+    masks = search._member_tuples(params)
+    assert oracles.coordinate_splits(m, n) == list(by_split)
+    found = set()
+    for part, count in by_split.items():
+        reducible = oracles.reducible_masks(params, masks, part)
+        sh = sum(s < m for s in part)
+        a, b = DoobParams(sh, len(part) - sh + 1), DoobParams(m - sh, n - len(part) + sh + 1)
+        assert 24 * len(reducible) == count_mds(a) * count_mds(b) == 24 * count
+        found |= reducible
+    assert len(found) == union
 
 
 def test_split_choice_needs_the_coordinate():
