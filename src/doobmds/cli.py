@@ -274,11 +274,15 @@ def cmd_xi(args) -> int:
 
 def _parse_order(text: str) -> tuple[int, ...]:
     """Comma-separated ASCII decimal digits; int() would also take a sign,
-    surrounding whitespace and the digits of other scripts."""
+    surrounding whitespace and the digits of other scripts, and refuses more
+    digits than its conversion limit (4300 by default)."""
     parts = text.split(",")
-    if not all(part.isascii() and part.isdigit() for part in parts):
-        raise FormatError(f"bad coordinate order {text!r}")
-    return tuple(map(int, parts))
+    if all(part.isascii() and part.isdigit() for part in parts):
+        try:
+            return tuple(map(int, parts))
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise FormatError(f"bad coordinate order {text!r}")
 
 
 def cmd_kappa(args) -> int:

@@ -14,30 +14,35 @@ consumed; the order is therefore an explicit argument.
 The reduction works on the code's mask, an int.  Vertex (prefix, s, suffix)
 of D(m,n) and vertex (prefix, z, suffix) of D(m-1,n+2) have the same index
 when s = z, so each fiber's partner goes into the same bits of the output.
-The last Shrikhande digit s is index bits 2n..2n+3.  A few delta swaps on
-the mask, each exchanging two index bits, move it to index bits 0..3, so
-that every fiber is one 16-bit word of the mask with bit s for value s; a
-Shrikhande code's mask is such a word, and so is its partner's.  The words
-are read two at a time, as 32-bit words through a memoryview of the mask's
-bytes, and each pair is looked up in one table of the 256 pairs of
-Shrikhande codes; D(1,0), a single word, is read zero-padded to one 32-bit
-word, whose value is that word's, and looked up among the 16 single codes in
-the same table.  Both words of a pair key are nonzero, so it is at least
-2^16 and above every single key.
-The swaps are undone on the result.  All m steps of a full reduction run on
-the int, from one plan per (m, n), and one Code is built at the end.
-Permuting Shrikhande coordinates permutes 4-bit groups of index bits, so it
-is the same delta swaps with other index bits.
+A step from D(m,k) reads the mask a slice at a time, as a table key: the
+slice at offset o is mask >> o & selector, and its image goes back in as
+out |= table[key] << o.  The last Shrikhande digit s is index bits
+2k..2k+3, so a fiber is 16 bits at stride 4^k.  For k >= 1 a slice is the
+four fibers along one line of the last K4 coordinate, the one of stride 1:
+16 nibbles at stride 4^k, nibble s holding bit t for the fiber whose last
+K4 value is t.  Its table holds the 240 ordered quadruples of pairwise
+disjoint Shrikhande codes laid out that way, each mapped to its partners
+laid out the same way.  For k = 0 a fiber is a 16-bit word and a slice is
+two adjacent words, looked up among the 256 pairs of Shrikhande codes;
+D(1,0), a single word, is looked up among the 16 single codes in the same
+table.  Both words of a pair key are nonzero, so it is at least 2^16 and
+above every single key.  The tables hang off the pairing and are built on
+first use, one per k.  All m steps of a full reduction run on the int, from
+one plan per (m, n), and one Code is built at the end.  Permuting
+Shrikhande coordinates permutes 4-bit groups of index bits, which delta
+swaps on the mask do, each exchanging two index bits.
 
 The lookups are reduce_sh_coordinates' check of its input.  A code whose
-every lookup succeeds, and which meets every line of its n K4 directions,
-is a maximum independent set: each step finds a Shrikhande code in every
-fiber, so the code has no edge along that coordinate, and the first step
-gives it code_size members; the table preserves meeting, so a step keeps or
-removes no edge along any other coordinate; and code_size members meeting
-every K4 line of a direction hold one on each, so no K4 edge joins two.  A
-maximum independent set passes all of this, so on any other input a lookup
-fails or a line is missed, and the input's assert_mds names the fault.
+every lookup succeeds, and which meets every line of its K4 directions of
+stride above 1, is a maximum independent set: each step finds a Shrikhande
+code in every fiber, so the code has no edge along that coordinate, and the
+last step gives it code_size members; the table preserves meeting, so a
+step keeps or removes no edge along any other coordinate; a quadruple's
+fibers are disjoint, so a first step with k = n >= 1 finds one member on
+each line of the stride-1 direction; and code_size members meeting every K4
+line of a direction hold one on each, so no K4 edge joins two.  A maximum
+independent set passes all of this, so on any other input a lookup fails or
+a line is missed, and the input's assert_mds names the fault.
 reduce_last_sh_coordinate reduces one coordinate of several and checks its
 input with assert_mds first.
 """
@@ -45,7 +50,6 @@ input with assert_mds first.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from sys import byteorder
 from typing import Optional, Sequence
 
 from .codes import Code, _line_cover, _mds_by_line_cover
@@ -77,25 +81,50 @@ class PairingTable(_FrozenRecord):
     image: tuple[Code, ...]
 
     @cached_property
-    def partner_words(self) -> dict[int, bytes]:
-        """Fiber words, one or two at a time, mapped to their partners' bytes
-        in native order.
+    def _slice_tables(self) -> dict[int, dict[int, int]]:
+        return {}
 
-        Both masks of a pair are 16-bit words: bit s of a Shrikhande code's
-        mask is vertex s, and bit z = 4a + b of a K4-pair code's is the pair
-        of K4 values (a, b).  The 16 single keys are the domain masks, and
-        the 256 pair keys are two domain masks' native bytes read as one
-        32-bit word, mapped to their partners' four bytes.
+    def slice_table(self, k: int) -> dict[int, int]:
+        """The reduction's slice table for the last Shrikhande coordinate of
+        D(m,k), built on first use and kept on this pairing.
+
+        Bit s of a Shrikhande code's mask is vertex s, and bit z = 4a + b of
+        a K4-pair code's is the pair of K4 values (a, b).  For k = 0 the keys
+        are the 16 domain masks and the 256 pairs lo | hi << 16 of them, each
+        mapped to its partners' masks laid out the same way.  For k >= 1 they
+        are the 240 ordered quadruples of pairwise disjoint domain codes,
+        code t with its bit s moved to bit 4^k * s + t, each mapped to its
+        partners moved the same way.
         """
-        words = [
-            (dom.mask.to_bytes(2, byteorder), img.mask.to_bytes(2, byteorder))
-            for dom, img in zip(self.domain, self.image)
-        ]
-        table = {int.from_bytes(dom, byteorder): img for dom, img in words}
-        for low, low_image in words:
-            for high, high_image in words:
-                table[int.from_bytes(low + high, byteorder)] = low_image + high_image
-        return table
+        tables = self._slice_tables
+        if k not in tables:
+            words = [(dom.mask, img.mask) for dom, img in zip(self.domain, self.image)]
+            if k == 0:
+                table = dict(words)
+                table.update(
+                    (lo | hi << 16, low_image | high_image << 16)
+                    for lo, low_image in words
+                    for hi, high_image in words
+                )
+            else:
+                stride = 4**k
+                spread = [(w, _spread(w, stride), _spread(img, stride)) for w, img in words]
+                rows = [(0, 0, 0)]  # (vertices used, key, image) of the fibers so far
+                for t in range(4):
+                    rows = [
+                        (used | w, key | w_spread << t, image | img_spread << t)
+                        for used, key, image in rows
+                        for w, w_spread, img_spread in spread
+                        if not used & w
+                    ]
+                table = {key: image for _, key, image in rows}
+            tables[k] = table
+        return tables[k]
+
+
+def _spread(word: int, stride: int) -> int:
+    """word with its bit s moved to bit stride * s."""
+    return sum(1 << stride * s for s in range(16) if word >> s & 1)
 
 
 @lru_cache(maxsize=None)
@@ -175,34 +204,41 @@ def _slot_swaps(vertex_count: int, m: int, n: int, perm: tuple[int, ...]) -> tup
 def _plan(m: int, n: int) -> tuple[tuple, tuple]:
     """(steps, lines) for reducing codes of D(m,n), m >= 1.
 
-    steps[i] is (into, back, length, params) for the step from D(m-i, n+2i)
-    to params = D(m-i-1, n+2i+2): delta swaps that move that graph's last
-    Shrikhande digit to index bits 0..3 in order, the same swaps reversed,
-    which undo them, and the byte length the mask is read at, a multiple of
-    4, so that its fiber words are read two at a time as 32-bit words.
-    lines is the line-cover kernel of D(m,n)'s n K4 directions, with no
-    Shrikhande edges.
+    steps[i] is (k, selector, offsets, params) for the step from D(m-i, k),
+    k = n + 2i, to params = D(m-i-1, k+2): the slice table's k, the bits of
+    a slice at offset 0, and the offsets of the slices, which tile the
+    index bits.  lines is the line-cover kernel of D(m,n)'s K4 directions
+    of stride above 1, with no Shrikhande edges; the first step's slices
+    cover the stride-1 direction.
     """
-    params = DoobParams(m, n)
-    length = max(4, params.vertex_count // 8)  # D(1,0): one word, zero-padded
+    vertex_count = DoobParams(m, n).vertex_count
     steps = []
     for step in range(m):
-        k = n + 2 * step  # K4 coordinates before the step
-        pairs = _exchanges(list(range(2 * k + 4)), range(2 * k, 2 * k + 4))
-        swaps = _delta_swaps(params.vertex_count, pairs)
-        steps.append((swaps, swaps[::-1], length, DoobParams(m - 1 - step, k + 2)))
-    return tuple(steps), (_line_cover(m, n)[0], ())
+        k = n + 2 * step
+        if k:
+            stride = 4**k
+            selector = 0xF * _spread(0xFFFF, stride)
+            offsets = tuple(
+                row + low
+                for row in range(0, vertex_count, 16 * stride)
+                for low in range(0, stride, 4)
+            )
+        else:  # two fiber words; D(1,0)'s one word reads as a single
+            selector, offsets = 0xFFFFFFFF, tuple(range(0, vertex_count, 32))
+        steps.append((k, selector, offsets, DoobParams(m - 1 - step, k + 2)))
+    return tuple(steps), (_line_cover(m, n)[0][1:], ())
 
 
-def _reduce_mask(mask: int, step, partners: dict) -> int:
+def _reduce_mask(mask: int, step, pairing: PairingTable) -> int:
     """The mask after one reduction step (a step of _plan): every fiber at
     the last Shrikhande coordinate is replaced by its partner.  Raises
-    KeyError if some fiber is not a Shrikhande code."""
-    into, back, length, _ = step
-    mask = _swap_index_bits(mask, into)
-    words = memoryview(mask.to_bytes(length, byteorder)).cast("I")
-    images = b"".join(map(partners.__getitem__, words))
-    return _swap_index_bits(int.from_bytes(images, byteorder), back)
+    KeyError if a slice is not in the step's table."""
+    k, selector, offsets, _ = step
+    table = pairing.slice_table(k)
+    out = 0
+    for offset in offsets:
+        out |= table[mask >> offset & selector] << offset
+    return out
 
 
 def reduce_last_sh_coordinate(code: Code) -> Code:
@@ -219,7 +255,7 @@ def reduce_last_sh_coordinate(code: Code) -> Code:
         raise ValueError("code has no Shrikhande coordinate to reduce")
     code.assert_mds(context="reduction input")
     step = _plan(params.m, params.n)[0][0]
-    mask = _reduce_mask(code.mask, step, derive_pairing().partner_words)
+    mask = _reduce_mask(code.mask, step, derive_pairing())
     return Code.from_mask(step[-1], mask)
 
 
@@ -256,12 +292,12 @@ def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> 
         code.assert_mds(context="reduction input")
         return code
     steps, lines = _plan(m, params.n)
-    partners = derive_pairing().partner_words
+    pairing = derive_pairing()
     mask = code.mask
     try:
         for step in steps:
-            mask = _reduce_mask(mask, step, partners)
-    except KeyError:  # a fiber that is no Shrikhande code
+            mask = _reduce_mask(mask, step, pairing)
+    except KeyError:  # a slice that is no table entry
         mask = None
     if mask is None or not _mds_by_line_cover(code.mask, lines):
         code.assert_mds(context="reduction input")

@@ -82,8 +82,8 @@ K4 coordinate when there is one, and the Shrikhande split of the same graph
 (D(2,1) = D(1,1) x Sh, D(1,3) = D(0,3) x Sh) counts it a second way.  Both
 read disjointness rows of the sub-codes, made from a vertex-incidence
 bitset per vertex: the transpose of the code-by-vertex bit matrix, which
-delta swaps (graphs._swap_index_bits, the reduction's kernel) build one
-square block of codes at a time.
+delta swaps (graphs._swap_index_bits, which also permutes the reduction's
+Shrikhande coordinates) build one square block of codes at a time.
 """
 
 from __future__ import annotations

@@ -476,11 +476,18 @@ def test_kappa_errors(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("order", ["+1,0", " 1,0", "1,0 ", "0_1,0", "\u0661,\u0660", "1,-0", "1,,0"])
+@pytest.mark.parametrize(
+    "order",
+    [
+        *("+1,0", " 1,0", "1,0 ", "0_1,0", "\u0661,\u0660", "1,-0", "1,,0"),
+        pytest.param("1" * 5000, id="5000-digits"),
+    ],
+)
 def test_kappa_order_is_ascii_decimal_digits(tmp_path, capsys, order):
     # int() takes a sign, surrounding whitespace, "_" between digits and
-    # Arabic-Indic digits, so all but the last of these read as 1,0 and gave
-    # its output.
+    # Arabic-Indic digits, so the first six of these read as 1,0 and gave
+    # its output.  A coordinate of 5000 digits is past int()'s conversion
+    # limit, whose ValueError used to escape as a traceback.
     source = str(tmp_path / "l20.code")
     assert run(capsys, "lambda", "--inline", "2", "0", "c3a5", "--out", source)[0] == 0
     assert run(capsys, "kappa", source, "--order", "1,0")[0] == 0

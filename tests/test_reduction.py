@@ -267,23 +267,97 @@ def test_table_check_agrees_with_assert_mds_on_d11(codes_by_params):
     assert raised and passed
 
 
+def fiber_mutants(code, fiber):
+    """code with fiber number fiber at its last Shrikhande coordinate (the
+    fibers numbered by their first vertex) replaced by each other Shrikhande
+    code, and exchanged with each other fiber that differs from it."""
+    params = code.params
+    stride = 4**params.n
+
+    def bits(f):
+        start = f // stride * 16 * stride + f % stride
+        return [1 << start + stride * s for s in range(16)]
+
+    def read(f):
+        return [s for s, bit in enumerate(bits(f)) if code.mask & bit]
+
+    def put(mask, f, values):
+        return mask & ~sum(bits(f)) | sum(bits(f)[s] for s in values)
+
+    mine = read(fiber)
+    masks = [put(code.mask, fiber, other.members) for other in sh_codes()]
+    for other in range(params.code_size // 4):
+        if read(other) != mine:
+            masks.append(put(put(code.mask, fiber, read(other)), other, mine))
+    return [Code.from_mask(params, mask) for mask in masks if mask != code.mask]
+
+
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 0)])
 def test_table_check_agrees_with_assert_mds_on_samples(codes_by_params, m, n):
+    # Each sampled code, one member moved, and one fiber at the last
+    # Shrikhande coordinate swapped for each other Shrikhande code and for
+    # each other fiber.  A swap keeps every fiber a Shrikhande code; at D(1,2)
+    # an exchange of two fibers with the same stride-1 K4 value keeps every
+    # line of the stride-4 direction met, so only the slice quadruples, which
+    # check the stride-1 direction in place of the line cover, can fail.
     params = DoobParams(m, n)
     codes = codes_by_params[(m, n)] if (m, n) in codes_by_params else enumerate_mds(params).codes
     rng = random.Random(100 * m + n)
     orders = [None] + list(itertools.permutations(range(m)))
+    outcomes = set()
     for code in rng.sample(codes, 60):
         v = rng.choice(code.members)
         inputs = [code, moved_member(code, v, rng.randrange(params.vertex_count))]
         inputs += [moved_member(code, v, v ^ 1 << b) for b in range(params.vertex_count.bit_length() - 1)]
+        inputs += fiber_mutants(code, rng.randrange(params.code_size // 4))
         for bad in inputs:
             for order in orders:
-                assert reduction_outcome(bad, order) == assert_mds_outcome(bad, order)
+                expected = assert_mds_outcome(bad, order)
+                assert reduction_outcome(bad, order) == expected
+                outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_slice_tables_map_each_fiber_to_its_partner(k):
+    """Every entry of the slice table for k decodes, fiber by fiber, to
+    Shrikhande codes and their partners: pairs and singles at k = 0,
+    ordered quadruples of disjoint codes at k >= 1."""
+    pairing = derive_pairing()
+    partner_of = {dom.mask: img.mask for dom, img in zip(pairing.domain, pairing.image)}
+    k4_pair_masks = {code.mask for code in k4_pair_codes()}
+    table = pairing.slice_table(k)
+    fibers = 2 if k == 0 else 4
+    # place[t][s]: the bit of vertex s of fiber t in a key or image.
+    place = [[16 * t + s if k == 0 else 4**k * s + t for s in range(16)] for t in range(fibers)]
+
+    def decode(bits):
+        return [sum((bits >> place[t][s] & 1) << s for s in range(16)) for t in range(fibers)]
+
+    def encode(words):
+        return sum(1 << place[t][s] for t in range(fibers) for s in range(16) if words[t] >> s & 1)
+
+    widths = []
+    for key, image in table.items():
+        words, images = decode(key), decode(image)
+        assert (encode(words), encode(images)) == (key, image)  # nothing outside the layout
+        used = [t for t in range(fibers) if words[t]]
+        widths.append(len(used))
+        assert used == list(range(len(used)))  # a single is the low word
+        for t in used:
+            assert words[t] in partner_of and images[t] == partner_of[words[t]]
+            assert images[t] in k4_pair_masks
+        if k:
+            assert sum(words) == 0xFFFF and len(set(words)) == 4  # a partition
+    if k == 0:
+        assert len(table) == 272 and sorted(widths) == [1] * 16 + [2] * 256
+    else:
+        assert len(table) == 240 and set(widths) == {4}
+    assert pairing.slice_table(k) is table  # built once
 
 
 def test_every_d10_four_set_fails_as_assert_mds_unless_a_shrikhande_code():
-    # D(1,0) is one 16-bit fiber word, read zero-padded as a 32-bit one.
+    # D(1,0) is one 16-bit fiber word, read as a two-word slice with no high word.
     params = DoobParams(1, 0)
     shrikhande_masks = {code.mask for code in sh_codes()}
     failed = 0
@@ -305,10 +379,10 @@ def test_a_later_step_catches_a_repeated_row():
     row0 = code.mask & 0xFFFF
     bad = Code.from_mask(params, code.mask & ~(0xFFFF << 16) | row0 << 16)
     first, second = reduction._plan(2, 0)[0]
-    partners = derive_pairing().partner_words
-    after_first = reduction._reduce_mask(bad.mask, first, partners)
+    pairing = derive_pairing()
+    after_first = reduction._reduce_mask(bad.mask, first, pairing)
     with pytest.raises(KeyError):
-        reduction._reduce_mask(after_first, second, partners)
+        reduction._reduce_mask(after_first, second, pairing)
     with pytest.raises(ConsistencyError, match=r"^reduction input: adjacent members 1 and 17$"):
         reduce_sh_coordinates(bad)
     assert reduction_outcome(bad) == assert_mds_outcome(bad)
