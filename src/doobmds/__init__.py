@@ -37,17 +37,13 @@ _SOURCES = {
     "encode_vertex": "graphs",
     "shrikhande": "graphs",
     "BoundsReport": "parity",
-    "EssentialClassCount": "parity",
     "ParityRule": "parity",
     "bounds_report": "parity",
     "build_parity_code": "parity",
-    "count_essential_classes": "parity",
     "representative_rules": "parity",
     "PairingTable": "reduction",
     "derive_pairing": "reduction",
     "k4_pair_codes": "reduction",
-    "permute_sh_coordinates": "reduction",
-    "reduce_last_sh_coordinate": "reduction",
     "reduce_sh_coordinates": "reduction",
     "sh_codes": "reduction",
     "EnumerationResult": "search",

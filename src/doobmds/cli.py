@@ -8,7 +8,8 @@ and changes nothing: enumeration and counting run in this process.  An
 empty `--out` or `--order` is refused.  Exit codes: 0 success, 1 a checked
 input code failed verification, 2 desk-scale guard or a usage error that
 argparse reports (a missing argument, a bad `--jobs`, an unknown
-subcommand), 3 input parse problem, 4 internal consistency failure.
+subcommand), 3 input parse problem (M or N not in ASCII decimal digits
+too), 4 internal consistency failure.
 
 Each subcommand imports the modules it uses when it runs, so a run loads and
 compiles only those: `enumerate --count-only` needs graphs, symmetry and
@@ -40,11 +41,16 @@ EXIT_PARSE = 3
 EXIT_INCONSISTENT = 4
 
 
-def _parse_params(m, n) -> DoobParams:
+def _parse_params(m: str, n: str) -> DoobParams:
+    """M and N in ASCII decimal digits; int() would also take a sign,
+    surrounding whitespace, "_" between digits and the digits of other
+    scripts."""
     try:
+        if not all(text.isascii() and text.isdigit() for text in (m, n)):
+            raise ValueError("M and N must be ASCII decimal digits")
         return DoobParams(int(m), int(n))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad parameters ({m}, {n}): {exc}") from None
+    except ValueError as exc:  # not digits, past int()'s digit limit, or m + n = 0
+        raise FormatError(f"bad parameters ({m!r}, {n!r}): {exc}") from None
 
 
 def cache_root() -> Path:
@@ -422,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="enumerate all codes of D(m,n)")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m")
+    p.add_argument("n")
     p.add_argument("--count-only", action="store_true", help="print the count, write nothing")
     p.add_argument("--out", help="write code files here instead of the cache")
     p.add_argument("--no-cache", action="store_true", help="ignore any cached result")
@@ -460,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("bounds", help="lower/upper bounds and the actual code count")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m")
+    p.add_argument("n")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("classify", help="orbit sizes of a directory of code files")

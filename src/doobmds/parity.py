@@ -19,7 +19,7 @@ import operator
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .codes import Code, _parse_json, _read_text, canonical_json, params_from_obj
+from .codes import Code, _parse_json, _read_text, params_from_obj
 from .errors import DeskScaleError, FormatError
 from .graphs import MAX_WORD_LENGTH, DoobParams, _FrozenRecord, check_desk_scale, decode_vertex
 from .search import count_mds
@@ -78,9 +78,6 @@ class ParityRule(_FrozenRecord):
         if any(bit not in (0, 1) for bit in self.bits):
             raise ValueError("rule table entries must be 0 or 1")
 
-    def bit_string(self) -> str:
-        return "".join(str(bit) for bit in self.bits)
-
 
 @lru_cache(maxsize=None)
 def even_point_indices(params: DoobParams) -> tuple[int, ...]:
@@ -138,21 +135,6 @@ def build_parity_code(rule: ParityRule) -> Code:
     return Code.from_mask(rule.params, sum(map(operator.getitem, profile, rule.bits)))
 
 
-class EssentialClassCount(_FrozenRecord):
-    """The number of essential classes 2^(2^(2m+n-1)), exact when small enough."""
-
-    log2_log2: int
-    exact: Optional[int]
-
-
-def count_essential_classes(params: DoobParams) -> EssentialClassCount:
-    """Exact at desk scale, word length up to MAX_WORD_LENGTH; symbolic past it."""
-    exponent = params.word_length - 1
-    if params.word_length <= MAX_WORD_LENGTH:
-        return EssentialClassCount(exponent, 2 ** (2 ** exponent))
-    return EssentialClassCount(exponent, None)
-
-
 class BoundsReport(_FrozenRecord):
     """Sandwich of the code count: parity family below, Hamming count above."""
 
@@ -167,22 +149,24 @@ class BoundsReport(_FrozenRecord):
 def bounds_report(params: DoobParams) -> BoundsReport:
     """Lower and upper bounds on the number of codes, with exact values when cheap.
 
-    The upper reference count |MDS(0,2m+n)| and the actual count are attached
-    only for word length 2m+n up to 5, where each count_mds call takes under
-    a second (D(0,5), the slowest, about half of one); a Hamming graph's
-    upper count is its actual count, counted once.
+    The lower bound is the number of essential classes, 2^(2^(2m+n-1)),
+    exact up to word length MAX_WORD_LENGTH and symbolic past it.  The upper
+    reference count |MDS(0,2m+n)| and the actual count are attached only for
+    word length 2m+n up to 5, where each count_mds call takes under a second
+    (D(0,5), the slowest, about half of one); a Hamming graph's upper count
+    is its actual count, counted once.
     """
-    classes = count_essential_classes(params)
-    upper_params = DoobParams(0, params.word_length)
+    word = params.word_length
+    upper_params = DoobParams(0, word)
     upper_exact = None
     actual = None
-    if params.word_length <= 5:
+    if word <= 5:
         upper_exact = count_mds(upper_params)
         actual = upper_exact if params == upper_params else count_mds(params)
     return BoundsReport(
         params=params,
-        lower_log2_log2=classes.log2_log2,
-        lower_exact=classes.exact,
+        lower_log2_log2=word - 1,
+        lower_exact=2 ** 2 ** (word - 1) if word <= MAX_WORD_LENGTH else None,
         upper_params=upper_params,
         upper_exact=upper_exact,
         actual=actual,
@@ -192,10 +176,6 @@ def bounds_report(params: DoobParams) -> BoundsReport:
 # ---------------------------------------------------------------------------
 # Rule files
 # ---------------------------------------------------------------------------
-
-
-def rule_to_obj(rule: ParityRule) -> dict:
-    return {"m": rule.params.m, "n": rule.params.n, "bits": rule.bit_string()}
 
 
 def rule_from_obj(obj) -> ParityRule:
@@ -226,17 +206,8 @@ def rule_from_hex(params: DoobParams, text: str) -> ParityRule:
     return ParityRule(params, _unpack_bits(value, size))
 
 
-def dump_rule(rule: ParityRule) -> str:
-    return canonical_json(rule_to_obj(rule))
-
-
 def load_rule(text: str) -> ParityRule:
     return rule_from_obj(_parse_json(text))
-
-
-def write_rule(rule: ParityRule, path):
-    with open(path, "w") as handle:
-        handle.write(dump_rule(rule))
 
 
 def read_rule(path) -> ParityRule:

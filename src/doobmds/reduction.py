@@ -28,9 +28,10 @@ D(1,0), a single word, is looked up among the 16 single codes in the same
 table.  Both words of a pair key are nonzero, so it is at least 2^16 and
 above every single key.  The tables hang off the pairing and are built on
 first use, one per k.  All m steps of a full reduction run on the int, from
-one plan per (m, n), and one Code is built at the end.  Permuting
-Shrikhande coordinates permutes 4-bit groups of index bits, which delta
-swaps on the mask do, each exchanging two index bits.
+one plan per (m, n), and one Code is built at the end.  An explicit order
+first permutes the Shrikhande coordinates of the input's mask: that
+permutes 4-bit groups of index bits, which delta swaps do, each exchanging
+two index bits.
 
 The lookups are reduce_sh_coordinates' check of its input.  A code whose
 every lookup succeeds, and which meets every line of its K4 directions of
@@ -42,9 +43,11 @@ fibers are disjoint, so a first step with k = n >= 1 finds one member on
 each line of the stride-1 direction; and code_size members meeting every K4
 line of a direction hold one on each, so no K4 edge joins two.  A maximum
 independent set passes all of this, so on any other input a lookup fails or
-a line is missed, and the input's assert_mds names the fault.
-reduce_last_sh_coordinate reduces one coordinate of several and checks its
-input with assert_mds first.
+a line is missed, and the input's assert_mds names the fault.  Under an
+explicit order the steps read a permuted copy of the mask, which is a
+maximum independent set exactly when the input is (permuting Shrikhande
+coordinates is an automorphism), and the message still names the input's
+members.
 """
 
 from __future__ import annotations
@@ -241,36 +244,6 @@ def _reduce_mask(mask: int, step, pairing: PairingTable) -> int:
     return out
 
 
-def reduce_last_sh_coordinate(code: Code) -> Code:
-    """Replace the last Shrikhande coordinate by two K4 coordinates.
-
-    Every fiber of a maximum independent set at that coordinate is one of the
-    16 Shrikhande codes; each fiber is replaced by its partner code, whose
-    members supply the two new K4 values.  The new values sit between the
-    remaining Shrikhande block and the old K4 block.  Requires a maximum
-    independent set; preserves cardinality and the property of being one.
-    """
-    params = code.params
-    if params.m < 1:
-        raise ValueError("code has no Shrikhande coordinate to reduce")
-    code.assert_mds(context="reduction input")
-    step = _plan(params.m, params.n)[0][0]
-    mask = _reduce_mask(code.mask, step, derive_pairing())
-    return Code.from_mask(step[-1], mask)
-
-
-def permute_sh_coordinates(code: Code, perm: Sequence[int]) -> Code:
-    """Relabel so that new Shrikhande slot p holds old coordinate perm[p]."""
-    params = code.params
-    perm = tuple(perm)
-    if sorted(perm) != list(range(params.m)):
-        raise ValueError(f"{perm!r} is not a permutation of {params.m} coordinates")
-    if perm == tuple(range(params.m)):
-        return code
-    swaps = _slot_swaps(params.vertex_count, params.m, params.n, perm)
-    return Code.from_mask(params, _swap_index_bits(code.mask, swaps))
-
-
 def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> Code:
     """Eliminate all Shrikhande coordinates, landing in a Hamming graph.
 
@@ -282,18 +255,18 @@ def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> 
     """
     params = code.params
     m = params.m
+    mask = code.mask
     if order is not None:
         order = tuple(order)
         if sorted(order) != list(range(m)):
             raise ValueError(f"{order!r} is not a permutation of the {m} Shrikhande coordinates")
         # Arrange slots so that last-coordinate steps consume them in order.
-        code = permute_sh_coordinates(code, order[::-1])
+        mask = _swap_index_bits(mask, _slot_swaps(params.vertex_count, m, params.n, order[::-1]))
     if m == 0:
         code.assert_mds(context="reduction input")
         return code
     steps, lines = _plan(m, params.n)
     pairing = derive_pairing()
-    mask = code.mask
     try:
         for step in steps:
             mask = _reduce_mask(mask, step, pairing)

@@ -12,7 +12,8 @@ divmod and takes the pairing table as a dict of plain member tuples; the
 reference parity code tests every labeled vertex against the rule.
 
 The section on rules and codes holds small helpers over the package's Code,
-ParityRule and PairingTable objects that only the tests use; the member
+ParityRule and PairingTable objects that only the tests use; the rule file
+writer, since the package only reads rule files; the member
 tuple of a mask by one byte per bit and the MDS test by every edge shift,
 the references for Code.members and Code.is_mds read by K4 line; and the
 reference for the search's symmetry shortcut: the plain fibered assembly,
@@ -33,6 +34,7 @@ closed-form generators of doob_symmetries.
 import array
 import collections
 import itertools
+import json
 
 from doobmds import (
     ConsistencyError,
@@ -359,6 +361,13 @@ def essentially_equal(rule_a, rule_b):
 # ---------------------------------------------------------------------------
 # Rules, codes and pairing tables, on the package's objects
 # ---------------------------------------------------------------------------
+
+
+def dump_rule(rule):
+    """The rule file text of rule, as json.dumps writes it: sorted keys, no
+    spaces, one trailing newline; the writer for the reader's round trips."""
+    obj = {"m": rule.params.m, "n": rule.params.n, "bits": "".join(map(str, rule.bits))}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def all_parity_rules(params):

@@ -12,7 +12,6 @@ import oracles
 from doobmds import (
     DoobParams,
     bounds_report,
-    count_essential_classes,
     derive_pairing,
     doob_graph,
     enumerate_mds,
@@ -143,7 +142,7 @@ def test_criterion_6_distinct_code_counts(capsys):
     checks = []
     for (m, n), expected in [((1, 0), 4), ((0, 2), 4), ((1, 1), 16), ((2, 0), 256)]:
         params = DoobParams(m, n)
-        assert count_essential_classes(params).exact == expected
+        assert bounds_report(params).lower_exact == expected
         distinct = {build_parity_code(rule).members for rule in _criterion_5_rules(params)}
         assert len(distinct) == expected
         checks.append(f"({m},{n})={expected}")
@@ -188,8 +187,9 @@ def test_criterion_8_asymptotics_substituted(capsys):
     for (m, n), expected in [((1, 0), 4), ((0, 2), 4), ((1, 1), 16), ((2, 0), 256)]:
         params = DoobParams(m, n)
         word = params.word_length
-        assert count_essential_classes(params).exact == 2 ** (2 ** (word - 1))
-        assert bounds_report(params).upper_params == DoobParams(0, word)
+        r = bounds_report(params)
+        assert r.lower_exact == 2 ** (2 ** (word - 1))
+        assert r.upper_params == DoobParams(0, word)
     report(
         capsys,
         8,

@@ -15,7 +15,6 @@ from doobmds import (
     dump_code,
     enumerate_mds,
     load_code,
-    reduce_last_sh_coordinate,
     reduce_sh_coordinates,
     representative_rules,
 )
@@ -73,15 +72,15 @@ def test_every_construction_path_runs_post_init(constructions):
     loaded = load_code(dump_code(code))  # the canonical fast path
     assert loaded == code and constructions[-1] is loaded
 
-    image = reduce_last_sh_coordinate(code)
-    assert constructions[-1] is image
-
     rule = next(iter(representative_rules(DoobParams(2, 0))))
     built = build_parity_code(rule)
     assert constructions[-1] is built
 
-    reduced = reduce_sh_coordinates(enumerate_mds(DoobParams(2, 0)).codes[3])
-    assert constructions[-1] is reduced
+    source = enumerate_mds(DoobParams(2, 0)).codes[3]
+    for order in (None, (0, 1)):
+        before = len(constructions)
+        reduced = reduce_sh_coordinates(source, order=order)
+        assert len(constructions) == before + 1 and constructions[-1] is reduced
 
 
 def test_cli_calls_patched_functions_through_their_modules(monkeypatch, tmp_path):

@@ -553,9 +553,36 @@ def test_bounds_lines(capsys):
     assert run(capsys, "bounds", "0", "5")[1] == (
         "lower 65536, upper 36972288 (=|MDS(0,5)|), actual 36972288\n"
     )
+    assert run(capsys, "bounds", "3", "0")[1] == (
+        "lower 4294967296, upper |MDS(0,6)| (not computed at desk scale), actual not computed\n"
+    )
     assert run(capsys, "bounds", "3", "1")[1] == (
         "lower 2^2^6, upper |MDS(0,7)| (not computed at desk scale), actual not computed\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "+1", "\u0661", "--count-only"),
+        ("enumerate", "x", "0"),
+        ("enumerate", "-1", "1", "--count-only"),
+        ("bounds", "1_0", "0"),
+        ("bounds", " 1", "0"),
+        ("bounds", "1", "0\n"),
+        ("bounds", "", "1"),
+        ("lambda", "--inline", " 1", "2", "c3a5"),
+        ("lambda", "--inline", "1", "+2", "c3a5"),
+    ],
+)
+def test_parameters_are_ascii_decimal_digits(capsys, argv):
+    # int() takes a sign, surrounding whitespace, "_" between digits and
+    # Arabic-Indic digits: "+1" "\u0661" counted D(1,1), "1_0" reported
+    # D(10,0), and " 1" built a D(1,2) code.  A word that is not a number
+    # was argparse's usage error (exit 2).
+    m, n = argv[2:4] if argv[0] == "lambda" else argv[1:3]
+    message = f"error: bad parameters ({m!r}, {n!r}): M and N must be ASCII decimal digits\n"
+    assert run(capsys, *argv) == (3, "", message)
 
 
 def test_classify(tmp_path, capsys):

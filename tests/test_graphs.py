@@ -15,7 +15,6 @@ from doobmds import (
     DoobParams,
     DoobVertex,
     EnumerationResult,
-    EssentialClassCount,
     Graph,
     OrbitPartition,
     PairingTable,
@@ -87,7 +86,6 @@ RECORDS = [
     (OrbitPartition, (((0, 1), (2,)),), "OrbitPartition(classes=((0, 1), (2,)))"),
     (EnumerationResult, (P01, ()), "EnumerationResult(params=DoobParams(m=0, n=1), codes=())"),
     (ParityRule, (P01, (0, 1)), "ParityRule(params=DoobParams(m=0, n=1), bits=(0, 1))"),
-    (EssentialClassCount, (2, 16), "EssentialClassCount(log2_log2=2, exact=16)"),
     (
         BoundsReport,
         (P01, 0, 2, P01, 4, 4),

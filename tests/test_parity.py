@@ -9,12 +9,10 @@ from doobmds import (
     ParityRule,
     bounds_report,
     build_parity_code,
-    count_essential_classes,
     representative_rules,
     shrikhande,
 )
 from doobmds.parity import (
-    dump_rule,
     even_point_indices,
     index_point,
     load_rule,
@@ -22,7 +20,6 @@ from doobmds.parity import (
     read_rule,
     rule_domain_size,
     rule_from_hex,
-    write_rule,
 )
 
 import oracles
@@ -82,12 +79,12 @@ def test_distinct_code_counts_match_class_counts():
     for params, expected in [(DoobParams(1, 0), 4), (DoobParams(0, 2), 4), (DoobParams(1, 1), 16)]:
         distinct = {build_parity_code(rule).members for rule in oracles.all_parity_rules(params)}
         assert len(distinct) == expected
-        assert count_essential_classes(params).exact == expected
+        assert bounds_report(params).lower_exact == expected
     distinct20 = {
         build_parity_code(rule).members for rule in representative_rules(DoobParams(2, 0))
     }
     assert len(distinct20) == 256
-    assert count_essential_classes(DoobParams(2, 0)).exact == 256
+    assert bounds_report(DoobParams(2, 0)).lower_exact == 256
 
 
 def test_code_depends_only_on_even_sum_values():
@@ -142,11 +139,14 @@ def test_exhaustive_partition_of_the_full_rule_space_at_two_sh_coordinates():
 
 
 def test_class_count_switches_to_symbolic():
-    assert count_essential_classes(DoobParams(0, 1)).exact == 2
-    assert count_essential_classes(DoobParams(3, 0)).exact == 2 ** 32
-    big = count_essential_classes(DoobParams(3, 1))
-    assert big.exact is None
-    assert big.log2_log2 == 6
+    # Exact through word length 6, the last at desk scale; symbolic past it.
+    assert bounds_report(DoobParams(0, 1)).lower_exact == 2
+    for params in (DoobParams(3, 0), DoobParams(2, 2), DoobParams(0, 6)):
+        r = bounds_report(params)
+        assert (r.lower_log2_log2, r.lower_exact) == (5, 2 ** 32)
+    for params, exponent in ((DoobParams(3, 1), 6), (DoobParams(4, 0), 7)):
+        r = bounds_report(params)
+        assert (r.lower_log2_log2, r.lower_exact) == (exponent, None)
 
 
 def test_completion_properties():
@@ -207,12 +207,11 @@ def test_bounds_reports():
 
 def test_rule_files_round_trip(tmp_path):
     rule = ParityRule(DoobParams(1, 1), (0, 1, 1, 0, 1, 0, 0, 1))
-    text = dump_rule(rule)
+    text = oracles.dump_rule(rule)
     assert load_rule(text) == rule
     path = tmp_path / "rule.json"
-    write_rule(rule, path)
+    path.write_text(text)
     assert read_rule(path) == rule
-    assert path.read_text() == text
     assert text == '{"bits":"01101001","m":1,"n":1}\n'
 
 

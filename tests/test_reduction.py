@@ -13,12 +13,11 @@ from doobmds import (
     derive_pairing,
     enumerate_mds,
     k4_pair_codes,
-    permute_sh_coordinates,
-    reduce_last_sh_coordinate,
     reduce_sh_coordinates,
     sh_codes,
 )
 from doobmds import reduction
+from doobmds.graphs import _swap_index_bits
 from doobmds.parity import rule_domain_size, rule_from_hex
 
 import oracles
@@ -87,12 +86,11 @@ def test_diagonal_always_meets():
 def test_single_coordinate_reduction_equals_table():
     table = derive_pairing()
     for dom, img in zip(table.domain, table.image):
-        assert reduce_last_sh_coordinate(dom) == img
         assert reduce_sh_coordinates(dom) == img
 
 
 def test_reduction_preserves_cardinality_and_is_injective(codes_by_params):
-    images = [reduce_last_sh_coordinate(c) for c in codes_by_params[(1, 1)]]
+    images = [reduce_sh_coordinates(c) for c in codes_by_params[(1, 1)]]
     target = {c.members: c for c in codes_by_params[(0, 3)]}
     for source, image in zip(codes_by_params[(1, 1)], images):
         assert len(image) == len(source)
@@ -109,10 +107,13 @@ def test_reduction_fibers_are_shrikhande_codes(codes_by_params):
 
 
 def test_two_step_reduction_matches_iterated(codes_by_params):
+    # The reference's single step, applied to D(2,0) and then to D(1,2).
+    partner_of = partner_tuples(derive_pairing())
     for code in codes_by_params[(2, 0)][:25]:
-        two_steps = reduce_last_sh_coordinate(reduce_last_sh_coordinate(code))
-        assert reduce_sh_coordinates(code) == two_steps
-        assert two_steps.params == DoobParams(0, 4)
+        one_step = oracles.reduce_last_sh(code.members, 0, partner_of)
+        reduced = reduce_sh_coordinates(code)
+        assert reduced.members == oracles.reduce_last_sh(one_step, 2, partner_of)
+        assert reduced.params == DoobParams(0, 4)
 
 
 def test_identity_reduction_on_pure_k4_codes(codes_by_params):
@@ -139,10 +140,10 @@ def test_default_order_is_last_first(codes_by_params):
 
 def test_rejects_non_mds_input():
     bad = Code(DoobParams(1, 0), (0, 1, 2, 3))
-    with pytest.raises(ConsistencyError):
-        reduce_last_sh_coordinate(bad)
-    with pytest.raises(ValueError):
-        reduce_last_sh_coordinate(Code(DoobParams(0, 2), (0,)))
+    with pytest.raises(ConsistencyError, match="adjacent members 0 and 1"):
+        reduce_sh_coordinates(bad)
+    with pytest.raises(ConsistencyError, match="1 members, expected 4"):
+        reduce_sh_coordinates(Code(DoobParams(0, 2), (0,)))
 
 
 def test_rejects_bad_order(codes_by_params):
@@ -154,13 +155,22 @@ def test_rejects_bad_order(codes_by_params):
 
 
 def test_permute_sh_coordinates(codes_by_params):
-    code = codes_by_params[(2, 0)][3]
-    swapped = permute_sh_coordinates(code, (1, 0))
-    assert permute_sh_coordinates(swapped, (1, 0)) == code
-    assert permute_sh_coordinates(code, (0, 1)) is code
-    assert swapped.is_mds()
-    with pytest.raises(ValueError):
-        permute_sh_coordinates(code, (0, 2))
+    # The delta swaps an explicit order applies to the input's mask move old
+    # Shrikhande coordinate perm[p] to slot p, as the digit arithmetic of
+    # the reference does.
+    samples = [
+        (DoobParams(2, 0), codes_by_params[(2, 0)][:20]),
+        (DoobParams(3, 0), random_parity_codes(3, 0, 2)),
+        (DoobParams(2, 2), random_parity_codes(2, 2, 2)),
+    ]
+    for params, codes in samples:
+        m, n = params.m, params.n
+        for perm in itertools.permutations(range(m)):
+            swaps = reduction._slot_swaps(params.vertex_count, m, n, perm)
+            assert (swaps == ()) == (perm == tuple(range(m)))
+            for code in codes:
+                expected = oracles.permute_sh(code.members, m, n, perm)
+                assert _swap_index_bits(code.mask, swaps) == sum(1 << v for v in expected)
 
 
 def test_reduced_codes_verify_everywhere(codes_by_params):
@@ -169,15 +179,6 @@ def test_reduced_codes_verify_everywhere(codes_by_params):
         reduce_sh_coordinates(code).assert_mds()
     for code in codes_by_params[(1, 1)][:25]:
         reduce_sh_coordinates(code).assert_mds()
-
-
-def chained_single_steps(code, order):
-    """The reduction in the given order as the public single steps: permute
-    so that last-first steps consume order, then one step per coordinate."""
-    code = permute_sh_coordinates(code, tuple(order)[::-1])
-    for _ in range(code.params.m):
-        code = reduce_last_sh_coordinate(code)
-    return code
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 0)])
@@ -191,14 +192,14 @@ def test_reduction_matches_member_by_member_reference(codes_by_params, m, n):
             reduced = reduce_sh_coordinates(code, order=order)
             expected = oracles.reduce_sh(code.members, m, n, partner_of, order)
             assert reduced.members == expected
-            assert reduced == chained_single_steps(code, order)
             assert reduced.mask == sum(1 << v for v in expected)
             assert reduced.params == DoobParams(0, n + 2 * m)
 
 
 def test_valid_input_is_checked_by_the_table_alone(codes_by_params, monkeypatch):
     """A valid D(2,0) code, reduced in either order, runs no assert_mds, and
-    no Code is built over the D(1,2) in between, so nothing checks it."""
+    the only Code built is the result: none for the permuted input or the
+    D(1,2) in between, so nothing checks them."""
     checked, built = [], []
     assert_mds, post_init = Code.assert_mds, vars(Code)["__post_init__"]
 
@@ -216,9 +217,7 @@ def test_valid_input_is_checked_by_the_table_alone(codes_by_params, monkeypatch)
         for order in [(1, 0), (0, 1)]:
             assert reduce_sh_coordinates(code, order=order).params == DoobParams(0, 4)
     assert checked == []
-    assert DoobParams(1, 2) not in built
-    reduce_last_sh_coordinate(codes_by_params[(2, 0)][0])
-    assert checked == [DoobParams(2, 0)]  # the public single step still checks
+    assert built == [DoobParams(0, 4)] * 100
 
 
 def reduction_outcome(code, order=None):
@@ -230,11 +229,9 @@ def reduction_outcome(code, order=None):
     return None
 
 
-def assert_mds_outcome(code, order=None):
-    """The ConsistencyError message of assert_mds on the input as the
-    reduction arranges it for order, or None."""
-    if order is not None:
-        code = permute_sh_coordinates(code, tuple(order)[::-1])
+def assert_mds_outcome(code):
+    """The ConsistencyError message of the input's own assert_mds, as the
+    reduction names it, or None."""
     try:
         code.assert_mds(context="reduction input")
     except ConsistencyError as exc:
@@ -311,10 +308,10 @@ def test_table_check_agrees_with_assert_mds_on_samples(codes_by_params, m, n):
         inputs += [moved_member(code, v, v ^ 1 << b) for b in range(params.vertex_count.bit_length() - 1)]
         inputs += fiber_mutants(code, rng.randrange(params.code_size // 4))
         for bad in inputs:
+            expected = assert_mds_outcome(bad)
             for order in orders:
-                expected = assert_mds_outcome(bad, order)
                 assert reduction_outcome(bad, order) == expected
-                outcomes.add(expected is None)
+            outcomes.add(expected is None)
     assert outcomes == {True, False}
 
 
@@ -383,8 +380,9 @@ def test_a_later_step_catches_a_repeated_row():
     after_first = reduction._reduce_mask(bad.mask, first, pairing)
     with pytest.raises(KeyError):
         reduction._reduce_mask(after_first, second, pairing)
-    with pytest.raises(ConsistencyError, match=r"^reduction input: adjacent members 1 and 17$"):
-        reduce_sh_coordinates(bad)
+    for order in (None, (1, 0), (0, 1)):
+        with pytest.raises(ConsistencyError, match=r"^reduction input: adjacent members 1 and 17$"):
+            reduce_sh_coordinates(bad, order=order)
     assert reduction_outcome(bad) == assert_mds_outcome(bad)
 
 
@@ -420,7 +418,25 @@ def test_word_kernel_matches_member_by_member_reference(m, n):
             reduced = reduce_sh_coordinates(code, order=order)
             assert reduced.members == oracles.reduce_sh(code.members, m, n, partner_of, order)
             assert reduced.params == DoobParams(0, n + 2 * m)
-            assert reduced == chained_single_steps(code, order)
-        single = reduce_last_sh_coordinate(code)
-        assert single.members == oracles.reduce_last_sh(code.members, n, partner_of)
-        assert single.params == DoobParams(m - 1, n + 2)
+
+
+@pytest.mark.parametrize("m, n", WIDE_PARAMS)
+def test_error_names_the_input_in_every_order(m, n):
+    # Seeded parity codes of word length 5 and 6, each with one member moved
+    # along each index bit and a few of its fiber mutants.  An explicit order
+    # reduces a permuted copy of the mask; the error still names the input's
+    # own members, as its assert_mds does.
+    params = DoobParams(m, n)
+    rng = random.Random(10 * m + n)
+    orders = [None] + list(itertools.permutations(range(m)))
+    outcomes = set()
+    for code in random_parity_codes(m, n, 2):
+        v = rng.choice(code.members)
+        inputs = [moved_member(code, v, v ^ 1 << b) for b in range(2 * params.word_length)]
+        inputs += rng.sample(fiber_mutants(code, rng.randrange(params.code_size // 4)), 4)
+        for bad in inputs:
+            expected = assert_mds_outcome(bad)
+            for order in orders:
+                assert reduction_outcome(bad, order) == expected, (order, bad.members)
+            outcomes.add(expected is None)
+    assert False in outcomes

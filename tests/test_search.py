@@ -11,10 +11,12 @@ from doobmds import (
     Code,
     DeskScaleError,
     DoobParams,
+    build_parity_code,
     count_mds,
     doob_graph,
     doob_symmetries,
     enumerate_mds,
+    representative_rules,
     shrikhande,
 )
 from doobmds import cli, search
@@ -294,6 +296,34 @@ def test_reducible_codes_of_each_split(m, n, by_split, union):
         assert 24 * len(reducible) == count_mds(a) * count_mds(b) == 24 * count
         found |= reducible
     assert len(found) == union
+
+
+@pytest.mark.parametrize(
+    "m, n, semilinear, orbits, both",
+    [
+        (1, 1, 240, 3, 0),
+        (2, 0, 4560, 11, 1104),
+        (1, 2, 13536, 9, 3168),
+        (0, 4, 39744, 4, 19008),
+    ],
+)
+def test_every_code_is_semilinear_or_reducible(m, n, semilinear, orbits, both):
+    # A code is semilinear if its orbit under Aut D(m,n) holds the parity
+    # code of a representative rule.  With the reducible codes of every
+    # split, the census at word length 4 leaves no code that is neither.
+    params = DoobParams(m, n)
+    masks = search._member_tuples(params)
+    position = {mask: i for i, mask in enumerate(masks)}
+    parity = {position[build_parity_code(rule).mask] for rule in representative_rules(params)}
+    classes = orbits_of_masks(masks, doob_symmetries(params).generators, params.vertex_count)
+    linear = [cls for cls in classes if parity.intersection(cls)]
+    found = {masks[i] for cls in linear for i in cls}
+    assert (len(found), len(linear)) == (semilinear, orbits)
+    reducible = set().union(
+        *(oracles.reducible_masks(params, masks, part) for part in oracles.coordinate_splits(m, n))
+    )
+    assert len(found & reducible) == both
+    assert len(found | reducible) == len(masks)
 
 
 def test_split_choice_needs_the_coordinate():
