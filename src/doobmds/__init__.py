@@ -28,13 +28,9 @@ _SOURCES = {
     "ParameterMismatchError": "errors",
     "DESK_SCALE_LIMIT": "graphs",
     "DoobParams": "graphs",
-    "DoobVertex": "graphs",
-    "Graph": "graphs",
     "check_desk_scale": "graphs",
     "complete_graph": "graphs",
-    "decode_vertex": "graphs",
     "doob_graph": "graphs",
-    "encode_vertex": "graphs",
     "shrikhande": "graphs",
     "BoundsReport": "parity",
     "ParityRule": "parity",

@@ -44,11 +44,14 @@ EXIT_INCONSISTENT = 4
 def _parse_params(m: str, n: str) -> DoobParams:
     """M and N in ASCII decimal digits; int() would also take a sign,
     surrounding whitespace, "_" between digits and the digits of other
-    scripts."""
+    scripts.  The word length 2m + n, which the commands print, must be
+    within int()'s digit limit too."""
     try:
         if not all(text.isascii() and text.isdigit() for text in (m, n)):
             raise ValueError("M and N must be ASCII decimal digits")
-        return DoobParams(int(m), int(n))
+        params = DoobParams(int(m), int(n))
+        str(params.word_length)
+        return params
     except ValueError as exc:  # not digits, past int()'s digit limit, or m + n = 0
         raise FormatError(f"bad parameters ({m!r}, {n!r}): {exc}") from None
 

@@ -75,11 +75,9 @@ from .errors import ConsistencyError, FormatError
 from .graphs import (
     MAX_WORD_LENGTH,
     DoobParams,
-    DoobVertex,
     _edge_shifts,
     _FrozenRecord,
-    decode_vertex,
-    encode_vertex,
+    _vertex_digits,
     independent_sets_of_size,
     shrikhande,
 )
@@ -307,8 +305,9 @@ def canonical_json(obj) -> str:
 
 
 def member_to_obj(index: int, params: DoobParams) -> list:
-    vertex = decode_vertex(index, params)
-    return [list(pair) for pair in vertex.sh] + list(vertex.k)
+    """Vertex index to its JSON coordinates: [a, b] per Shrikhande digit, then K4 values."""
+    digits = _vertex_digits(index, params)
+    return [list(divmod(digit, 4)) for digit in digits[: params.m]] + digits[params.m :]
 
 
 def _plain_int(x) -> bool:
@@ -316,11 +315,12 @@ def _plain_int(x) -> bool:
 
 
 def member_from_obj(obj, params: DoobParams) -> int:
+    """JSON coordinates to the vertex index, each coordinate checked once."""
     if not isinstance(obj, list) or len(obj) != params.m + params.n:
         raise FormatError(
             f"member {obj!r} does not have {params.m} Shrikhande + {params.n} K4 coordinates"
         )
-    sh = []
+    index = 0
     for pair in obj[: params.m]:
         if (
             not isinstance(pair, list)
@@ -328,13 +328,12 @@ def member_from_obj(obj, params: DoobParams) -> int:
             or not all(_plain_int(x) and 0 <= x <= 3 for x in pair)
         ):
             raise FormatError(f"bad Shrikhande coordinate {pair!r} in member {obj!r}")
-        sh.append((pair[0], pair[1]))
-    k = []
+        index = index * 16 + 4 * pair[0] + pair[1]
     for value in obj[params.m :]:
         if not _plain_int(value) or not 0 <= value <= 3:
             raise FormatError(f"bad K4 coordinate {value!r} in member {obj!r}")
-        k.append(value)
-    return encode_vertex(DoobVertex(tuple(sh), tuple(k)), params)
+        index = index * 4 + value
+    return index
 
 
 def code_to_obj(code: Code) -> dict:

@@ -3,9 +3,12 @@
 The Doob graph D(m,n) is the Cartesian product of m copies of the Shrikhande
 graph Sh and n copies of K4.  Vertices of Sh are the elements of Z4 x Z4 with
 connection set {+-(1,0), +-(0,1), +-(1,1)}: the torus grid lines plus the
-slanted diagonals.  Graphs are stored as per-vertex neighbor bitmasks and are
-immutable after construction; parameters past DESK_SCALE_LIMIT vertices are
-rejected outright instead of degrading.  The check compares the word length
+slanted diagonals.  A vertex is its index, and a graph is the tuple of its
+rows, the per-vertex neighbor bitmasks (bit v of row u is set iff u ~ v).
+The index of a vertex of D(m,n) has m Shrikhande digits 4a + b, base 16,
+then n K4 values, base 4, most significant first; _vertex_digits reads them
+off.  Parameters past DESK_SCALE_LIMIT vertices are rejected outright
+instead of degrading.  The check compares the word length
 2m + n with MAX_WORD_LENGTH, so no refused vertex count is ever computed.
 The edge shifts of D(m,n) are a closed form of (m, n) built from those of
 Sh and K4.  They are the one definition of its adjacency: the checks on
@@ -18,15 +21,16 @@ search are all made by it.  The delta swaps (_delta_swaps,
 _swap_index_bits) exchange index bits of a mask: the reduction moves a
 Shrikhande digit with them, and the search transposes the bit matrix of its
 sub-codes' masks with them.  independent_sets_of_size lists the codes of a
-single factor: the search's base case, and the 16 Shrikhande codes that
-canonical code files are read and written by.
+single factor: the search's base case, the 16 Shrikhande codes that
+canonical code files are read and written by, and the factor lists of the
+reduction's pairing.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DeskScaleError
 
@@ -45,21 +49,17 @@ class _FrozenRecord:
     gave them, without importing dataclasses (and inspect) at start-up.
 
     A subclass's fields are its base's, then the names annotated in its own
-    body, in order; a class attribute of the same name is a field's default.
-    __init__ takes the fields by position or keyword, then calls
+    body, in order; none has a default.  __init__ takes the fields by
+    position or keyword, then calls
     __post_init__, the validation hook.  Equality (within one class), hash
     and repr go by the field values, as the dataclass methods did.  Instances
     keep their __dict__, so cached_property and pickling work as on any class.
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls):
-        own = vars(cls)
-        added = tuple(own.get("__annotations__", ()))
-        cls._fields += added
-        cls._defaults = {**cls._defaults, **{name: own[name] for name in added if name in own}}
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
         get = attrgetter(*cls._fields)
         if len(cls._fields) == 1:  # then get gives the value, not a 1-tuple
             cls._values = lambda self: (get(self),)
@@ -81,7 +81,7 @@ class _FrozenRecord:
                 f"{name} takes {len(fields) + 1} positional arguments "
                 f"but {len(args) + 1} were given"
             )
-        values = {**cls._defaults, **dict(zip(fields, args))}
+        values = dict(zip(fields, args))
         for key, value in kwargs.items():
             if key not in fields:
                 raise TypeError(f"{name} got an unexpected keyword argument {key!r}")
@@ -149,47 +149,6 @@ class DoobParams(_FrozenRecord):
         return f"D({self.m},{self.n})"
 
 
-class DoobVertex(_FrozenRecord):
-    """A vertex of D(m,n): m Shrikhande coordinates (pairs mod 4), then n K4 values."""
-
-    sh: tuple[tuple[int, int], ...]
-    k: tuple[int, ...]
-
-
-class Graph(_FrozenRecord):
-    """Immutable graph over vertex indices 0..vertex_count-1.
-
-    Adjacency is a tuple of per-vertex neighbor bitmasks (bit v of
-    neighbor_masks[u] is set iff u ~ v).  No self-loops; masks symmetric.
-    """
-
-    vertex_count: int
-    neighbor_masks: tuple[int, ...]
-    params: Optional[DoobParams] = None
-    label: str = ""
-
-    @cached_property
-    def edge_shifts(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (d, selector), d ascending: u ~ u + d exactly for the u in selector.
-
-        Every edge {u, u + d} with d > 0 is in exactly one selector, so a
-        vertex set is independent iff (mask & selector) << d & mask is 0 for
-        every pair.  Each bit w != u of row u counts, with d = |w - u| and the
-        selector bit at min(u, w), so an edge stored in only one row is kept.
-        Doob graphs have few distinct d (13 for D(1,2)).
-        """
-        selectors: dict[int, int] = {}
-        for u, row in enumerate(self.neighbor_masks):
-            while row:
-                low = row & -row
-                w = low.bit_length() - 1
-                d = abs(w - u)
-                if d:
-                    selectors[d] = selectors.get(d, 0) | 1 << min(u, w)
-                row ^= low
-        return tuple(sorted(selectors.items()))
-
-
 def check_desk_scale(params: DoobParams):
     """Refuse parameters whose graph exceeds the desk-scale vertex limit,
     by word length: 4^(2m+n) is never computed for them."""
@@ -200,55 +159,68 @@ def check_desk_scale(params: DoobParams):
         )
 
 
-def sh_index(a: int, b: int) -> int:
-    """Index of the Shrikhande vertex (a, b): 4a + b."""
-    if not (0 <= a <= 3 and 0 <= b <= 3):
-        raise ValueError(f"Shrikhande coordinate out of range: ({a}, {b})")
-    return 4 * a + b
-
-
 @lru_cache(maxsize=None)
-def shrikhande() -> Graph:
-    """The Shrikhande graph on Z4 x Z4, vertex (a,b) at index 4a + b."""
-    masks = tuple(
-        sum(1 << sh_index((a + da) % 4, (b + db) % 4) for da, db in SHRIKHANDE_CONNECTION_SET)
+def shrikhande() -> tuple[int, ...]:
+    """The rows of the Shrikhande graph on Z4 x Z4, vertex (a,b) at index 4a + b."""
+    return tuple(
+        sum(1 << 4 * ((a + da) % 4) + (b + db) % 4 for da, db in SHRIKHANDE_CONNECTION_SET)
         for a in range(4)
         for b in range(4)
     )
-    return Graph(16, masks, label="Sh")
 
 
 @lru_cache(maxsize=None)
-def complete_graph(q: int) -> Graph:
-    """The complete graph K_q."""
+def complete_graph(q: int) -> tuple[int, ...]:
+    """The rows of the complete graph K_q."""
     if q < 2:
         raise ValueError(f"complete graph order must be at least 2, got {q}")
     full = (1 << q) - 1
-    return Graph(q, tuple(full ^ 1 << u for u in range(q)), label=f"K{q}")
+    return tuple(full ^ 1 << u for u in range(q))
 
 
 @lru_cache(maxsize=None)
-def doob_graph(params: DoobParams) -> Graph:
-    """The Doob graph D(m,n), vertices indexed by encode_vertex.
-
-    Built from _edge_shifts: u ~ u + d for each pair (d, selector) and each
-    u in selector.  The shifts refuse parameters past desk scale first.
+def doob_graph(params: DoobParams) -> tuple[int, ...]:
+    """The rows of the Doob graph D(m,n), from _edge_shifts: u ~ u + d for
+    each pair (d, selector) and each u in selector.  The shifts refuse
+    parameters past desk scale first.
     """
     shifts = _edge_shifts(params.m, params.n)
-    masks = [0] * params.vertex_count
+    rows = [0] * params.vertex_count
     for d, selector in shifts:
         while selector:
             low = selector & -selector
             u = low.bit_length() - 1
-            masks[u] |= low << d
-            masks[u + d] |= low
+            rows[u] |= low << d
+            rows[u + d] |= low
             selector ^= low
-    return Graph(params.vertex_count, tuple(masks), params, str(params))
+    return tuple(rows)
+
+
+def _row_shifts(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The edge shifts of a graph's rows: pairs (d, selector), d ascending,
+    u ~ u + d exactly for the u in selector.
+
+    Every edge {u, u + d} with d > 0 is in exactly one selector, so a
+    vertex set is independent iff (mask & selector) << d & mask is 0 for
+    every pair.  Each bit w != u of row u counts, with d = |w - u| and the
+    selector bit at min(u, w), so an edge stored in only one row is kept.
+    Doob graphs have few distinct d (13 for D(1,2)).
+    """
+    selectors: dict[int, int] = {}
+    for u, row in enumerate(rows):
+        while row:
+            low = row & -row
+            w = low.bit_length() - 1
+            d = abs(w - u)
+            if d:
+                selectors[d] = selectors.get(d, 0) | 1 << min(u, w)
+            row ^= low
+    return tuple(sorted(selectors.items()))
 
 
 @lru_cache(maxsize=None)
 def _edge_shifts(m: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The edge shifts of D(m,n), as in Graph.edge_shifts, in closed form.
+    """The edge shifts of D(m,n), as _row_shifts gives them, in closed form.
 
     An edge of D(m,n) changes one coordinate, so it is an edge of that
     coordinate's factor, Sh or K4, moved by the stride s of its digit in the
@@ -257,16 +229,16 @@ def _edge_shifts(m: int, n: int) -> tuple[tuple[int, int], ...]:
     the factor, q vertices, gives the pair (d s, selector spread to s bits
     per factor vertex and repeated every q s bits).  A coordinate's shifts
     lie in [s, q s), and these ranges do not overlap, so each d is one
-    coordinate's, and sorted by d the pairs are in Graph.edge_shifts' form.
+    coordinate's, and sorted by d the pairs are in _row_shifts' form.
     """
     params = DoobParams(m, n)
     check_desk_scale(params)
     slots = [(4**j, complete_graph(4)) for j in range(n)]
     slots += [(4**n * 16**p, shrikhande()) for p in range(m)]
     pairs = []
-    for s, factor in slots:
-        q = factor.vertex_count
-        for d, selector in factor.edge_shifts:
+    for s, rows in slots:
+        q = len(rows)
+        for d, selector in _row_shifts(rows):
             spread = sum(((1 << s) - 1) << x * s for x in range(q) if selector >> x & 1)
             pairs.append((d * s, _repeat(spread, q * s, params.vertex_count)))
     return tuple(sorted(pairs))
@@ -317,10 +289,10 @@ def _swap_index_bits(mask: int, swaps) -> int:
     return mask
 
 
-def independent_sets_of_size(graph: Graph, size: int) -> list[tuple[int, ...]]:
-    """All independent sets of exactly the given size, lexicographically ordered."""
-    n = graph.vertex_count
-    masks = graph.neighbor_masks
+def independent_sets_of_size(rows: Sequence[int], size: int) -> list[tuple[int, ...]]:
+    """All independent sets of exactly the given size in the graph of rows,
+    lexicographically ordered."""
+    n = len(rows)
     out = []
     chosen = []
 
@@ -332,39 +304,18 @@ def independent_sets_of_size(graph: Graph, size: int) -> list[tuple[int, ...]]:
             if banned >> v & 1:
                 continue
             chosen.append(v)
-            walk(v + 1, banned | masks[v] | 1 << v, need - 1)
+            walk(v + 1, banned | rows[v] | 1 << v, need - 1)
             chosen.pop()
 
     walk(0, 0, size)
     return out
 
 
-def encode_vertex(vertex: DoobVertex, params: DoobParams) -> int:
-    """Mixed-radix index: Sh coordinates as base-16 digits 4a+b, then K4 base-4 digits."""
-    if len(vertex.sh) != params.m or len(vertex.k) != params.n:
-        raise ValueError(
-            f"vertex shape ({len(vertex.sh)} Sh, {len(vertex.k)} K4) does not match {params}"
-        )
-    index = 0
-    for a, b in vertex.sh:
-        index = index * 16 + sh_index(a, b)
-    for v in vertex.k:
-        if not 0 <= v <= 3:
-            raise ValueError(f"K4 coordinate out of range: {v}")
-        index = index * 4 + v
-    return index
-
-
-def decode_vertex(index: int, params: DoobParams) -> DoobVertex:
-    """Inverse of encode_vertex."""
-    if not 0 <= index < params.vertex_count:
-        raise ValueError(f"vertex index {index} out of range for {params}")
-    k_digits = []
-    for _ in range(params.n):
-        index, d = divmod(index, 4)
-        k_digits.append(d)
-    sh_digits = []
-    for _ in range(params.m):
-        index, d = divmod(index, 16)
-        sh_digits.append(divmod(d, 4))
-    return DoobVertex(tuple(reversed(sh_digits)), tuple(reversed(k_digits)))
+def _vertex_digits(index: int, params: DoobParams) -> list[int]:
+    """The digits of a vertex index of D(m,n), most significant first: m
+    Shrikhande digits 4a + b, base 16, then n K4 values, base 4."""
+    digits = []
+    for radix in [4] * params.n + [16] * params.m:
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    return digits[::-1]

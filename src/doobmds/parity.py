@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 from .codes import Code, _parse_json, _read_text, params_from_obj
 from .errors import DeskScaleError, FormatError
-from .graphs import MAX_WORD_LENGTH, DoobParams, _FrozenRecord, check_desk_scale, decode_vertex
+from .graphs import MAX_WORD_LENGTH, DoobParams, _FrozenRecord, _vertex_digits, check_desk_scale
 from .search import count_mds
 
 # Most even-sum vectors a rule enumeration ranges over (2^16 representative rules).
@@ -117,10 +117,11 @@ def _vertex_profile(params: DoobParams) -> tuple[tuple[int, int], ...]:
     check_desk_scale(params)
     profile = [[0, 0] for _ in range(rule_domain_size(params))]
     for index in range(params.vertex_count):
-        vertex = decode_vertex(index, params)
-        first = tuple(a for a, _ in vertex.sh) + tuple(v >> 1 for v in vertex.k)
+        digits = _vertex_digits(index, params)
+        sh, k = digits[: params.m], digits[params.m :]
+        first = [digit >> 2 for digit in sh] + [v >> 1 for v in k]
         if sum(first) % 2 == 0:
-            second_sum = sum(b for _, b in vertex.sh) + sum(v & 1 for v in vertex.k)
+            second_sum = sum(digit & 3 for digit in sh) + sum(v & 1 for v in k)
             profile[point_index(params, first)][second_sum % 2] |= 1 << index
     return tuple(map(tuple, profile))
 

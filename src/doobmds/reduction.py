@@ -7,9 +7,12 @@ fiberwise at the last Shrikhande coordinate turns a code of D(m+1,n) into a
 code of D(m,n+2); iterating eliminates all Shrikhande coordinates and lands
 in a Hamming graph.  The table is not unique, so the canonical one here is
 the lexicographically least valid assignment under the canonical orderings
-of both code lists, and every reduction applies it.  The end result of the
-iteration can depend on the order in which Shrikhande coordinates are
-consumed; the order is therefore an explicit argument.
+of both code lists, and every reduction applies it.  Both lists are the
+independent 4-sets of their graph, Sh and K4 x K4, in lexicographic order
+of their members (graphs.independent_sets_of_size), so no search runs.
+The end result of the iteration can depend on the order in which
+Shrikhande coordinates are consumed; the order is therefore an explicit
+argument.
 
 The reduction works on the code's mask, an int.  Vertex (prefix, s, suffix)
 of D(m,n) and vertex (prefix, z, suffix) of D(m-1,n+2) have the same index
@@ -57,20 +60,30 @@ from typing import Optional, Sequence
 
 from .codes import Code, _line_cover, _mds_by_line_cover
 from .errors import ConsistencyError
-from .graphs import DoobParams, _FrozenRecord, _delta_swaps, _swap_index_bits
-from .search import enumerate_mds
+from .graphs import (
+    DoobParams,
+    _delta_swaps,
+    _FrozenRecord,
+    _swap_index_bits,
+    doob_graph,
+    independent_sets_of_size,
+    shrikhande,
+)
 
 
 @lru_cache(maxsize=None)
 def sh_codes() -> tuple[Code, ...]:
     """The 16 maximum independent sets of the Shrikhande graph, canonical order."""
-    return enumerate_mds(DoobParams(1, 0)).codes
+    params = DoobParams(1, 0)
+    return tuple(Code(params, members) for members in independent_sets_of_size(shrikhande(), 4))
 
 
 @lru_cache(maxsize=None)
 def k4_pair_codes() -> tuple[Code, ...]:
     """The 24 maximum independent sets of K4 x K4, canonical order."""
-    return enumerate_mds(DoobParams(0, 2)).codes
+    params = DoobParams(0, 2)
+    rows = doob_graph(params)
+    return tuple(Code(params, members) for members in independent_sets_of_size(rows, 4))
 
 
 class PairingTable(_FrozenRecord):

@@ -1,12 +1,14 @@
 """Exhaustive enumeration of maximum independent sets in desk-scale Doob graphs.
 
-Single factors (one Shrikhande graph or one K4) are solved by direct DFS over
-vertex indices with a conflict bitmask.  Products are solved by fibering at
-the last coordinate: a maximum independent set of G x F restricts, for each
-vertex f of F, to a fiber in G, and a counting argument forces every fiber to
-be a maximum independent set of G.  Independence across fibers then says the
-fibers at adjacent factor vertices are disjoint, so enumeration reduces to
-assembling pairwise-compatible smaller codes.
+A factor, one Shrikhande graph or one K4, is read as its rows, the
+neighbor masks that graphs.shrikhande() and complete_graph(4) return.  Single
+factors are solved by direct DFS over vertex indices with a conflict
+bitmask.  Products are solved by fibering at the last coordinate: a maximum
+independent set of G x F restricts, for each vertex f of F, to a fiber in
+G, and a counting argument forces every fiber to be a maximum independent
+set of G.  Independence across fibers then says the fibers at adjacent
+factor vertices are disjoint, so enumeration reduces to assembling
+pairwise-compatible smaller codes.
 
 Every code is handled as its vertex mask, sub-codes included: a product
 code's mask is the sum of its sub-code masks, each spread to the product's
@@ -79,11 +81,13 @@ sub-codes.  Neither the last part nor the orderings are searched.
 
 The split is an argument of _decompose and _count: count_mds splits off a
 K4 coordinate when there is one, and the Shrikhande split of the same graph
-(D(2,1) = D(1,1) x Sh, D(1,3) = D(0,3) x Sh) counts it a second way.  Both
-read disjointness rows of the sub-codes, made from a vertex-incidence
-bitset per vertex: the transpose of the code-by-vertex bit matrix, which
-delta swaps (graphs._swap_index_bits, which also permutes the reduction's
-Shrikhande coordinates) build one square block of codes at a time.
+(D(2,1) = D(1,1) x Sh, D(1,3) = D(0,3) x Sh) counts it a second way.
+_decompose returns the choice with the factor's rows, and _by_orbits takes
+it along for its depth.  Both splits read disjointness rows of the
+sub-codes, made from a vertex-incidence bitset per vertex: the transpose of
+the code-by-vertex bit matrix, which delta swaps (graphs._swap_index_bits,
+which also permutes the reduction's Shrikhande coordinates) build one
+square block of codes at a time.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ class EnumerationResult(_FrozenRecord):
 
 
 def _decompose(params: DoobParams, sh=None):
-    """Split off one coordinate: (params of the rest, factor graph).
+    """Split off one coordinate: (params of the rest, sh, the factor's rows).
 
     sh true splits off a Shrikhande coordinate, false a K4 one; by default
     a K4 one, or a Shrikhande one when n = 0.  The rest is None when the
@@ -158,7 +162,7 @@ def _decompose(params: DoobParams, sh=None):
     rest = DoobParams(m, n) if m + n else None
     if rest is not None and rest.word_length > _LISTED_WORD_LENGTH:
         raise _too_many_to_list(f"{params} splits off {rest}, whose codes are")
-    return rest, shrikhande() if sh else complete_graph(4)
+    return rest, sh, shrikhande() if sh else complete_graph(4)
 
 
 def _too_many_to_list(subject: str):
@@ -238,8 +242,9 @@ def _compatibility(sub_masks):
     return _DisjointRows(sub_masks)
 
 
-def _assemble(factor_masks, compat, prefix, count_only=False):
-    """Assign a sub-code to every factor vertex, disjoint across factor edges.
+def _assemble(rows, compat, prefix, count_only=False):
+    """Assign a sub-code to every factor vertex, disjoint across the edges of
+    the factor's rows.
 
     Factor vertices 0, 1, ... take the sub-codes prefix names, a choice the
     caller made disjoint across the edges among them; the search assigns the
@@ -247,7 +252,7 @@ def _assemble(factor_masks, compat, prefix, count_only=False):
     just their number when count_only; counting adds up the choices left at
     the last factor vertex instead of visiting them.
     """
-    factor_count = len(factor_masks)
+    factor_count = len(rows)
     last = factor_count - 1
     full = compat.full
     assignment = [*prefix, *[0] * (factor_count - len(prefix))]
@@ -257,7 +262,7 @@ def _assemble(factor_masks, compat, prefix, count_only=False):
     def walk(t):
         nonlocal total
         allowed = full
-        row = factor_masks[t] & ((1 << t) - 1)
+        row = rows[t] & ((1 << t) - 1)
         while row and allowed:
             low = row & -row
             allowed &= compat[assignment[low.bit_length() - 1]]
@@ -291,27 +296,27 @@ def _orbit_step(sub_masks, allowed, perms):
     return choices, _orbit_trees([sub_masks[j] for j in choices], plans), plans
 
 
-def _by_orbits(factor, sub_masks, compat, perms, leaf, lift=None, prefix=()):
+def _by_orbits(rows, sh, sub_masks, compat, perms, leaf, lift=None, prefix=()):
     """leaf's results beside the fixed prefix, from one search per orbit.
 
     Factor vertex k = len(prefix) takes the sub-codes disjoint from the
-    prefix's codes at its neighbors, in orbits under perms, which fix every
-    code of the prefix.  Beside each orbit's root r the next level is taken
-    the same way, under the Schreier generators of Stab(r) in that group,
-    down to depth 2 on the Shrikhande split and 1 on the K4 split, where
-    leaf(prefix + (r,)) searches the rest.  With lift, leaf returns code
-    masks and so does this, block by block: the root's block is searched,
-    and every other node's is the image of its parent's block under the
-    plan lifted by lift.  Without it, leaf returns a count, and this the
-    sum of each root's count times its orbit's size.
+    prefix's codes at its neighbors in the factor's rows, in orbits under
+    perms, which fix every code of the prefix.  Beside each orbit's root r
+    the next level is taken the same way, under the Schreier generators of
+    Stab(r) in that group, down to depth 2 on the Shrikhande split (sh
+    true) and 1 on the K4 split, where leaf(prefix + (r,)) searches the
+    rest.  With lift, leaf returns code masks and so does this, block by
+    block: the root's block is searched, and every other node's is the
+    image of its parent's block under the plan lifted by lift.  Without it,
+    leaf returns a count, and this the sum of each root's count times its
+    orbit's size.
     """
-    factor_masks = factor.neighbor_masks
     allowed = compat.full
     for t, c in enumerate(prefix):
-        if factor_masks[len(prefix)] >> t & 1:
+        if rows[len(prefix)] >> t & 1:
             allowed &= compat[c]
     choices, (trees, parent, via, images), plans = _orbit_step(sub_masks, allowed, perms)
-    depth = 2 if factor is shrikhande() else 1
+    depth = 2 if sh else 1
     lifted = [lift(plan) for plan in plans] if lift else None
     out = [] if lift else 0
     start = {}  # tree node -> index of its block's first mask in out
@@ -319,7 +324,7 @@ def _by_orbits(factor, sub_masks, compat, perms, leaf, lift=None, prefix=()):
         fixed = (*prefix, choices[tree[0]])
         if len(fixed) < depth:
             stabilizer = _schreier_generators(tree, parent, via, images, perms)
-            block = _by_orbits(factor, sub_masks, compat, stabilizer, leaf, lift, fixed)
+            block = _by_orbits(rows, sh, sub_masks, compat, stabilizer, leaf, lift, fixed)
         else:
             block = leaf(fixed)
         if not lift:
@@ -344,13 +349,13 @@ def _member_tuples(params: DoobParams) -> list[int]:
     masks; bench/tracing.py wraps the function under it.)  Past the listed
     word length it refuses, after the split has refused a rest too large.
     """
-    rest, factor = _decompose(params)
+    rest, sh, rows = _decompose(params)
     if params.word_length > _LISTED_WORD_LENGTH:
         raise _too_many_to_list(f"the codes of {params} are")
     if rest is None:
-        return [sum(1 << v for v in t) for t in independent_sets_of_size(factor, params.code_size)]
+        return [sum(1 << v for v in t) for t in independent_sets_of_size(rows, params.code_size)]
     sub_masks = _member_tuples(rest)
-    width = factor.vertex_count
+    width = len(rows)
     spread_digits = str.maketrans({"0": "0" * width, "1": "0" * (width - 1) + "1"})
 
     def spread(mask):
@@ -370,11 +375,11 @@ def _member_tuples(params: DoobParams) -> list[int]:
     def search(prefix):
         return [
             sum(map(operator.lshift, map(spreads.__getitem__, assignment), shifts))
-            for assignment in _assemble(factor.neighbor_masks, compat, prefix)
+            for assignment in _assemble(rows, compat, prefix)
         ]
 
     perms = doob_symmetries(rest).generators
-    return _by_orbits(factor, sub_masks, compat, perms, search, lift)
+    return _by_orbits(rows, sh, sub_masks, compat, perms, search, lift)
 
 
 def _lexicographic_key(size: int):
@@ -430,15 +435,15 @@ def count_mds(params: DoobParams) -> int:
 
 def _count(params: DoobParams, sh=None) -> int:
     """count_mds on the split that sh chooses, as in _decompose."""
-    rest, factor = _decompose(params, sh)
+    rest, sh, rows = _decompose(params, sh)
     if rest is None:
-        return len(independent_sets_of_size(factor, params.code_size))
+        return len(independent_sets_of_size(rows, params.code_size))
     sub_masks = _member_tuples(rest)
     compat = _compatibility(sub_masks)
-    if factor is not shrikhande():
+    if not sh:
         return _count_latin_colorings(rest, sub_masks, compat)
-    leaf = partial(_assemble, factor.neighbor_masks, compat, count_only=True)
-    return _by_orbits(factor, sub_masks, compat, doob_symmetries(rest).generators, leaf)
+    leaf = partial(_assemble, rows, compat, count_only=True)
+    return _by_orbits(rows, sh, sub_masks, compat, doob_symmetries(rest).generators, leaf)
 
 
 def _count_latin_colorings(rest: DoobParams, sub_masks, compat) -> int:

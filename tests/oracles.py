@@ -24,11 +24,12 @@ colorings, the second method for its K4 split; the splits of a graph's
 coordinates into two sides of word length at least 2, and the codes
 reducible over a split, by the number of their distinct sections; and the
 Schreier trees of orbits built one mask and one generator at a time, the
-reference for the packed action of symmetry._orbit_trees.  The last section works on the
-package's Graph objects: a graph from an adjacency predicate, the adjacency
-queries over neighbor masks, graph invariants, permutation arithmetic, and
-an exhaustive backtracking automorphism search, the reference for the
-closed-form generators of doob_symmetries.
+reference for the packed action of symmetry._orbit_trees.  The last section works on
+graphs as the package builds them, tuples of per-vertex neighbor masks: a
+graph from an adjacency predicate, the adjacency queries over those rows,
+graph invariants, permutation arithmetic, and an exhaustive backtracking
+automorphism search, the reference for the closed-form generators of
+doob_symmetries.
 """
 
 import array
@@ -36,15 +37,7 @@ import collections
 import itertools
 import json
 
-from doobmds import (
-    ConsistencyError,
-    Graph,
-    ParameterMismatchError,
-    ParityRule,
-    decode_vertex,
-    search,
-    symmetry,
-)
+from doobmds import ConsistencyError, ParameterMismatchError, ParityRule, graphs, search, symmetry
 
 SH_DIFFS = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
 
@@ -89,6 +82,18 @@ def encode_label(label, m, n):
     for j in range(n):
         index = index * 4 + label[m + j]
     return index
+
+
+def decode_label(index, m, n):
+    """Inverse of encode_label: m Shrikhande pairs, then n K4 values."""
+    values = []
+    for _ in range(n):
+        index, value = divmod(index, 4)
+        values.append(value)
+    for _ in range(m):
+        index, digit = divmod(index, 16)
+        values.append(divmod(digit, 4))
+    return tuple(values[::-1])
 
 
 def scan_independent_sets(adj, size):
@@ -401,11 +406,11 @@ def mask_members(mask):
 
 
 def is_mds_by_edge_shifts(code, graph):
-    """code_size members and no edge of any shift in graph.edge_shifts with
+    """code_size members and no edge of any shift of the graph's rows with
     both ends in the code: the reference for Code.is_mds by line cover."""
     mask = code.mask
     return mask.bit_count() == code.params.code_size and not any(
-        (mask & selector) << d & mask for d, selector in graph.edge_shifts
+        (mask & selector) << d & mask for d, selector in graphs._row_shifts(graph)
     )
 
 
@@ -427,8 +432,8 @@ def intersection_profile(code, family):
 
 
 def code_vertices(code):
-    """The code's members as (Shrikhande pairs, K4 values) vertices."""
-    return tuple(decode_vertex(v, code.params) for v in code.members)
+    """The code's members as labels: m Shrikhande pairs, then n K4 values."""
+    return tuple(decode_label(v, code.params.m, code.params.n) for v in code.members)
 
 
 def pairing_violations(table):
@@ -452,7 +457,7 @@ def full_assembly_masks(params):
     sub-code is tried at factor vertex 0, and each assignment (c_f) gives the
     mask with bit g * width + f for each vertex g of c_f.
     """
-    rest, factor = search._decompose(params)
+    rest, _, factor = search._decompose(params)
     if rest is None:
         return [
             sum(1 << v for v in members)
@@ -460,14 +465,14 @@ def full_assembly_masks(params):
         ]
     sub_masks = full_assembly_masks(rest)
     compat = search._compatibility(sub_masks)
-    width = factor.vertex_count
+    width = len(factor)
     spreads = [
         sum(1 << g * width for g in range(mask.bit_length()) if mask >> g & 1)
         for mask in sub_masks
     ]
     return [
         sum(spreads[c] << f for f, c in enumerate(assignment))
-        for assignment in search._assemble(factor.neighbor_masks, compat, ())
+        for assignment in search._assemble(factor, compat, ())
     ]
 
 
@@ -479,7 +484,7 @@ def orbit_assembly_count(params):
     with the choices left at the last factor vertex added up as a popcount.
     It shares the assembly with enumeration, not count_mds's exact cover.
     """
-    rest, factor = search._decompose(params)
+    rest, _, factor = search._decompose(params)
     if rest is None:
         return len(search.independent_sets_of_size(factor, params.code_size))
     sub_masks = search._member_tuples(rest)
@@ -489,7 +494,7 @@ def orbit_assembly_count(params):
     compat = search._compatibility(sub_masks)
     return sum(
         len(tree)
-        * search._assemble(factor.neighbor_masks, compat, (tree[0],), count_only=True)
+        * search._assemble(factor, compat, (tree[0],), count_only=True)
         for tree in trees
     )
 
@@ -598,10 +603,11 @@ def orbit_trees(masks, plans):
 
 
 # ---------------------------------------------------------------------------
-# Graph invariants and the symmetry search, on the package's Graph objects
+# Graph invariants and the symmetry search, on graphs as tuples of rows
 # ---------------------------------------------------------------------------
 #
-# These read only a graph's vertex_count and neighbor_masks.  The
+# A graph here is what the package's graph builders return: the tuple of its
+# rows, bit v of row u set iff u ~ v.  The
 # backtracking search finds whole automorphism groups of graphs up to 64
 # vertices, the reference that the closed-form generators of
 # doob_symmetries are checked against.
@@ -614,23 +620,23 @@ ELEMENT_LIST_LIMIT = 10_000
 
 
 def graph_from_predicate(n, adjacent):
-    """A Graph on n vertices from an adjacency predicate on index pairs u < v."""
+    """The rows of a graph on n vertices from an adjacency predicate on index pairs u < v."""
     masks = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if adjacent(u, v):
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-    return Graph(n, tuple(masks))
+    return tuple(masks)
 
 
 def adjacent(graph, u, v):
-    return bool(graph.neighbor_masks[u] >> v & 1)
+    return bool(graph[u] >> v & 1)
 
 
 def neighbors(graph, u):
     """The neighbors of u in increasing order."""
-    mask = graph.neighbor_masks[u]
+    mask = graph[u]
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -638,11 +644,11 @@ def neighbors(graph, u):
 
 
 def degree(graph, u):
-    return graph.neighbor_masks[u].bit_count()
+    return graph[u].bit_count()
 
 
 def edge_count(graph):
-    return sum(mask.bit_count() for mask in graph.neighbor_masks) // 2
+    return sum(mask.bit_count() for mask in graph) // 2
 
 
 def sh_pair(i):
@@ -666,25 +672,22 @@ def k4_value(a, b):
 
 def regular_degree(graph):
     """Common degree if the graph is regular, else None."""
-    degrees = {degree(graph, u) for u in range(graph.vertex_count)}
+    degrees = {degree(graph, u) for u in range(len(graph))}
     return degrees.pop() if len(degrees) == 1 else None
 
 
 def common_neighbor_count(graph, u, v):
-    return (graph.neighbor_masks[u] & graph.neighbor_masks[v]).bit_count()
+    return (graph[u] & graph[v]).bit_count()
 
 
 def summary(graph):
-    name = graph.label or "graph"
     deg = regular_degree(graph)
     shape = f"{deg}-regular" if deg is not None else "irregular"
-    tag = f" [{graph.params}]" if graph.params is not None else ""
-    return f"{name}: {graph.vertex_count} vertices, {edge_count(graph)} edges, {shape}{tag}"
+    return f"{len(graph)} vertices, {edge_count(graph)} edges, {shape}"
 
 
 def clique_number(graph):
     """Size of a largest clique, by branch and bound on candidate bitmasks."""
-    masks = graph.neighbor_masks
     best = 0
 
     def extend(candidates, size):
@@ -696,9 +699,9 @@ def clique_number(graph):
                 return
             low = candidates & -candidates
             candidates ^= low
-            extend(candidates & masks[low.bit_length() - 1], size + 1)
+            extend(candidates & graph[low.bit_length() - 1], size + 1)
 
-    extend((1 << graph.vertex_count) - 1, 0)
+    extend((1 << len(graph)) - 1, 0)
     return best
 
 
@@ -722,14 +725,14 @@ def invert(p):
 
 def is_automorphism(graph, perm):
     """Exact check: perm is a bijection preserving adjacency both ways."""
-    n = graph.vertex_count
+    n = len(graph)
     if len(perm) != n or sorted(perm) != list(range(n)):
         return False
     for u in range(n):
         image_mask = 0
         for w in neighbors(graph, u):
             image_mask |= 1 << perm[w]
-        if image_mask != graph.neighbor_masks[perm[u]]:
+        if image_mask != graph[perm[u]]:
             return False
     return True
 
@@ -740,16 +743,16 @@ def _joint_colors(g, h):
     Every round is isomorphism-invariant, so the coloring is sound for
     pruning whether or not the fixpoint was reached at the iteration cap.
     """
-    cg = [degree(g, v) for v in range(g.vertex_count)]
-    ch = [degree(h, v) for v in range(h.vertex_count)]
-    for _ in range(g.vertex_count + 2):
+    cg = [degree(g, v) for v in range(len(g))]
+    ch = [degree(h, v) for v in range(len(h))]
+    for _ in range(len(g) + 2):
         sig_g = [
             (cg[v], tuple(sorted(cg[w] for w in neighbors(g, v))))
-            for v in range(g.vertex_count)
+            for v in range(len(g))
         ]
         sig_h = [
             (ch[v], tuple(sorted(ch[w] for w in neighbors(h, v))))
-            for v in range(h.vertex_count)
+            for v in range(len(h))
         ]
         palette = {sig: i for i, sig in enumerate(sorted(set(sig_g) | set(sig_h)))}
         new_g = [palette[s] for s in sig_g]
@@ -763,7 +766,7 @@ def _joint_colors(g, h):
 def _branch_order(g, colors):
     """Source vertex order: maximize already-placed neighbors, break ties by
     scarcer color class, then index."""
-    n = g.vertex_count
+    n = len(g)
     class_size = collections.Counter(colors)
     placed_mask = 0
     order = []
@@ -772,7 +775,7 @@ def _branch_order(g, colors):
         best = min(
             remaining,
             key=lambda v: (
-                -(g.neighbor_masks[v] & placed_mask).bit_count(),
+                -(g[v] & placed_mask).bit_count(),
                 class_size[colors[v]],
                 v,
             ),
@@ -791,8 +794,8 @@ def isomorphisms(g, h, limit=None):
     the two graphs.  Returned as vertex-indexed tuples in a deterministic
     order.
     """
-    n = g.vertex_count
-    if n != h.vertex_count or edge_count(g) != edge_count(h):
+    n = len(g)
+    if n != len(h) or edge_count(g) != edge_count(h):
         return []
     if n > GROUP_SEARCH_LIMIT:
         raise ValueError(
@@ -821,9 +824,9 @@ def isomorphisms(g, h, limit=None):
             if not allowed:
                 return False
             if adjacent(g, u, v):
-                allowed &= h.neighbor_masks[mapping[u]]
+                allowed &= h[mapping[u]]
             else:
-                allowed &= full & ~h.neighbor_masks[mapping[u]]
+                allowed &= full & ~h[mapping[u]]
         while allowed:
             low = allowed & -allowed
             allowed ^= low
@@ -890,6 +893,6 @@ class SearchedGroup(collections.namedtuple("SearchedGroup", "generators elements
 def automorphism_group(graph):
     """The full automorphism group by exhaustive backtracking."""
     elements = tuple(sorted(isomorphisms(graph, graph)))
-    generators = generating_subset(elements, graph.vertex_count)
+    generators = generating_subset(elements, len(graph))
     kept = elements if len(elements) <= ELEMENT_LIST_LIMIT else None
     return SearchedGroup(generators, kept)

@@ -12,10 +12,8 @@ PUBLIC_NAMES = {
     "DeskScaleError",
     "DoobError",
     "DoobParams",
-    "DoobVertex",
     "EnumerationResult",
     "FormatError",
-    "Graph",
     "OrbitPartition",
     "PairingTable",
     "ParameterMismatchError",
@@ -29,12 +27,10 @@ PUBLIC_NAMES = {
     "code_to_obj",
     "complete_graph",
     "count_mds",
-    "decode_vertex",
     "derive_pairing",
     "doob_graph",
     "doob_symmetries",
     "dump_code",
-    "encode_vertex",
     "enumerate_mds",
     "k4_pair_codes",
     "load_code",
@@ -49,7 +45,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_api_is_pinned():
-    assert len(doobmds.__all__) == len(PUBLIC_NAMES) == 42
+    assert len(doobmds.__all__) == len(PUBLIC_NAMES) == 38
     assert set(doobmds.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(doobmds, name), name

@@ -585,6 +585,30 @@ def test_parameters_are_ascii_decimal_digits(capsys, argv):
     assert run(capsys, *argv) == (3, "", message)
 
 
+NINES = "9" * 4300  # int() takes it; 2m + n then has 4301 digits
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", NINES, "0"),
+        ("enumerate", NINES, "0", "--count-only"),
+        ("lambda", "--inline", NINES, "0", "1"),
+    ],
+    ids=["bounds", "enumerate", "lambda"],
+)
+def test_parameters_whose_word_length_is_past_the_digit_limit(capsys, argv):
+    # The bounds line and the desk-scale message print 2m + n, which str()
+    # refuses past 4300 digits: each command exited 1 with a ValueError
+    # traceback.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: bad parameters ({NINES!r}, '0'): ")
+
+
 def test_classify(tmp_path, capsys):
     out_dir = tmp_path / "d10"
     run(capsys, "enumerate", "1", "0", "--out", str(out_dir))
@@ -752,3 +776,39 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     package = {name for name in names if name.split(".")[0] == "doobmds"}
     assert package <= {"doobmds", "doobmds.cli", "doobmds.errors", "doobmds.graphs"}
 
+
+def test_kappa_xi_and_version_load_only_what_they_use(tmp_path):
+    """kappa and xi build the pairing from the factors' rows, with no search
+    and no automorphism group; --version needs only errors and graphs."""
+    probe = (
+        "import sys\n"
+        "from doobmds import cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(name for name in sys.modules if name.startswith('doobmds.')))\n"
+    )
+    members = enumerate_mds(DoobParams(1, 1)).codes[5].members
+    source = write_code_file(tmp_path / "d11.code", 1, 1, members)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def loaded(*argv):
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        return done.stdout.splitlines()[-1], done.stderr
+
+    for argv in (
+        ("kappa", source, "--out", str(tmp_path / "k.code")),
+        ("xi", "--out", str(tmp_path / "xi.json")),
+    ):
+        names, err = loaded(*argv)
+        assert "'doobmds.reduction'" in names, err
+        assert "doobmds.search" not in names and "doobmds.symmetry" not in names, names
+    names, err = loaded("--version")
+    assert names == "['doobmds.cli', 'doobmds.errors', 'doobmds.graphs']", err

@@ -155,10 +155,10 @@ def test_independence_checks(codes_by_params):
         short.assert_mds()
 
 
-def member_loop_pair(code, graph):
-    """First adjacent pair by walking the members' neighbor masks in order."""
+def member_loop_pair(code, rows):
+    """First adjacent pair by walking the members' rows in order."""
     for v in code.members:
-        hit = graph.neighbor_masks[v] & code.mask
+        hit = rows[v] & code.mask
         if hit:
             return v, (hit & -hit).bit_length() - 1
     return None
@@ -172,7 +172,7 @@ def test_independence_checks_match_member_loop(codes_by_params, m, n):
     # also drops a member.  The checks on D(m,n)'s closed-form shifts agree
     # with the member loop and with the same kernels on the product graph's.
     params = DoobParams(m, n)
-    graph = doob_graph(params)
+    rows = doob_graph(params)
     rng = random.Random(m * 10 + n)
     moved_codes = []
     if params.word_length <= 4:
@@ -191,9 +191,9 @@ def test_independence_checks_match_member_loop(codes_by_params, m, n):
             for mask in perturbed_masks(build_parity_code(rule), rng):
                 moved_codes.append(Code.from_mask(params, mask))
     seen = set()
-    shifts = graph.edge_shifts
+    shifts = graphs._row_shifts(rows)
     for moved in moved_codes:
-        expected = member_loop_pair(moved, graph)
+        expected = member_loop_pair(moved, rows)
         seen.add(expected is None)
         independent = expected is None
         assert moved.is_independent() == codes._independent(moved.mask, shifts) == independent
@@ -203,7 +203,7 @@ def test_independence_checks_match_member_loop(codes_by_params, m, n):
             continue
         with pytest.raises(ConsistencyError) as info:
             moved.assert_mds(context="moved")
-        assert str(info.value) == expected_mds_error(moved, graph, "moved")
+        assert str(info.value) == expected_mds_error(moved, rows, "moved")
     assert False in seen
 
 
@@ -280,11 +280,11 @@ def perturbed_masks(code, rng):
     return out
 
 
-def expected_mds_error(code, graph, context):
+def expected_mds_error(code, rows, context):
     """assert_mds's text for a code that is not MDS, from the member loop."""
     if len(code) != code.params.code_size:
         return f"{context}: {len(code)} members, expected {code.params.code_size}"
-    v, w = member_loop_pair(code, graph)
+    v, w = member_loop_pair(code, rows)
     return f"{context}: adjacent members {v} and {w}"
 
 
@@ -295,7 +295,7 @@ MDS_PARAMS = [(m, n) for m in range(3) for n in range(6) if 0 < m + n and 2 * m 
 @pytest.mark.parametrize("m, n", MDS_PARAMS)
 def test_mds_check_by_line_cover_matches_the_edge_shift_oracle(m, n):
     params = DoobParams(m, n)
-    graph = doob_graph(params)
+    rows = doob_graph(params)
     if params.word_length <= 4:
         family = enumerate_mds(params).codes
     else:
@@ -306,13 +306,13 @@ def test_mds_check_by_line_cover_matches_the_edge_shift_oracle(m, n):
             for _ in range(6)
         ]
     for code in family:
-        assert code.is_mds() and oracles.is_mds_by_edge_shifts(code, graph)
+        assert code.is_mds() and oracles.is_mds_by_edge_shifts(code, rows)
     rng = random.Random(7 * m + n)
     outcomes = set()
     for code in family[:: max(1, len(family) // 60)]:
         for mask in perturbed_masks(code, rng):
             moved = Code.from_mask(params, mask)
-            expected = oracles.is_mds_by_edge_shifts(moved, graph)
+            expected = oracles.is_mds_by_edge_shifts(moved, rows)
             outcomes.add(expected)
             assert moved.is_mds() == expected, (params, hex(mask))
             if expected:
@@ -320,7 +320,7 @@ def test_mds_check_by_line_cover_matches_the_edge_shift_oracle(m, n):
                 continue
             with pytest.raises(ConsistencyError) as info:
                 moved.assert_mds(context="moved")
-            assert str(info.value) == expected_mds_error(moved, graph, "moved")
+            assert str(info.value) == expected_mds_error(moved, rows, "moved")
     assert False in outcomes
 
 

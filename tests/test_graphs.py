@@ -13,26 +13,24 @@ from doobmds import (
     ConsistencyError,
     DeskScaleError,
     DoobParams,
-    DoobVertex,
     EnumerationResult,
-    Graph,
+    FormatError,
     OrbitPartition,
     PairingTable,
     ParityRule,
     check_desk_scale,
     complete_graph,
-    decode_vertex,
     doob_graph,
-    encode_vertex,
     shrikhande,
 )
-from doobmds.codes import _first_pair, _independent
+from doobmds.codes import _first_pair, _independent, member_from_obj, member_to_obj
 from doobmds.graphs import (
     MAX_WORD_LENGTH,
     SHRIKHANDE_CONNECTION_SET,
     _edge_shifts,
+    _FrozenRecord,
     _repeat,
-    sh_index,
+    _row_shifts,
 )
 from doobmds.symmetry import _PACK
 
@@ -72,12 +70,6 @@ P01 = DoobParams(0, 1)
 # as @dataclass(frozen=True) printed it.
 RECORDS = [
     (DoobParams, (2, 1), "DoobParams(m=2, n=1)"),
-    (DoobVertex, (((0, 1),), (2,)), "DoobVertex(sh=((0, 1),), k=(2,))"),
-    (
-        Graph,
-        (2, (2, 1), None, "K2"),
-        "Graph(vertex_count=2, neighbor_masks=(2, 1), params=None, label='K2')",
-    ),
     (
         AutomorphismGroup,
         (3, ((1, 2, 0),), 3),
@@ -127,8 +119,11 @@ def test_record_classes_behave_as_frozen_dataclasses(cls, values, text):
 
 
 def test_record_defaults_and_validation_errors():
-    assert Graph(2, (2, 1)) == Graph(2, (2, 1), None, "")
-    assert Graph(2, (2, 1), label="K2").label == "K2"
+    # No field has a default: a class attribute of a field's name is not one.
+    record = type("Record", (_FrozenRecord,), {"__annotations__": {"x": int}, "x": 3})
+    with pytest.raises(TypeError, match="missing required arguments: x"):
+        record()
+    assert record(4).x == 4
     with pytest.raises(ValueError, match=r"^parameters must be nonnegative, got \(-1, 2\)$"):
         DoobParams(-1, 2)
     with pytest.raises(ValueError, match=r"^empty parameter set: need m \+ n >= 1$"):
@@ -145,7 +140,7 @@ def test_connection_set_is_symmetric():
 
 
 def test_shrikhande_basics(sh_graph):
-    assert sh_graph.vertex_count == 16
+    assert len(sh_graph) == 16
     assert regular_degree(sh_graph) == 6
     assert oracles.edge_count(sh_graph) == 48
     for u in range(16):
@@ -157,8 +152,8 @@ def test_shrikhande_basics(sh_graph):
 def test_shrikhande_matches_oracle_adjacency(sh_graph):
     adj = oracles.shrikhande_adjacency()
     for a, b in adj:
-        u = sh_index(a, b)
-        expected = {sh_index(c, d) for c, d in adj[(a, b)]}
+        u = 4 * a + b
+        expected = {4 * c + d for c, d in adj[(a, b)]}
         assert set(oracles.neighbors(sh_graph, u)) == expected
 
 
@@ -170,7 +165,7 @@ def test_shrikhande_is_strongly_regular_2_2(sh_graph):
 
 
 def test_rook_graph_shares_parameters(rook_graph):
-    assert rook_graph.vertex_count == 16
+    assert len(rook_graph) == 16
     assert regular_degree(rook_graph) == 6
     for u in range(16):
         for v in range(u + 1, 16):
@@ -190,7 +185,7 @@ def test_the_two_16_vertex_graphs_are_not_isomorphic(sh_graph, rook_graph):
 
 def test_complete_graph():
     k4 = complete_graph(4)
-    assert k4.vertex_count == 4
+    assert len(k4) == 4
     assert oracles.edge_count(k4) == 6
     with pytest.raises(ValueError):
         complete_graph(1)
@@ -199,7 +194,7 @@ def test_complete_graph():
 def test_doob_graph_degree_and_size():
     for m, n in [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2)]:
         g = doob_graph(DoobParams(m, n))
-        assert g.vertex_count == 4 ** (2 * m + n)
+        assert len(g) == 4 ** (2 * m + n)
         assert regular_degree(g) == 6 * m + 3 * n
 
 
@@ -242,23 +237,29 @@ def test_desk_scale_guard_computes_no_vertex_count():
     assert "vertex_count" not in vars(params)
 
 
+# A vertex is its index; member_to_obj and member_from_obj are the one place
+# where an index meets its coordinates.
+
+
 def test_vertex_codec_worked_example():
     # Two K4 coordinates (1, 2) sit at index 6.
     p = DoobParams(0, 2)
-    assert encode_vertex(DoobVertex((), (1, 2)), p) == 6
-    assert decode_vertex(6, p) == DoobVertex((), (1, 2))
+    assert member_from_obj([1, 2], p) == 6
+    assert member_to_obj(6, p) == [1, 2]
 
 
 def test_vertex_codec_round_trip_exhaustive():
+    # The index convention, and the oracle's independent encoder, agree.
     p = DoobParams(1, 1)
     for index in range(p.vertex_count):
-        assert encode_vertex(decode_vertex(index, p), p) == index
+        obj = member_to_obj(index, p)
+        assert member_from_obj(obj, p) == oracles.encode_label(obj, 1, 1) == index
+        assert oracles.decode_label(index, 1, 1) == (tuple(obj[0]), obj[1])
 
 
 def test_vertex_codec_orders_sh_first():
     p = DoobParams(1, 1)
-    v = DoobVertex(((2, 3),), (1,))
-    assert encode_vertex(v, p) == (4 * 2 + 3) * 4 + 1
+    assert member_from_obj([[2, 3], 1], p) == (4 * 2 + 3) * 4 + 1
 
 
 @given(st.integers(0, 2), st.integers(0, 3))
@@ -267,25 +268,26 @@ def test_vertex_codec_round_trip_random_params(m, n):
         return
     p = DoobParams(m, n)
     for index in (0, 1, p.vertex_count // 2, p.vertex_count - 1):
-        assert encode_vertex(decode_vertex(index, p), p) == index
+        obj = member_to_obj(index, p)
+        assert member_from_obj(obj, p) == oracles.encode_label(obj, m, n) == index
 
 
 def test_vertex_codec_rejects_bad_shapes():
     p = DoobParams(1, 1)
-    with pytest.raises(ValueError):
-        encode_vertex(DoobVertex((), (1,)), p)
-    with pytest.raises(ValueError):
-        encode_vertex(DoobVertex(((1, 2),), (4,)), p)
-    with pytest.raises(ValueError):
-        decode_vertex(64, p)
+    with pytest.raises(FormatError, match="does not have 1 Shrikhande"):
+        member_from_obj([1], p)
+    with pytest.raises(FormatError, match="bad K4 coordinate 4"):
+        member_from_obj([[1, 2], 4], p)
+    with pytest.raises(FormatError, match=r"bad Shrikhande coordinate \[4, 0\]"):
+        member_from_obj([[4, 0], 1], p)
 
 
 def test_small_codecs():
-    assert sh_pair(sh_index(2, 3)) == (2, 3)
+    assert sh_pair(11) == (2, 3)
     assert k4_pair(3) == (1, 1)
     assert k4_value(1, 0) == 2
     with pytest.raises(ValueError):
-        sh_index(4, 0)
+        sh_pair(16)
     with pytest.raises(ValueError):
         k4_pair(4)
 
@@ -300,12 +302,12 @@ def test_neighbors_iteration_matches_masks(sh_graph):
         mask = 0
         for v in oracles.neighbors(sh_graph, u):
             mask |= 1 << v
-        assert mask == sh_graph.neighbor_masks[u]
+        assert mask == sh_graph[u]
         assert oracles.degree(sh_graph, u) == mask.bit_count()
 
 
 def test_edgeless_graph_helpers():
-    g = Graph(2, (0, 0))
+    g = (0, 0)
     assert oracles.edge_count(g) == 0
     assert regular_degree(g) == 0
     assert clique_number(g) == 1
@@ -331,15 +333,16 @@ def shift_edges(shifts):
     return {(u, u + d) for d, selector in shifts for u in oracles.mask_members(selector)}
 
 
-def check_random_sets(graph, params, edges, seed):
-    """The independence kernel on graph's edge shifts, and Code.is_independent
-    on D(m,n)'s, agree with a pair test over edges, on random vertex sets and
-    on random independent sets with and without one extra vertex."""
+def check_random_sets(rows, params, edges, seed):
+    """The independence kernel on the edge shifts of rows, and
+    Code.is_independent on D(m,n)'s, agree with a pair test over edges, on
+    random vertex sets and on random independent sets with and without one
+    extra vertex."""
     rng = random.Random(seed)
     outcomes = set()
     for trial in range(300):
-        size = rng.randint(1, max(2, graph.vertex_count // 4))
-        members = rng.sample(range(graph.vertex_count), size)
+        size = rng.randint(1, max(2, len(rows) // 4))
+        members = rng.sample(range(len(rows)), size)
         if trial % 2:
             kept = []
             for v in members:
@@ -350,7 +353,7 @@ def check_random_sets(graph, params, edges, seed):
             members = set(kept)
         independent = not any((u, w) in edges for u in members for w in members)
         code = Code(params, tuple(sorted(members)))
-        assert _independent(code.mask, graph.edge_shifts) == code.is_independent() == independent
+        assert _independent(code.mask, _row_shifts(rows)) == code.is_independent() == independent
         outcomes.add(independent)
     assert outcomes == {True, False}
 
@@ -358,11 +361,11 @@ def check_random_sets(graph, params, edges, seed):
 @pytest.mark.parametrize("m, n", WORD_LENGTH_UP_TO_4)
 def test_edge_shifts_match_oracle_adjacency(m, n):
     params = DoobParams(m, n)
-    graph = doob_graph(params)
+    rows = doob_graph(params)
     edges = oracle_edges_by_index(m, n)
-    assert shift_edges(graph.edge_shifts) == edges
-    assert [d for d, _ in graph.edge_shifts] == sorted({w - u for u, w in edges})
-    check_random_sets(graph, params, edges, seed=2 * m + n)
+    assert shift_edges(_row_shifts(rows)) == edges
+    assert [d for d, _ in _row_shifts(rows)] == sorted({w - u for u, w in edges})
+    check_random_sets(rows, params, edges, seed=2 * m + n)
 
 
 # Every D(m,n) with 2m + n <= 6, up to 4096 vertices.
@@ -379,41 +382,40 @@ def test_closed_form_edge_shifts_match_the_product_graph(m, n):
 
 
 def test_edge_shift_counts():
-    assert len(doob_graph(DoobParams(1, 2)).edge_shifts) == 13
-    assert len(doob_graph(DoobParams(3, 0)).edge_shifts) == 21
+    assert len(_row_shifts(doob_graph(DoobParams(1, 2)))) == 13
+    assert len(_row_shifts(doob_graph(DoobParams(3, 0)))) == 21
+    assert _row_shifts(shrikhande()) == _edge_shifts(1, 0)
+    assert _row_shifts(complete_graph(4)) == _edge_shifts(0, 1)
 
 
 @pytest.mark.parametrize(
-    "graph, m, n",
-    [
-        (shrikhande(), 1, 0),
-        (Graph(16, doob_graph(DoobParams(0, 2)).neighbor_masks), 0, 2),
-    ],
+    "rows, m, n",
+    [(shrikhande(), 1, 0), (doob_graph(DoobParams(0, 2)), 0, 2)],
     ids=["Sh", "K4xK4"],
 )
-def test_edge_shifts_without_params(graph, m, n):
-    assert graph.params is None
+def test_edge_shifts_without_params(rows, m, n):
+    # A graph is its rows alone: the shifts are read off them, with no params.
     edges = oracle_edges_by_index(m, n)
-    assert shift_edges(graph.edge_shifts) == edges
-    check_random_sets(graph, DoobParams(m, n), edges, seed=m + n)
+    assert shift_edges(_row_shifts(rows)) == edges
+    check_random_sets(rows, DoobParams(m, n), edges, seed=m + n)
 
 
 @pytest.mark.parametrize("keep", ["higher", "lower", "mixed"])
 def test_edge_shifts_on_one_sided_adjacency(sh_graph, keep):
     """Each edge stored in one row only still gives the same shifts and checks."""
-    rows = [0] * sh_graph.vertex_count
+    rows = [0] * len(sh_graph)
     for u, w in oracle_edges_by_index(1, 0):
         if keep == "lower" or (keep == "mixed" and (u + w) % 2):
             rows[u] |= 1 << w
         else:
             rows[w] |= 1 << u
-    one_sided = Graph(sh_graph.vertex_count, tuple(rows))
-    assert one_sided.edge_shifts == sh_graph.edge_shifts
+    one_sided = tuple(rows)
+    assert _row_shifts(one_sided) == _row_shifts(sh_graph)
     params = DoobParams(1, 0)
     check_random_sets(one_sided, params, oracle_edges_by_index(1, 0), seed=len(keep))
     u, w = min(oracle_edges_by_index(1, 0))
     spread = Code(params, tuple(sorted({u, w, 10, 15})))
-    pair = _first_pair(spread.mask, one_sided.edge_shifts)
+    pair = _first_pair(spread.mask, _row_shifts(one_sided))
     assert pair == spread.first_adjacent_pair()
     assert pair is not None and (min(pair), max(pair)) in oracle_edges_by_index(1, 0)
     with pytest.raises(ConsistencyError, match=f"adjacent members {pair[0]} and {pair[1]}"):

@@ -157,25 +157,19 @@ def test_completion_properties():
     for params in [DoobParams(1, 1), DoobParams(0, 2)]:
         code = build_parity_code(oracles.constant_rule(params, 0))
         member_set = set(oracles.code_vertices(code))
+        m = params.m
         for vertex in member_set:
-            for slot in range(params.n):
+            for slot in range(m, m + params.n):
                 count = sum(
-                    1
+                    vertex[:slot] + (value,) + vertex[slot + 1 :] in member_set
                     for value in range(4)
-                    if vertex.__class__(
-                        vertex.sh, vertex.k[:slot] + (value,) + vertex.k[slot + 1 :]
-                    )
-                    in member_set
                 )
                 assert count == 1
-            for slot in range(params.m):
+            for slot in range(m):
                 completions = [
                     pair
                     for pair in itertools.product(range(4), repeat=2)
-                    if vertex.__class__(
-                        vertex.sh[:slot] + (pair,) + vertex.sh[slot + 1 :], vertex.k
-                    )
-                    in member_set
+                    if vertex[:slot] + (pair,) + vertex[slot + 1 :] in member_set
                 ]
                 assert len(completions) == 4
                 for p, q in itertools.combinations(completions, 2):

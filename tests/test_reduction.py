@@ -29,8 +29,12 @@ def partner_tuples(table):
 
 
 def test_code_lists_are_canonical(codes_by_params):
-    assert sh_codes() == codes_by_params[(1, 0)]
-    assert k4_pair_codes() == codes_by_params[(0, 2)]
+    # The pairing's lists are the independent 4-sets of Sh and K4 x K4; the
+    # search, a second method, lists the same codes in the same order.
+    assert sh_codes() == codes_by_params[(1, 0)] == enumerate_mds(DoobParams(1, 0)).codes
+    assert k4_pair_codes() == codes_by_params[(0, 2)] == enumerate_mds(DoobParams(0, 2)).codes
+    assert [code.members for code in sh_codes()] == sorted(code.members for code in sh_codes())
+    assert all(code.is_mds() for code in sh_codes() + k4_pair_codes())
 
 
 def test_pairing_is_valid():

@@ -239,7 +239,7 @@ def test_weighted_level_one_matches_plain_on_light_d30_representatives(d30_level
     # D(3,0)'s three representatives with 33 level-1 choices each: the count
     # beside r weighted by Stab(r)-orbits equals the plain search beside r.
     compat, level_one = d30_level_one
-    factor_masks = shrikhande().neighbor_masks
+    factor_masks = shrikhande()
     choices, (trees1, *_), _ = level_one[r]
     assert len(choices) == 33
     weighted = sum(
@@ -264,10 +264,10 @@ def test_both_splits_give_the_same_count(m, n):
 def test_weighted_shrikhande_split_matches_plain_assembly(m, n):
     # Plain: every sub-code tried at both first fibers, no weights.
     params = DoobParams(m, n)
-    rest, factor = search._decompose(params, sh=True)
-    assert factor is shrikhande()
+    rest, sh, rows = search._decompose(params, sh=True)
+    assert sh and rows is shrikhande()
     compat = search._compatibility(search._member_tuples(rest))
-    plain = search._assemble(factor.neighbor_masks, compat, (), count_only=True)
+    plain = search._assemble(rows, compat, (), count_only=True)
     weighted = count_mds(params) if n == 0 else search._count(params, sh=True)
     assert weighted == plain == len(enumerate_mds(params).codes)
 
@@ -458,9 +458,9 @@ def test_split_guard_admits_d30(monkeypatch):
 
     monkeypatch.setattr(search, "_member_tuples", refuse)
     monkeypatch.setattr(search, "_assemble", refuse)
-    rest, factor = search._decompose(DoobParams(3, 0))
+    rest, sh, rows = search._decompose(DoobParams(3, 0))
     assert rest == DoobParams(2, 0)
-    assert factor is shrikhande()
+    assert sh and rows is shrikhande()
 
 
 def test_k4_fibers_of_two_coordinate_codes(codes_by_params):

@@ -9,7 +9,6 @@ from doobmds import (
     AutomorphismGroup,
     ConsistencyError,
     DoobParams,
-    Graph,
     ParameterMismatchError,
     apply_perm_to_code,
     complete_graph,
@@ -102,7 +101,7 @@ def test_k4_group_is_all_permutations():
 
 
 def test_edgeless_pair_group():
-    group = automorphism_group(Graph(2, (0, 0)))
+    group = automorphism_group((0, 0))
     assert group.order == 2
     assert set(group.elements) == {(0, 1), (1, 0)}
 
