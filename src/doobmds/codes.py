@@ -9,8 +9,8 @@ coordinate is a K4 one, and its lines are the vertex blocks {4i, ..., 4i+3},
 so hex digit i of the mask is line i's word.  A code with one member on
 every such line, as every maximum independent set has, has the digits 1, 2,
 4 and 8 only; each is translated to the place p of its member, and one int
-addition of a cached base adds 4i to place i, a byte per member, up to
-256 vertices.  Any other mask, every mask over D(m,0) and every mask over
+addition of a base adds 4i to place i, a byte per member, up to 256
+vertices.  Any other mask, every mask over D(m,0) and every mask over
 more than 256 vertices has its set bits read one byte per vertex.  The
 on-disk form is one JSON object: {"m": m, "members": [...], "n": n} where
 each member lists its m Shrikhande coordinates as [a, b] pairs followed by
@@ -58,9 +58,16 @@ with at most one member per line and code_size members, meets them all.
 For the direction of stride s = 4^j, the line through vertex v with digit j
 zero is met iff bit v of x | x >> s | x >> 2s | x >> 3s is set, two shifts
 and two ORs.  What is left are the Shrikhande edges, the edge shifts with
-d >= 4^n.  The lines and those shifts are read off D(m,n)'s edge shifts and
-cached per (m, n).  assert_mds names the first adjacent pair of a mask that
-fails, from the full edge shifts, so its errors are those of that check.
+d >= 4^n.  The lines and those shifts are read off D(m,n)'s edge shifts.
+assert_mds names the first adjacent pair of a mask that fails, from the
+full edge shifts, so its errors are those of that check.
+
+Both per-(m, n) kernels, the member read's layout (_line_layout) and the
+line cover (_line_cover), are built here, once per (m, n), and kept on each
+params object as DoobParams._line_layout and DoobParams._line_cover, so
+Code.members, is_mds and assert_mds find theirs with one attribute read
+on the code's params.  DoobParams imports this module only when it first
+builds one.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ class Code:
     __delattr__ = _FrozenRecord.__delattr__
 
     def __init__(self, params: DoobParams, members: Sequence[int]):
-        object.__setattr__(self, "params", params)
+        _set_params(self, params)
         self.__post_init__(members, None)
 
     def __post_init__(self, members, mask):
@@ -111,10 +118,10 @@ class Code:
                 raise ValueError(
                     f"mask has bit {mask.bit_length() - 1}, out of range for {self.params}"
                 )
-            object.__setattr__(self, "mask", mask)
-            object.__setattr__(self, "_members", None)
+            _set_mask(self, mask)
+            _set_members(self, None)
             return
-        object.__setattr__(self, "_members", members)
+        _set_members(self, members)
         mask = 0
         prev = -1
         for v in members:
@@ -126,13 +133,13 @@ class Code:
                 raise ValueError("members must be strictly increasing")
             prev = v
             mask |= 1 << v
-        object.__setattr__(self, "mask", mask)
+        _set_mask(self, mask)
 
     @classmethod
     def from_mask(cls, params: DoobParams, mask: int) -> "Code":
         """The code whose members are the set bits of mask."""
         code = object.__new__(cls)
-        object.__setattr__(code, "params", params)
+        _set_params(code, params)
         code.__post_init__(None, mask)
         return code
 
@@ -147,12 +154,16 @@ class Code:
         """Member vertex indices in increasing order."""
         members = self._members
         if members is None:
-            params = self.params
-            if params.n and params.vertex_count <= 256:
-                members = _line_members(self.mask, params.vertex_count)
+            layout = self.params._line_layout
+            if layout is not None:  # by K4 line; a line without exactly one member reads "x"
+                spec, base, lines = layout
+                places = format(self.mask, spec).encode().translate(_K4_DIGIT)
+                if b"x" not in places:
+                    packed = int.from_bytes(places, "big") + base
+                    members = tuple(packed.to_bytes(lines, "little"))
             if members is None:
                 members = tuple(compress(count(), bit_bytes(self.mask, 0)))
-            object.__setattr__(self, "_members", members)
+            _set_members(self, members)
         return members
 
     def __reduce__(self):
@@ -190,7 +201,7 @@ class Code:
         mask, params = self.mask, self.params
         if mask.bit_count() != params.code_size:
             return False
-        return _mds_by_line_cover(mask, _line_cover(params.m, params.n))
+        return _mds_by_line_cover(mask, params._line_cover)
 
     def assert_mds(self, context: str = "code"):
         """Raise ConsistencyError with a reason if this is not an MDS code."""
@@ -199,10 +210,19 @@ class Code:
         expected = params.code_size
         if size != expected:
             raise ConsistencyError(f"{context}: {size} members, expected {expected}")
-        if not _mds_by_line_cover(mask, _line_cover(params.m, params.n)):
+        if not _mds_by_line_cover(mask, params._line_cover):
             # code_size members missing a K4 line put two on another: a pair either way.
             v, w = self.first_adjacent_pair()
             raise ConsistencyError(f"{context}: adjacent members {v} and {w}")
+
+
+# Code's slot setters, which its frozen __setattr__ refuses.  Called directly,
+# they skip the lookup of the slot by name that object.__setattr__ makes.
+_set_params, _set_mask, _set_members = (
+    Code.params.__set__,
+    Code.mask.__set__,
+    Code._members.__set__,
+)
 
 
 _BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
@@ -241,30 +261,23 @@ def _first_pair(mask: int, shifts) -> Optional[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _line_layout(vertex_count: int) -> tuple[str, int]:
-    """The format spec of the mask's hex digits, one per K4 line of
-    vertex_count <= 256 vertices, and 4i - 48 in byte i for each line i, so
-    that adding the ASCII place "0"-"3" of line i's member gives 4i + place."""
+def _line_layout(m: int, n: int) -> Optional[tuple[str, int, int]]:
+    """The read of members by K4 line over D(m,n), or None unless n >= 1
+    and D(m,n) has at most 256 vertices: the format spec of the mask's hex
+    digits, one per K4 line {4i, ..., 4i + 3}; 4i - 48 in byte i for each
+    line i; and the number of lines.
+
+    Code.members writes the digits, most significant first, and translates
+    each by _K4_DIGIT to the ASCII place "0"-"3" of its line's one member,
+    or "x" for a line with none or several.  Read big-endian and plus the
+    base, the places are the members 4i + place, a byte each.
+    """
+    vertex_count = DoobParams(m, n).vertex_count
+    if not n or vertex_count > 256:
+        return None
     lines = vertex_count // 4
     starts = int.from_bytes(bytes(range(0, vertex_count, 4)), "little")
-    return f"0{lines}x", starts - int.from_bytes(b"0" * lines, "little")
-
-
-def _line_members(mask: int, vertex_count: int) -> Optional[tuple[int, ...]]:
-    """The members of a mask over D(m,n), n >= 1, with at most 256 vertices
-    and exactly one member on each K4 line {4i, ..., 4i + 3}, or None if some
-    line holds none or several.
-
-    Hex digit i of the mask is line i's word; _K4_DIGIT gives the place of
-    its one member, and one int addition adds each line's base 4i to it.
-    The digits are written most significant first, so read big-endian.
-    """
-    spec, base = _line_layout(vertex_count)
-    places = format(mask, spec).encode().translate(_K4_DIGIT)
-    if b"x" in places:
-        return None
-    members = int.from_bytes(places, "big") + base
-    return tuple(members.to_bytes(vertex_count // 4, "little"))
+    return f"0{lines}x", starts - int.from_bytes(b"0" * lines, "little"), lines
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +304,7 @@ def _mds_by_line_cover(mask: int, kernel) -> bool:
         hit = mask | mask >> s
         if (hit | hit >> double) & line != line:
             return False
-    return _independent(mask, shifts)
+    return not shifts or _independent(mask, shifts)  # D(0,n) has no Shrikhande shifts
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ The edge shifts of D(m,n) are a closed form of (m, n) built from those of
 Sh and K4.  They are the one definition of its adjacency: the checks on
 codes read them, and doob_graph is built from them.
 
+DoobParams also keeps, per params object, the kernels that codes and
+reduction read once per code: the member read by K4 line, the line cover
+of the MDS check, and the reduction's K4 line check of its input.  Each is
+built on first read, by codes, which is imported only then.
+
 Three kernels here serve several modules.  _repeat repeats a bit pattern in
 every block of a mask, by doubling: the edge shifts' selectors, the
 index-bit masks of the delta swaps and the packed selectors of the orbit
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DeskScaleError
 
@@ -144,6 +149,29 @@ class DoobParams(_FrozenRecord):
     def code_size(self) -> int:
         """Cardinality of a maximum independent set: 4^(2m+n-1)."""
         return 4 ** (self.word_length - 1)
+
+    # Kernels read once per code; codes is imported on first read only, so
+    # the count path loads none.
+
+    @cached_property  # read by every Code.members built from a mask
+    def _line_layout(self) -> Optional[tuple[str, int, int]]:
+        """codes._line_layout's read of members by K4 line, or None."""
+        from .codes import _line_layout
+
+        return _line_layout(self.m, self.n)
+
+    @cached_property  # read by every Code.assert_mds and is_mds
+    def _line_cover(self) -> tuple[tuple, tuple]:
+        """codes._line_cover's (lines, shifts) for D(m,n)."""
+        from .codes import _line_cover
+
+        return _line_cover(self.m, self.n)
+
+    @cached_property  # read by every reduce_sh_coordinates
+    def _reduction_lines(self) -> tuple[tuple, tuple]:
+        """_line_cover with only the lines past the stride-1 direction and
+        no shifts: what a reduction checks of its input besides its lookups."""
+        return self._line_cover[0][1:], ()
 
     def __str__(self):
         return f"D({self.m},{self.n})"

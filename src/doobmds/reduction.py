@@ -29,12 +29,19 @@ laid out the same way.  For k = 0 a fiber is a 16-bit word and a slice is
 two adjacent words, looked up among the 256 pairs of Shrikhande codes;
 D(1,0), a single word, is looked up among the 16 single codes in the same
 table.  Both words of a pair key are nonzero, so it is at least 2^16 and
-above every single key.  The tables hang off the pairing and are built on
-first use, one per k.  All m steps of a full reduction run on the int, from
-one plan per (m, n), and one Code is built at the end.  An explicit order
-first permutes the Shrikhande coordinates of the input's mask: that
-permutes 4-bit groups of index bits, which delta swaps do, each exchanging
-two index bits.
+above every single key.  The k = 0 step of D(m,0), m >= 2, reads all its
+pair keys at once: the mask's bytes unpack, by one struct, to its 32-bit
+words, the words map through the table, and one pack writes the images
+back, so that step is linear in the mask.  The tables hang off the pairing
+and are built on first use, one per k.  All m steps of a full reduction run
+inline on the int, from one plan per (m, n) that binds each step's table,
+selector and offsets (or the word struct), and one Code is built at the
+end.  The plans are resolved from derive_pairing()'s tables on first use
+and kept in a module dict that derive_pairing.cache_clear empties with the
+pairing, so a reduction makes no call for its plan and a cleared pairing
+is rebuilt with its tables and plans.  An explicit order first permutes the
+Shrikhande coordinates of the input's mask: that permutes 4-bit groups of
+index bits, which delta swaps do, each exchanging two index bits.
 
 The lookups are reduce_sh_coordinates' check of its input.  A code whose
 every lookup succeeds, and which meets every line of its K4 directions of
@@ -44,7 +51,9 @@ last step gives it code_size members; the table preserves meeting, so a
 step keeps or removes no edge along any other coordinate; a quadruple's
 fibers are disjoint, so a first step with k = n >= 1 finds one member on
 each line of the stride-1 direction; and code_size members meeting every K4
-line of a direction hold one on each, so no K4 edge joins two.  A maximum
+line of a direction hold one on each, so no K4 edge joins two.  The lines of
+the other K4 directions are read off the input's params
+(DoobParams._reduction_lines), built once per params object.  A maximum
 independent set passes all of this, so on any other input a lookup fails or
 a line is missed, and the input's assert_mds names the fault.  Under an
 explicit order the steps read a permuted copy of the mask, which is a
@@ -56,9 +65,10 @@ members.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from struct import Struct
 from typing import Optional, Sequence
 
-from .codes import Code, _line_cover, _mds_by_line_cover
+from .codes import Code, _mds_by_line_cover
 from .errors import ConsistencyError
 from .graphs import (
     DoobParams,
@@ -216,21 +226,24 @@ def _slot_swaps(vertex_count: int, m: int, n: int, perm: tuple[int, ...]) -> tup
     return _delta_swaps(vertex_count, pairs)
 
 
-@lru_cache(maxsize=None)
-def _plan(m: int, n: int) -> tuple[tuple, tuple]:
-    """(steps, lines) for reducing codes of D(m,n), m >= 1.
+def _resolve_plan(m: int, n: int) -> tuple:
+    """(words, steps, target) for reducing codes of D(m,n), m >= 1, over
+    derive_pairing()'s slice tables.
 
-    steps[i] is (k, selector, offsets, params) for the step from D(m-i, k),
-    k = n + 2i, to params = D(m-i-1, k+2): the slice table's k, the bits of
-    a slice at offset 0, and the offsets of the slices, which tile the
-    index bits.  lines is the line-cover kernel of D(m,n)'s K4 directions
-    of stride above 1, with no Shrikhande edges; the first step's slices
-    cover the stride-1 direction.
+    words is (layout, table) for the first step of D(m,0), m >= 2, whose
+    slices are the 32-bit words of the mask: layout is the struct of those
+    words, little-endian, and table the k = 0 slice table; otherwise None.
+    Each remaining step from D(m-i, k), k = n + 2i, is (table, selector,
+    offsets): its slice table, the bits of a slice at offset 0, and the
+    offsets of the slices, which tile the index bits.  D(1,0)'s one word is
+    one such slice.  target is D(0, n + 2m), the parameters of the result.
     """
+    pairing = derive_pairing()
     vertex_count = DoobParams(m, n).vertex_count
-    steps = []
+    words, steps = None, []
     for step in range(m):
         k = n + 2 * step
+        table = pairing.slice_table(k)
         if k:
             stride = 4**k
             selector = 0xF * _spread(0xFFFF, stride)
@@ -239,22 +252,29 @@ def _plan(m: int, n: int) -> tuple[tuple, tuple]:
                 for row in range(0, vertex_count, 16 * stride)
                 for low in range(0, stride, 4)
             )
-        else:  # two fiber words; D(1,0)'s one word reads as a single
-            selector, offsets = 0xFFFFFFFF, tuple(range(0, vertex_count, 32))
-        steps.append((k, selector, offsets, DoobParams(m - 1 - step, k + 2)))
-    return tuple(steps), (_line_cover(m, n)[0][1:], ())
+        elif m == 1:  # D(1,0): one word, looked up among the singles
+            selector, offsets = 0xFFFF, (0,)
+        else:
+            words = (Struct(f"<{vertex_count // 32}I"), table)
+            continue
+        steps.append((table, selector, offsets))
+    return words, tuple(steps), DoobParams(0, n + 2 * m)
 
 
-def _reduce_mask(mask: int, step, pairing: PairingTable) -> int:
-    """The mask after one reduction step (a step of _plan): every fiber at
-    the last Shrikhande coordinate is replaced by its partner.  Raises
-    KeyError if a slice is not in the step's table."""
-    k, selector, offsets, _ = step
-    table = pairing.slice_table(k)
-    out = 0
-    for offset in offsets:
-        out |= table[mask >> offset & selector] << offset
-    return out
+# (m, n) -> _resolve_plan(m, n), read by every reduction with no call.  The
+# plans hold the pairing's slice tables, so they go with the pairing:
+# derive_pairing.cache_clear empties this too, and the next reduction
+# rebuilds the pairing, its tables and the plan.
+_plans: dict[tuple[int, int], tuple] = {}
+
+
+def _clear_pairing(clear=derive_pairing.cache_clear) -> None:
+    """derive_pairing.cache_clear: forget the pairing and the plans over its tables."""
+    clear()
+    _plans.clear()
+
+
+derive_pairing.cache_clear = _clear_pairing
 
 
 def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> Code:
@@ -278,14 +298,24 @@ def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> 
     if m == 0:
         code.assert_mds(context="reduction input")
         return code
-    steps, lines = _plan(m, params.n)
-    pairing = derive_pairing()
+    n = params.n
+    plan = _plans.get((m, n))
+    if plan is None:
+        plan = _plans[m, n] = _resolve_plan(m, n)
+    words, steps, target = plan
     try:
-        for step in steps:
-            mask = _reduce_mask(mask, step, pairing)
+        if words is not None:
+            layout, table = words
+            keys = layout.unpack(mask.to_bytes(layout.size, "little"))
+            mask = int.from_bytes(layout.pack(*map(table.__getitem__, keys)), "little")
+        for table, selector, offsets in steps:
+            out = 0
+            for offset in offsets:
+                out |= table[mask >> offset & selector] << offset
+            mask = out
     except KeyError:  # a slice that is no table entry
         mask = None
-    if mask is None or not _mds_by_line_cover(code.mask, lines):
+    if mask is None or not _mds_by_line_cover(code.mask, params._reduction_lines):
         code.assert_mds(context="reduction input")
         raise ConsistencyError("reduction input: passed assert_mds but not the pairing table")
-    return Code.from_mask(steps[-1][-1], mask)
+    return Code.from_mask(target, mask)

@@ -34,6 +34,7 @@ doob_symmetries.
 
 import array
 import collections
+import functools
 import itertools
 import json
 
@@ -410,8 +411,14 @@ def is_mds_by_edge_shifts(code, graph):
     both ends in the code: the reference for Code.is_mds by line cover."""
     mask = code.mask
     return mask.bit_count() == code.params.code_size and not any(
-        (mask & selector) << d & mask for d, selector in graphs._row_shifts(graph)
+        (mask & selector) << d & mask for d, selector in _graph_shifts(graph)
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _graph_shifts(graph):
+    """graphs._row_shifts(graph), computed once per rows tuple."""
+    return graphs._row_shifts(graph)
 
 
 def sort_codes(codes):

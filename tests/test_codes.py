@@ -23,6 +23,7 @@ from doobmds import (
     enumerate_mds,
     load_code,
     read_code,
+    reduce_sh_coordinates,
     write_code,
 )
 from doobmds import codes, graphs
@@ -228,11 +229,23 @@ def test_members_match_the_bit_by_bit_oracle(m, n):
         masks.append(lined[0] & ~word)  # an empty line
         masks.append(lined[0] & ~word | 0b0101 << 4 * line)  # two members on a line
         masks.append(lined[0] | word)  # four
-    for mask in masks:
-        code = Code.from_mask(params, mask)
+    # With a line layout (n >= 1, at most 256 vertices) the lined masks are
+    # read by K4 line and the rest fall back to the bit read; without one,
+    # every mask takes the bit read.
+    assert (params._line_layout is not None) == (n >= 1 and size <= 256)
+    built = [Code.from_mask(params, mask) for mask in masks]
+    if (m, n) == (0, 4):
+        # The reduction images of every D(1,2) and D(2,0) code, mask-built
+        # on the reduction's own params: all of them are read by K4 line.
+        built += [
+            reduce_sh_coordinates(code)
+            for key in [(1, 2), (2, 0)]
+            for code in enumerate_mds(DoobParams(*key)).codes
+        ]
+    for code in built:
         members = code.members
         assert type(members) is tuple
-        assert members == oracles.mask_members(mask), (params, hex(mask))
+        assert members == oracles.mask_members(code.mask), (params, hex(code.mask))
         assert code.members is members
     given = oracles.mask_members(lined[1])
     assert Code(params, given).members is given
@@ -343,25 +356,32 @@ def test_assert_mds_texts_are_pinned():
             bad.assert_mds(context="x")
         assert str(info.value) == text
     # sh_edge meets every K4 line once, so only a Shrikhande shift rejects it.
-    kernel = codes._line_cover(params.m, params.n)
+    kernel = params._line_cover
     assert codes._mds_by_line_cover(sh_edge.mask, (kernel[0], ()))
     assert not codes._mds_by_line_cover(k4_line.mask, (kernel[0], ()))
 
 
 def test_line_cover_kernel_is_cached_per_parameters():
+    # The kernel is built once per params object and kept on it, so a check
+    # reads it with no call; a new params object builds its own.
     codes._line_cover.cache_clear()
     graphs._edge_shifts.cache_clear()
-    params = DoobParams(1, 1)
-    code = enumerate_mds(params).codes[0]
+    code = enumerate_mds(DoobParams(1, 1)).codes[0]
+    params = code.params
     assert code.is_mds()
-    kernel = codes._line_cover(1, 1)
+    kernel = params._line_cover
+    assert kernel is codes._line_cover(1, 1)
     assert kernel[0] == ((1, 2, int("1" * 16, 16)),)
     assert kernel[1] == tuple(pair for pair in graphs._edge_shifts(1, 1) if pair[0] >= 4)
-    assert set(vars(params)) <= {"m", "n", "vertex_count", "code_size"}
+    cached = {"vertex_count", "code_size", "_line_layout", "_line_cover"}
+    assert set(vars(params)) <= {"m", "n"} | cached
     codes._line_cover.cache_clear()
     graphs._edge_shifts.cache_clear()
     code.assert_mds()
-    rebuilt = codes._line_cover(1, 1)
+    assert params._line_cover is kernel
+    fresh = Code.from_mask(DoobParams(1, 1), code.mask)
+    fresh.assert_mds()
+    rebuilt = fresh.params._line_cover
     assert rebuilt == kernel and rebuilt is not kernel
 
 

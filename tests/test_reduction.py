@@ -379,15 +379,63 @@ def test_a_later_step_catches_a_repeated_row():
     code = build_parity_code(rule_from_hex(params, "c3a5"))
     row0 = code.mask & 0xFFFF
     bad = Code.from_mask(params, code.mask & ~(0xFFFF << 16) | row0 << 16)
-    first, second = reduction._plan(2, 0)[0]
-    pairing = derive_pairing()
-    after_first = reduction._reduce_mask(bad.mask, first, pairing)
-    with pytest.raises(KeyError):
-        reduction._reduce_mask(after_first, second, pairing)
+    (layout, words_table), ((table, selector, offsets),), _ = reduction._resolve_plan(2, 0)
+    keys = layout.unpack(bad.mask.to_bytes(layout.size, "little"))
+    assert all(key in words_table for key in keys)
+    after_first = int.from_bytes(layout.pack(*map(words_table.__getitem__, keys)), "little")
+    assert any(after_first >> offset & selector not in table for offset in offsets)
     for order in (None, (1, 0), (0, 1)):
         with pytest.raises(ConsistencyError, match=r"^reduction input: adjacent members 1 and 17$"):
             reduce_sh_coordinates(bad, order=order)
     assert reduction_outcome(bad) == assert_mds_outcome(bad)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_word_step_rejects_a_word_not_in_the_table(m):
+    """A D(m,0) code with one 32-bit word of the first step, a pair of
+    fibers, made a word that is no table key: a member of its low fiber is
+    moved so that the fiber is no Shrikhande code.  The code keeps its size,
+    so assert_mds names an adjacent pair, and the reduction gives the same
+    message in the default order and in every explicit one."""
+    params = DoobParams(m, 0)
+    if m == 2:
+        code = enumerate_mds(params).codes[3]
+    else:
+        code = random_parity_codes(3, 0, 1)[0]
+    table = derive_pairing().slice_table(0)
+    shrikhande_masks = {fiber.mask for fiber in sh_codes()}
+    words = params.vertex_count // 32
+    for index in (0, words // 2, words - 1):
+        word = code.mask >> 32 * index & 0xFFFFFFFF
+        low = word & 0xFFFF
+        s = (low & -low).bit_length() - 1
+        moved = [low ^ 1 << s | 1 << t for t in range(16) if not low >> t & 1]
+        bad_low = next(fiber for fiber in moved if fiber not in shrikhande_masks)
+        bad_word = word ^ low ^ bad_low
+        assert word in table and bad_word not in table
+        bad = Code.from_mask(params, code.mask ^ (word ^ bad_word) << 32 * index)
+        expected = assert_mds_outcome(bad)
+        assert expected.startswith("reduction input: adjacent members ")
+        for order in [None, *itertools.permutations(range(m))]:
+            assert reduction_outcome(bad, order) == expected
+
+
+def test_clearing_the_pairing_empties_the_plans(codes_by_params):
+    # The resolved plans bind the pairing's slice tables, so clearing
+    # derive_pairing's cache drops them too, and the next reduction
+    # rebuilds the pairing, its tables and the plan.
+    code = codes_by_params[(2, 0)][0]
+    expected = reduce_sh_coordinates(code)
+    assert (2, 0) in reduction._plans
+    old = derive_pairing()
+    derive_pairing.cache_clear()
+    assert reduction._plans == {}
+    assert reduce_sh_coordinates(code) == expected
+    new = derive_pairing()
+    assert new is not old
+    (_, words_table), ((table, _, _),), target = reduction._plans[2, 0]
+    assert words_table is new.slice_table(0) and table is new.slice_table(2)
+    assert target == DoobParams(0, 4)
 
 
 def test_table_check_on_pure_k4_input():
