@@ -63,11 +63,12 @@ assert_mds names the first adjacent pair of a mask that fails, from the
 full edge shifts, so its errors are those of that check.
 
 Both per-(m, n) kernels, the member read's layout (_line_layout) and the
-line cover (_line_cover), are built here, once per (m, n), and kept on each
-params object as DoobParams._line_layout and DoobParams._line_cover, so
+line cover (_line_cover), are built here and have one cache each: the
+params object, as DoobParams._line_layout and DoobParams._line_cover, so
 Code.members, is_mds and assert_mds find theirs with one attribute read
-on the code's params.  DoobParams imports this module only when it first
-builds one.
+on the code's params.  The builders keep nothing; a params object parsed
+from a file rebuilds its kernels, which costs little next to the parse.
+DoobParams imports this module only when it first builds one.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class Code:
                     packed = int.from_bytes(places, "big") + base
                     members = tuple(packed.to_bytes(lines, "little"))
             if members is None:
-                members = tuple(compress(count(), bit_bytes(self.mask, 0)))
+                members = tuple(compress(count(), bit_bytes(self.mask)))
             _set_members(self, members)
         return members
 
@@ -228,9 +229,9 @@ _set_params, _set_mask, _set_members = (
 _BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def bit_bytes(mask: int, size: int) -> bytes:
-    """Byte v is 1 if bit v of mask is set, else 0; size bytes (more if mask is wider)."""
-    return format(mask, f"0{size}b").encode().translate(_BIT_BYTE)[::-1]
+def bit_bytes(mask: int) -> bytes:
+    """Byte v is 1 if bit v of mask is set, else 0, through its highest set bit."""
+    return format(mask, "b").encode().translate(_BIT_BYTE)[::-1]
 
 
 def _independent(mask: int, shifts) -> bool:
@@ -260,7 +261,6 @@ def _first_pair(mask: int, shifts) -> Optional[tuple[int, int]]:
     return None if v is None else (v, w)
 
 
-@lru_cache(maxsize=None)
 def _line_layout(m: int, n: int) -> Optional[tuple[str, int, int]]:
     """The read of members by K4 line over D(m,n), or None unless n >= 1
     and D(m,n) has at most 256 vertices: the format spec of the mask's hex
@@ -280,7 +280,6 @@ def _line_layout(m: int, n: int) -> Optional[tuple[str, int, int]]:
     return f"0{lines}x", starts - int.from_bytes(b"0" * lines, "little"), lines
 
 
-@lru_cache(maxsize=None)
 def _line_cover(m: int, n: int) -> tuple[tuple, tuple]:
     """(lines, shifts) for checking codes of D(m,n) by line cover, from its
     edge shifts.

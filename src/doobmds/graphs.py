@@ -6,18 +6,21 @@ connection set {+-(1,0), +-(0,1), +-(1,1)}: the torus grid lines plus the
 slanted diagonals.  A vertex is its index, and a graph is the tuple of its
 rows, the per-vertex neighbor bitmasks (bit v of row u is set iff u ~ v).
 The index of a vertex of D(m,n) has m Shrikhande digits 4a + b, base 16,
-then n K4 values, base 4, most significant first; _vertex_digits reads them
-off.  Parameters past DESK_SCALE_LIMIT vertices are rejected outright
-instead of degrading.  The check compares the word length
-2m + n with MAX_WORD_LENGTH, so no refused vertex count is ever computed.
+then n K4 values, base 4, most significant first.  _slots(m, n), the one
+table of that layout, gives each coordinate's (radix, stride); the edge
+shifts, _vertex_digits, the symmetries' lifted factor permutations and slot
+swaps, and the reduction's Shrikhande slot swaps all read it.  Parameters
+past DESK_SCALE_LIMIT vertices are rejected outright instead of degrading.
+The check compares the word length 2m + n with MAX_WORD_LENGTH, so no
+refused vertex count is ever computed.
 The edge shifts of D(m,n) are a closed form of (m, n) built from those of
 Sh and K4.  They are the one definition of its adjacency: the checks on
 codes read them, and doob_graph is built from them.
 
-DoobParams also keeps, per params object, the kernels that codes and
-reduction read once per code: the member read by K4 line, the line cover
-of the MDS check, and the reduction's K4 line check of its input.  Each is
-built on first read, by codes, which is imported only then.
+DoobParams also keeps, per params object, the two kernels that codes
+reads once per code: the member read by K4 line and the line cover of the
+MDS check.  Each is built on first read, by codes, which is imported only
+then, and kept nowhere else.
 
 Three kernels here serve several modules.  _repeat repeats a bit pattern in
 every block of a mask, by doubling: the edge shifts' selectors, the
@@ -167,12 +170,6 @@ class DoobParams(_FrozenRecord):
 
         return _line_cover(self.m, self.n)
 
-    @cached_property  # read by every reduce_sh_coordinates
-    def _reduction_lines(self) -> tuple[tuple, tuple]:
-        """_line_cover with only the lines past the stride-1 direction and
-        no shifts: what a reduction checks of its input besides its lookups."""
-        return self._line_cover[0][1:], ()
-
     def __str__(self):
         return f"D({self.m},{self.n})"
 
@@ -252,21 +249,20 @@ def _edge_shifts(m: int, n: int) -> tuple[tuple[int, int], ...]:
 
     An edge of D(m,n) changes one coordinate, so it is an edge of that
     coordinate's factor, Sh or K4, moved by the stride s of its digit in the
-    vertex index: 4^j for the j-th K4 coordinate from the last, 4^n 16^p for
-    the p-th Shrikhande one from the last K4.  Each pair (d, selector) of
-    the factor, q vertices, gives the pair (d s, selector spread to s bits
-    per factor vertex and repeated every q s bits).  A coordinate's shifts
-    lie in [s, q s), and these ranges do not overlap, so each d is one
-    coordinate's, and sorted by d the pairs are in _row_shifts' form.
+    vertex index, which _slots gives: 4^j for the j-th K4 coordinate from
+    the last, 4^n 16^p for the p-th Shrikhande one from the last K4.  Each
+    pair (d, selector) of the factor, q vertices, gives the pair (d s,
+    selector spread to s bits per factor vertex and repeated every q s
+    bits).  A coordinate's shifts lie in [s, q s), and these ranges do not
+    overlap, so each d is one coordinate's, and sorted by d the pairs are in
+    _row_shifts' form.
     """
     params = DoobParams(m, n)
     check_desk_scale(params)
-    slots = [(4**j, complete_graph(4)) for j in range(n)]
-    slots += [(4**n * 16**p, shrikhande()) for p in range(m)]
+    factors = {16: shrikhande(), 4: complete_graph(4)}
     pairs = []
-    for s, rows in slots:
-        q = len(rows)
-        for d, selector in _row_shifts(rows):
+    for q, s in _slots(m, n):
+        for d, selector in _row_shifts(factors[q]):
             spread = sum(((1 << s) - 1) << x * s for x in range(q) if selector >> x & 1)
             pairs.append((d * s, _repeat(spread, q * s, params.vertex_count)))
     return tuple(sorted(pairs))
@@ -339,11 +335,16 @@ def independent_sets_of_size(rows: Sequence[int], size: int) -> list[tuple[int, 
     return out
 
 
+@lru_cache(maxsize=None)
+def _slots(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(radix, stride) of each coordinate of a vertex index of D(m,n), most
+    significant first: m Shrikhande digits 4a + b, radix 16, then n K4
+    values, radix 4.  The stride is the product of the radices after it."""
+    return tuple((16, 4**n * 16 ** (m - 1 - p)) for p in range(m)) + tuple(
+        (4, 4 ** (n - 1 - j)) for j in range(n)
+    )
+
+
 def _vertex_digits(index: int, params: DoobParams) -> list[int]:
-    """The digits of a vertex index of D(m,n), most significant first: m
-    Shrikhande digits 4a + b, base 16, then n K4 values, base 4."""
-    digits = []
-    for radix in [4] * params.n + [16] * params.m:
-        index, digit = divmod(index, radix)
-        digits.append(digit)
-    return digits[::-1]
+    """The digits of a vertex index of D(m,n), in _slots order."""
+    return [index // stride % radix for radix, stride in _slots(params.m, params.n)]

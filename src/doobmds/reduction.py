@@ -32,16 +32,19 @@ table.  Both words of a pair key are nonzero, so it is at least 2^16 and
 above every single key.  The k = 0 step of D(m,0), m >= 2, reads all its
 pair keys at once: the mask's bytes unpack, by one struct, to its 32-bit
 words, the words map through the table, and one pack writes the images
-back, so that step is linear in the mask.  The tables hang off the pairing
-and are built on first use, one per k.  All m steps of a full reduction run
-inline on the int, from one plan per (m, n) that binds each step's table,
-selector and offsets (or the word struct), and one Code is built at the
-end.  The plans are resolved from derive_pairing()'s tables on first use
-and kept in a module dict that derive_pairing.cache_clear empties with the
-pairing, so a reduction makes no call for its plan and a cleared pairing
-is rebuilt with its tables and plans.  An explicit order first permutes the
-Shrikhande coordinates of the input's mask: that permutes 4-bit groups of
-index bits, which delta swaps do, each exchanging two index bits.
+back, so that step is linear in the mask.  All m steps of a full
+reduction run inline on the int, from one plan per (m, n) that binds each
+step's table, selector and offsets (or the word struct) and the K4 lines
+the input is checked on, and one Code is built at the end.  The pairing
+owns everything derived from it: its slice tables, one per k, and its
+plans, one per (m, n), are built on first use and kept on the
+PairingTable, and a reduction reads derive_pairing().plan(m, n).  So
+derive_pairing.cache_clear, which functools provides and nothing wraps,
+drops the pairing with its tables and plans, and the next reduction
+rebuilds all three.  An explicit order first permutes the Shrikhande
+coordinates of the input's mask: that permutes 4-bit groups of index bits
+(graphs._slots gives each group's place), which delta swaps do, each
+exchanging two index bits.
 
 The lookups are reduce_sh_coordinates' check of its input.  A code whose
 every lookup succeeds, and which meets every line of its K4 directions of
@@ -52,10 +55,10 @@ step keeps or removes no edge along any other coordinate; a quadruple's
 fibers are disjoint, so a first step with k = n >= 1 finds one member on
 each line of the stride-1 direction; and code_size members meeting every K4
 line of a direction hold one on each, so no K4 edge joins two.  The lines of
-the other K4 directions are read off the input's params
-(DoobParams._reduction_lines), built once per params object.  A maximum
-independent set passes all of this, so on any other input a lookup fails or
-a line is missed, and the input's assert_mds names the fault.  Under an
+the other K4 directions are part of the plan, read off codes._line_cover
+when the plan is resolved.  A maximum independent set passes all of this,
+so on any other input a lookup fails or a line is missed, and the input's
+assert_mds names the fault.  Under an
 explicit order the steps read a permuted copy of the mask, which is a
 maximum independent set exactly when the input is (permuting Shrikhande
 coordinates is an automorphism), and the message still names the input's
@@ -68,12 +71,13 @@ from functools import cached_property, lru_cache
 from struct import Struct
 from typing import Optional, Sequence
 
-from .codes import Code, _mds_by_line_cover
+from .codes import Code, _line_cover, _mds_by_line_cover
 from .errors import ConsistencyError
 from .graphs import (
     DoobParams,
     _delta_swaps,
     _FrozenRecord,
+    _slots,
     _swap_index_bits,
     doob_graph,
     independent_sets_of_size,
@@ -108,6 +112,10 @@ class PairingTable(_FrozenRecord):
 
     @cached_property
     def _slice_tables(self) -> dict[int, dict[int, int]]:
+        return {}
+
+    @cached_property
+    def _plans(self) -> dict[tuple[int, int], tuple]:
         return {}
 
     def slice_table(self, k: int) -> dict[int, int]:
@@ -146,6 +154,53 @@ class PairingTable(_FrozenRecord):
                 table = {key: image for _, key, image in rows}
             tables[k] = table
         return tables[k]
+
+    def __reduce__(self):
+        # The slice tables and plans are derived, and a plan's struct does
+        # not pickle: a copy is the fields alone and builds its own.
+        return type(self), (self.domain, self.image)
+
+    def plan(self, m: int, n: int) -> tuple:
+        """(words, steps, lines, target) for reducing codes of D(m,n), m >= 1,
+        over this pairing's slice tables, resolved on first use and kept on
+        this pairing.
+
+        words is (layout, table) for the first step of D(m,0), m >= 2, whose
+        slices are the 32-bit words of the mask: layout is the struct of
+        those words, little-endian, and table the k = 0 slice table;
+        otherwise None.  Each remaining step from D(m-i, k), k = n + 2i, is
+        (table, selector, offsets): its slice table, the bits of a slice at
+        offset 0, and the offsets of the slices, which tile the index bits.
+        D(1,0)'s one word is one such slice.  lines is the line cover kernel
+        (codes._line_cover) of the K4 directions past the stride-1 one, with
+        no shifts: what a reduction checks of its input besides its lookups.
+        target is D(0, n + 2m), the parameters of the result.
+        """
+        plan = self._plans.get((m, n))
+        if plan is not None:
+            return plan
+        vertex_count = DoobParams(m, n).vertex_count
+        words, steps = None, []
+        for step in range(m):
+            k = n + 2 * step
+            table = self.slice_table(k)
+            if k:
+                stride = 4**k
+                selector = 0xF * _spread(0xFFFF, stride)
+                offsets = tuple(
+                    row + low
+                    for row in range(0, vertex_count, 16 * stride)
+                    for low in range(0, stride, 4)
+                )
+            elif m == 1:  # D(1,0): one word, looked up among the singles
+                selector, offsets = 0xFFFF, (0,)
+            else:
+                words = (Struct(f"<{vertex_count // 32}I"), table)
+                continue
+            steps.append((table, selector, offsets))
+        lines = (_line_cover(m, n)[0][1:], ())
+        plan = self._plans[m, n] = (words, tuple(steps), lines, DoobParams(0, n + 2 * m))
+        return plan
 
 
 def _spread(word: int, stride: int) -> int:
@@ -212,69 +267,19 @@ def _exchanges(entries: list, targets) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _slot_swaps(vertex_count: int, m: int, n: int, perm: tuple[int, ...]) -> tuple:
+def _slot_swaps(m: int, n: int, perm: tuple[int, ...]) -> tuple:
     """Delta swaps that move old Shrikhande coordinate perm[p] to slot p.
 
-    Slot p is the 4-bit digit at index bits 2n + 4(m-1-p) and up, so every
-    exchange of two slots is four exchanges of index bits.
+    Slot p is the 4-bit digit whose lowest index bit is log2 of its stride
+    (graphs._slots), so every exchange of two slots is four exchanges of
+    index bits.
     """
+    bits = [stride.bit_length() - 1 for _, stride in _slots(m, n)]
     pairs = []
     for p, q in _exchanges(list(range(m)), perm):
         # Slot q > p sits below slot p.
-        low, high = 2 * n + 4 * (m - 1 - q), 2 * n + 4 * (m - 1 - p)
-        pairs.extend((low + t, high + t) for t in range(4))
-    return _delta_swaps(vertex_count, pairs)
-
-
-def _resolve_plan(m: int, n: int) -> tuple:
-    """(words, steps, target) for reducing codes of D(m,n), m >= 1, over
-    derive_pairing()'s slice tables.
-
-    words is (layout, table) for the first step of D(m,0), m >= 2, whose
-    slices are the 32-bit words of the mask: layout is the struct of those
-    words, little-endian, and table the k = 0 slice table; otherwise None.
-    Each remaining step from D(m-i, k), k = n + 2i, is (table, selector,
-    offsets): its slice table, the bits of a slice at offset 0, and the
-    offsets of the slices, which tile the index bits.  D(1,0)'s one word is
-    one such slice.  target is D(0, n + 2m), the parameters of the result.
-    """
-    pairing = derive_pairing()
-    vertex_count = DoobParams(m, n).vertex_count
-    words, steps = None, []
-    for step in range(m):
-        k = n + 2 * step
-        table = pairing.slice_table(k)
-        if k:
-            stride = 4**k
-            selector = 0xF * _spread(0xFFFF, stride)
-            offsets = tuple(
-                row + low
-                for row in range(0, vertex_count, 16 * stride)
-                for low in range(0, stride, 4)
-            )
-        elif m == 1:  # D(1,0): one word, looked up among the singles
-            selector, offsets = 0xFFFF, (0,)
-        else:
-            words = (Struct(f"<{vertex_count // 32}I"), table)
-            continue
-        steps.append((table, selector, offsets))
-    return words, tuple(steps), DoobParams(0, n + 2 * m)
-
-
-# (m, n) -> _resolve_plan(m, n), read by every reduction with no call.  The
-# plans hold the pairing's slice tables, so they go with the pairing:
-# derive_pairing.cache_clear empties this too, and the next reduction
-# rebuilds the pairing, its tables and the plan.
-_plans: dict[tuple[int, int], tuple] = {}
-
-
-def _clear_pairing(clear=derive_pairing.cache_clear) -> None:
-    """derive_pairing.cache_clear: forget the pairing and the plans over its tables."""
-    clear()
-    _plans.clear()
-
-
-derive_pairing.cache_clear = _clear_pairing
+        pairs.extend((bits[q] + t, bits[p] + t) for t in range(4))
+    return _delta_swaps(DoobParams(m, n).vertex_count, pairs)
 
 
 def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> Code:
@@ -294,15 +299,11 @@ def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> 
         if sorted(order) != list(range(m)):
             raise ValueError(f"{order!r} is not a permutation of the {m} Shrikhande coordinates")
         # Arrange slots so that last-coordinate steps consume them in order.
-        mask = _swap_index_bits(mask, _slot_swaps(params.vertex_count, m, params.n, order[::-1]))
+        mask = _swap_index_bits(mask, _slot_swaps(m, params.n, order[::-1]))
     if m == 0:
         code.assert_mds(context="reduction input")
         return code
-    n = params.n
-    plan = _plans.get((m, n))
-    if plan is None:
-        plan = _plans[m, n] = _resolve_plan(m, n)
-    words, steps, target = plan
+    words, steps, lines, target = derive_pairing().plan(m, params.n)
     try:
         if words is not None:
             layout, table = words
@@ -315,7 +316,7 @@ def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> 
             mask = out
     except KeyError:  # a slice that is no table entry
         mask = None
-    if mask is None or not _mds_by_line_cover(code.mask, params._reduction_lines):
+    if mask is None or not _mds_by_line_cover(code.mask, lines):
         code.assert_mds(context="reduction input")
         raise ConsistencyError("reduction input: passed assert_mds but not the pairing table")
     return Code.from_mask(target, mask)

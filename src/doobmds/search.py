@@ -95,6 +95,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache, partial
 
+from .errors import DeskScaleError
 from .graphs import (
     DoobParams,
     _delta_swaps,
@@ -167,8 +168,6 @@ def _decompose(params: DoobParams, sh=None):
 
 def _too_many_to_list(subject: str):
     """The DeskScaleError refusing to list codes, subject naming them."""
-    from .errors import DeskScaleError
-
     return DeskScaleError(
         f"{subject} too many to list (the limit is word length "
         f"{_LISTED_WORD_LENGTH}, D(0,4)'s 55296 codes)"

@@ -45,7 +45,7 @@ from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import ConsistencyError, ParameterMismatchError
-from .graphs import DoobParams, _FrozenRecord, _repeat
+from .graphs import DoobParams, _FrozenRecord, _repeat, _slots
 
 Perm = tuple[int, ...]
 
@@ -97,40 +97,32 @@ class AutomorphismGroup(_FrozenRecord):
 # ---------------------------------------------------------------------------
 
 
-def _place_values(params: DoobParams):
-    radices = [16] * params.m + [4] * params.n
-    values = []
-    acc = 1
-    for radix in reversed(radices):
-        values.append(acc)
-        acc *= radix
-    return radices, list(reversed(values))
-
-
 def lift_factor_perm(params: DoobParams, slot: int, factor_perm: Perm) -> Perm:
     """Vertex permutation applying factor_perm at one coordinate slot."""
-    radices, place = _place_values(params)
-    if not 0 <= slot < len(radices):
+    slots = _slots(params.m, params.n)
+    if not 0 <= slot < len(slots):
         raise ValueError(f"slot {slot} out of range for {params}")
-    if len(factor_perm) != radices[slot]:
+    radix, place = slots[slot]
+    if len(factor_perm) != radix:
         raise ValueError("factor permutation does not fit the slot's alphabet")
     out = []
     for v in range(params.vertex_count):
-        digit = v // place[slot] % radices[slot]
-        out.append(v + (factor_perm[digit] - digit) * place[slot])
+        digit = v // place % radix
+        out.append(v + (factor_perm[digit] - digit) * place)
     return tuple(out)
 
 
 def swap_slots_perm(params: DoobParams, a: int, b: int) -> Perm:
     """Vertex permutation exchanging two equal coordinate slots."""
-    radices, place = _place_values(params)
-    if radices[a] != radices[b]:
+    slots = _slots(params.m, params.n)
+    (radix, place_a), (radix_b, place_b) = slots[a], slots[b]
+    if radix != radix_b:
         raise ValueError(f"slots {a} and {b} carry different factors")
     out = []
     for v in range(params.vertex_count):
-        da = v // place[a] % radices[a]
-        db = v // place[b] % radices[b]
-        out.append(v + (db - da) * place[a] + (da - db) * place[b])
+        da = v // place_a % radix
+        db = v // place_b % radix
+        out.append(v + (db - da) * (place_a - place_b))
     return tuple(out)
 
 

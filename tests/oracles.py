@@ -2,10 +2,12 @@
 
 Everything here is re-implemented from scratch over plain labeled tuples and
 sets, sharing nothing with the package internals except the documented vertex
-index convention, so agreement is a meaningful cross-check.  The subset scan
-literally tests every candidate subset on 16-vertex graphs; the bounded
-search adds only a greedy clique-cover feasibility bound so 64-vertex graphs
-finish; latin squares are counted row by row; the two 16-vertex symmetry
+index convention, so agreement is a meaningful cross-check.  That convention
+is read digit by digit with divmod, the reference for graphs._slots and the
+permutations symmetry lifts from a factor or a swap of two coordinates.  The
+subset scan literally tests every candidate subset on 16-vertex graphs; the
+bounded search adds only a greedy clique-cover feasibility bound so 64-vertex
+graphs finish; latin squares are counted row by row; the two 16-vertex symmetry
 groups are built from their geometric descriptions rather than searched for.
 The reference Shrikhande reduction regroups members fiber by fiber with
 divmod and takes the pairing table as a dict of plain member tuples; the
@@ -95,6 +97,44 @@ def decode_label(index, m, n):
         index, digit = divmod(index, 16)
         values.append(divmod(digit, 4))
     return tuple(values[::-1])
+
+
+def vertex_digits(index, m, n):
+    """The digits of a vertex index, most significant first, by divmod from
+    the last: n K4 values base 4, then m Shrikhande digits 4a + b base 16."""
+    digits = []
+    for radix in [4] * n + [16] * m:
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def digits_index(digits, m, n):
+    """Inverse of vertex_digits."""
+    index = 0
+    for radix, digit in zip([16] * m + [4] * n, digits):
+        index = index * radix + digit
+    return index
+
+
+def lift_perm_by_digits(m, n, slot, factor_perm):
+    """The vertex permutation applying factor_perm to one digit, vertex by vertex."""
+    out = []
+    for v in range(4 ** (2 * m + n)):
+        digits = vertex_digits(v, m, n)
+        digits[slot] = factor_perm[digits[slot]]
+        out.append(digits_index(digits, m, n))
+    return tuple(out)
+
+
+def swap_perm_by_digits(m, n, a, b):
+    """The vertex permutation exchanging two digits, vertex by vertex."""
+    out = []
+    for v in range(4 ** (2 * m + n)):
+        digits = vertex_digits(v, m, n)
+        digits[a], digits[b] = digits[b], digits[a]
+        out.append(digits_index(digits, m, n))
+    return tuple(out)
 
 
 def scan_independent_sets(adj, size):

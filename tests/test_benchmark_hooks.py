@@ -6,8 +6,12 @@ private functions; this pins each of them, and that every way a Code is built
 runs __post_init__, so the traced construction time covers them all.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
+import doobmds
 from doobmds import (
     Code,
     DoobParams,
@@ -42,6 +46,20 @@ def test_wrapped_and_cleared_functions_exist():
     ]
     for function in cached:
         assert callable(function.cache_clear), function
+
+
+def test_no_cached_function_wraps_its_cache_clear():
+    # clear_program_caches calls cache_clear on the program's lru caches; each
+    # is the one functools provides, so a clear drops that cache and no
+    # other state rides on it.
+    checked = set()
+    for info in pkgutil.iter_modules(doobmds.__path__):
+        module = importlib.import_module(f"doobmds.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                assert "cache_clear" not in vars(value), f"{info.name}.{name}"
+                checked.add(f"{info.name}.{name}")
+    assert {"reduction.derive_pairing", "graphs._slots", "codes._fiber_layout"} <= checked
 
 
 @pytest.fixture

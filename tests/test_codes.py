@@ -361,28 +361,35 @@ def test_assert_mds_texts_are_pinned():
     assert not codes._mds_by_line_cover(k4_line.mask, (kernel[0], ()))
 
 
-def test_line_cover_kernel_is_cached_per_parameters():
+def test_line_cover_kernel_is_cached_per_parameters(monkeypatch):
     # The kernel is built once per params object and kept on it, so a check
-    # reads it with no call; a new params object builds its own.
-    codes._line_cover.cache_clear()
+    # reads it with no call; a new params object builds its own, with one
+    # call of the builder, which keeps nothing.
     graphs._edge_shifts.cache_clear()
     code = enumerate_mds(DoobParams(1, 1)).codes[0]
     params = code.params
     assert code.is_mds()
     kernel = params._line_cover
-    assert kernel is codes._line_cover(1, 1)
+    assert kernel == codes._line_cover(1, 1) and kernel is not codes._line_cover(1, 1)
     assert kernel[0] == ((1, 2, int("1" * 16, 16)),)
     assert kernel[1] == tuple(pair for pair in graphs._edge_shifts(1, 1) if pair[0] >= 4)
     cached = {"vertex_count", "code_size", "_line_layout", "_line_cover"}
     assert set(vars(params)) <= {"m", "n"} | cached
-    codes._line_cover.cache_clear()
+    calls = []
+
+    def counting(m, n, _original=codes._line_cover):
+        calls.append((m, n))
+        return _original(m, n)
+
+    monkeypatch.setattr(codes, "_line_cover", counting)
     graphs._edge_shifts.cache_clear()
     code.assert_mds()
-    assert params._line_cover is kernel
+    assert params._line_cover is kernel and calls == []
     fresh = Code.from_mask(DoobParams(1, 1), code.mask)
     fresh.assert_mds()
+    assert fresh.is_mds()
     rebuilt = fresh.params._line_cover
-    assert rebuilt == kernel and rebuilt is not kernel
+    assert rebuilt == kernel and rebuilt is not kernel and calls == [(1, 1)]
 
 
 def test_default_checks_build_no_product_graph(monkeypatch, tmp_path, capsys):
@@ -391,7 +398,6 @@ def test_default_checks_build_no_product_graph(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(graphs, "doob_graph", refuse)
     graphs._edge_shifts.cache_clear()
-    codes._line_cover.cache_clear()
     # Fresh params objects, so that nothing is found on them.
     d12 = Code.from_mask(
         DoobParams(1, 2), build_parity_code(rule_from_hex(DoobParams(1, 2), "c3a5")).mask

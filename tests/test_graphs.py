@@ -31,6 +31,8 @@ from doobmds.graphs import (
     _FrozenRecord,
     _repeat,
     _row_shifts,
+    _slots,
+    _vertex_digits,
 )
 from doobmds.symmetry import _PACK
 
@@ -449,3 +451,20 @@ def test_repeat_matches_doubling_and_its_definition(period):
             repeated = _repeat(pattern, period, total)
             assert repeated == doubled(pattern, period, blocks) & (1 << total) - 1
             assert repeated == repeated_bit_by_bit(pattern, period, total)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in range(4) for n in range(MAX_WORD_LENGTH + 1 - 2 * m) if m + n]
+)
+def test_slots_and_vertex_digits_match_the_divmod_oracle(m, n):
+    # Each slot's (radix, stride) is pinned by the one vertex whose digits
+    # are all 0 but radix - 1 at that slot.
+    params = DoobParams(m, n)
+    slots = _slots(m, n)
+    assert [radix for radix, _ in slots] == [16] * m + [4] * n
+    for i, (radix, stride) in enumerate(slots):
+        assert oracles.vertex_digits((radix - 1) * stride, m, n) == [
+            radix - 1 if j == i else 0 for j in range(m + n)
+        ]
+    for index in range(params.vertex_count):
+        assert _vertex_digits(index, params) == oracles.vertex_digits(index, m, n)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -170,7 +171,7 @@ def test_permute_sh_coordinates(codes_by_params):
     for params, codes in samples:
         m, n = params.m, params.n
         for perm in itertools.permutations(range(m)):
-            swaps = reduction._slot_swaps(params.vertex_count, m, n, perm)
+            swaps = reduction._slot_swaps(m, n, perm)
             assert (swaps == ()) == (perm == tuple(range(m)))
             for code in codes:
                 expected = oracles.permute_sh(code.members, m, n, perm)
@@ -379,7 +380,7 @@ def test_a_later_step_catches_a_repeated_row():
     code = build_parity_code(rule_from_hex(params, "c3a5"))
     row0 = code.mask & 0xFFFF
     bad = Code.from_mask(params, code.mask & ~(0xFFFF << 16) | row0 << 16)
-    (layout, words_table), ((table, selector, offsets),), _ = reduction._resolve_plan(2, 0)
+    (layout, words_table), ((table, selector, offsets),), _, _ = derive_pairing().plan(2, 0)
     keys = layout.unpack(bad.mask.to_bytes(layout.size, "little"))
     assert all(key in words_table for key in keys)
     after_first = int.from_bytes(layout.pack(*map(words_table.__getitem__, keys)), "little")
@@ -421,21 +422,35 @@ def test_word_step_rejects_a_word_not_in_the_table(m):
 
 
 def test_clearing_the_pairing_empties_the_plans(codes_by_params):
-    # The resolved plans bind the pairing's slice tables, so clearing
-    # derive_pairing's cache drops them too, and the next reduction
-    # rebuilds the pairing, its tables and the plan.
+    # The resolved plans bind the pairing's slice tables and live on the
+    # pairing, so clearing derive_pairing's cache drops them with it: a new
+    # pairing starts with no tables or plans, and the next reduction
+    # rebuilds its tables and the plan on it.
     code = codes_by_params[(2, 0)][0]
     expected = reduce_sh_coordinates(code)
-    assert (2, 0) in reduction._plans
     old = derive_pairing()
+    assert (2, 0) in old._plans and {0, 2} <= set(old._slice_tables)
     derive_pairing.cache_clear()
-    assert reduction._plans == {}
-    assert reduce_sh_coordinates(code) == expected
     new = derive_pairing()
-    assert new is not old
-    (_, words_table), ((table, _, _),), target = reduction._plans[2, 0]
+    assert new is not old and new == old
+    assert new._plans == {} and new._slice_tables == {}
+    assert reduce_sh_coordinates(code) == expected
+    assert derive_pairing() is new and set(new._plans) == {(2, 0)}
+    (_, words_table), ((table, _, _),), lines, target = new._plans[2, 0]
     assert words_table is new.slice_table(0) and table is new.slice_table(2)
-    assert target == DoobParams(0, 4)
+    assert new.plan(2, 0) is new._plans[2, 0]
+    assert lines == ((), ()) and target == DoobParams(0, 4)
+    for other in old._slice_tables.values():
+        assert all(other is not table for table in new._slice_tables.values())
+
+
+def test_pairing_pickles_without_its_derived_tables(codes_by_params):
+    reduce_sh_coordinates(codes_by_params[(2, 0)][0])
+    pairing = derive_pairing()
+    assert pairing._plans
+    copy = pickle.loads(pickle.dumps(pairing))
+    assert copy == pairing and "_plans" not in vars(copy)
+    assert copy.plan(2, 0)[2:] == pairing.plan(2, 0)[2:]
 
 
 def test_table_check_on_pure_k4_input():

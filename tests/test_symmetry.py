@@ -219,6 +219,24 @@ def test_lift_and_swap():
         swap_slots_perm(DoobParams(1, 1), 0, 1)
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2)])
+def test_lift_and_swap_match_the_digit_by_digit_oracle(m, n):
+    params = DoobParams(m, n)
+    rng = random.Random(10 * m + n)
+    for slot in range(m + n):
+        radix = 16 if slot < m else 4
+        for _ in range(3):
+            perm = tuple(rng.sample(range(radix), radix))
+            expected = oracles.lift_perm_by_digits(m, n, slot, perm)
+            assert lift_factor_perm(params, slot, perm) == expected
+    for a, b in itertools.permutations(range(m + n), 2):
+        if (a < m) == (b < m):
+            assert swap_slots_perm(params, a, b) == oracles.swap_perm_by_digits(m, n, a, b)
+        else:
+            with pytest.raises(ValueError):
+                swap_slots_perm(params, a, b)
+
+
 def test_orbit_census_of_small_families(codes_by_params):
     one_sh = orbits_of_codes(codes_by_params[(1, 0)], doob_symmetries(DoobParams(1, 0)))
     assert one_sh.sizes == (4, 12)
