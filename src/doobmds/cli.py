@@ -378,8 +378,32 @@ def _code_files(directory: Path) -> list[str]:
     return [prefix + name for name in names]
 
 
+def _orbit_report(codes, partition) -> dict:
+    """classify's --out report: the sizes of the classes and their
+    representatives, each class's code of least member tuple.
+
+    That code is the greatest by the masks' lexicographic key, as a class's
+    codes are images of one another and so of one size; only the
+    representatives' members are read.  Classes go by size, then by their
+    representative's members, which are distinct, so the index never decides.
+    """
+    from .codes import code_to_obj
+    from .search import _lexicographic_key
+
+    key = _lexicographic_key(codes[0].params.vertex_count)
+    keyed = []
+    for cls in partition.classes:
+        least = max(cls, key=lambda i: key(codes[i].mask))
+        keyed.append((len(cls), codes[least].members, least))
+    keyed.sort()
+    return {
+        "sizes": [size for size, _, _ in keyed],
+        "representatives": [code_to_obj(codes[i]) for _, _, i in keyed],
+    }
+
+
 def cmd_classify(args) -> int:
-    from .codes import canonical_json, code_to_obj, read_code
+    from .codes import canonical_json, read_code
     from .symmetry import doob_symmetries, orbits_of_codes
 
     directory = Path(args.directory)
@@ -398,18 +422,7 @@ def cmd_classify(args) -> int:
     partition = orbits_of_codes(codes, group)
     print("orbits: " + ", ".join(str(size) for size in partition.sizes))
     if args.out:
-        # Each class by size, then by its least member tuple, which is also its
-        # representative's; members are distinct, so the index never decides.
-        keyed = []
-        for cls in partition.classes:
-            least = min(cls, key=lambda i: codes[i].members)
-            keyed.append((len(cls), codes[least].members, least))
-        keyed.sort()
-        payload = {
-            "sizes": [size for size, _, _ in keyed],
-            "representatives": [code_to_obj(codes[i]) for _, _, i in keyed],
-        }
-        Path(args.out).write_text(canonical_json(payload))
+        Path(args.out).write_text(canonical_json(_orbit_report(codes, partition)))
     return EXIT_OK
 
 

@@ -413,11 +413,14 @@ def _fiber_layout(m: int, n: int):
     ",", so every dump is template (the dump with each last-coordinate digit
     "0") except at those digits.  digits slices them out of the member list
     with stride w + 1: the K4 value, or the a and the b of the closing
-    "[a,b]]"; zeros refills one slice.  For Sh, slots are the eight slices
-    of a fiber's digits, members in index order, with stride 4(w + 1),
-    table maps those eight digit bytes to the fiber's 16-bit word as
-    reversed hex, and spell maps the bytes of that reversed hex back to the
-    eight digits; for K4 slots is digits and table and spell are None.
+    "[a,b]]"; zeros refills one slice.  slots slice the digits backwards,
+    last fiber first, so that the fibers' words come out in the order of
+    the mask's hex digits, most significant first.  For K4, slots is the one
+    slice of the K4 values, with stride -(w + 1), and table and spell are
+    None.  For Sh, slots are the eight slices of a fiber's digits, members
+    in index order, with stride -4(w + 1); table maps those eight digit
+    bytes to the fiber's 16-bit word in hex, and spell maps the bytes of
+    that hex back to the eight digits.
     """
     # Word length first, so 4 ** (2m + n) is never computed past desk scale.
     if m + n == 0 or 2 * m + n > MAX_WORD_LENGTH:
@@ -427,14 +430,20 @@ def _fiber_layout(m: int, n: int):
     stride = width + 1
     start = len('{"m":0,"members":[')
     stop = start + params.code_size * stride
+
+    def backwards(first, step):
+        """The bytes first, first + step, ... of the member list, last first."""
+        return slice(first + (stop - 1 - first) // step * step, first - 1, -step)
+
     if n:
-        digits = slots = (slice(start + width - 2, stop, stride),)
+        digits = (slice(start + width - 2, stop, stride),)
+        slots = (backwards(start + width - 2, stride),)
         table = spell = None
         fiber_hex = "1"  # K4 value 0
     else:
         digits = tuple(slice(start + offset, stop, stride) for offset in (width - 5, width - 3))
         slots = tuple(
-            slice(start + member * stride + offset, stop, 4 * stride)
+            backwards(start + member * stride + offset, 4 * stride)
             for member in range(4)
             for offset in (width - 5, width - 3)
         )
@@ -442,8 +451,8 @@ def _fiber_layout(m: int, n: int):
         for members in independent_sets_of_size(shrikhande(), 4):
             fiber_hex = format(sum(1 << s for s in members), "04x")
             key = tuple(48 + digit for s in members for digit in divmod(s, 4))
-            table[key] = fiber_hex[::-1]
-            spell[tuple(fiber_hex[::-1].encode())] = bytes(key)
+            table[key] = fiber_hex
+            spell[tuple(fiber_hex.encode())] = bytes(key)
     # Any code of this layout will do: one fiber everywhere, repeated over
     # the code_size hex digits of a mask.  Its digits are then zeroed.
     code = Code.from_mask(params, int(fiber_hex * (params.code_size // len(fiber_hex)), 16))
@@ -461,16 +470,16 @@ def _dump_canonical(code: Code) -> Optional[str]:
     layout = _fiber_layout(code.params.m, code.params.n)
     if layout is None:
         return None
-    params, template, digits, _, slots, _, spell = layout
-    # The mask's hex digits, least significant first: one per K4 line, four
-    # (reversed) per Shrikhande copy.
-    hexs = format(code.mask, f"0{params.code_size}x")[::-1].encode()
+    params, template, _, _, slots, _, spell = layout
+    # The mask's hex digits, most significant first: one per K4 line, four
+    # per Shrikhande copy.
+    hexs = format(code.mask, f"0{params.code_size}x").encode()
     text = bytearray(template)
     if spell is None:
         values = hexs.translate(_K4_DIGIT)
         if b"x" in values:
             return None
-        text[digits[0]] = values
+        text[slots[0]] = values
     else:
         try:
             spelled = b"".join(map(spell.__getitem__, zip(*[hexs[i::4] for i in range(4)])))
@@ -482,9 +491,13 @@ def _dump_canonical(code: Code) -> Optional[str]:
 
 
 def _load_canonical(data: bytes) -> Optional[Code]:
-    """The code whose dump_code is data, or None if data is not such a dump."""
-    if not data.isascii():
-        return None
+    """The code whose dump_code is data, or None if data is not such a dump.
+
+    A byte that is not ASCII fails the header's isdigit, the template
+    compare, or the digits' read: a K4 digit outside 0-3 is translated to
+    "x", on which int() raises, and a Shrikhande fiber's digits that are not
+    one of the 16 codes are no key of the table.
+    """
     m, n = data[5:6], data[-3:-2]
     if not (m.isdigit() and n.isdigit()):
         return None
@@ -499,16 +512,14 @@ def _load_canonical(data: bytes) -> Optional[Code]:
         rest[digit_slice] = zeros
     if rest != template:
         return None
-    if table is None:
-        hexs = data[slots[0]].translate(_K4_HEX)
-        if b"x" in hexs:
-            return None
-    else:
-        try:
-            hexs = "".join(map(table.__getitem__, zip(*[data[s] for s in slots])))
-        except KeyError:
-            return None
-    return Code.from_mask(params, int(hexs[::-1], 16))
+    try:
+        if table is None:
+            mask = int(data[slots[0]].translate(_K4_HEX), 16)
+        else:
+            mask = int("".join(map(table.__getitem__, zip(*[data[s] for s in slots]))), 16)
+    except (ValueError, KeyError):
+        return None
+    return Code.from_mask(params, mask)
 
 
 def _parse_json(text: str):

@@ -54,8 +54,12 @@ and the block of a choice reached from choice p by generator g is the image
 of p's block under g lifted to the product.  The lift sends product vertex
 u * |F| + f to g(u) * |F| + f, so its shift plan is g's plan with each
 selector spread over the |F| bits of every vertex u and each shift
-multiplied by |F|; an image costs one orbit step.  Counting on the
-Shrikhande split weights each root's count by its orbit's size,
+multiplied by |F|.  Blocks are imaged by the packed action of the orbit
+step (symmetry._image_positions): a root's block is packed into one int
+once, and each other block is one application of the lifted plan, its
+selectors repeated over the block, to its parent's packed int, split back
+into masks once.  Counting on the Shrikhande split weights each root's
+count by its orbit's size,
 
     count(G x Sh) = sum over orbits O of the sub-codes of |O| *
                     sum over the Stab-orbits O1 beside rep_O of |O1| * |A(rep_O, rep_O1)|,
@@ -94,6 +98,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, partial
+from itertools import repeat
 
 from .errors import DeskScaleError
 from .graphs import (
@@ -108,9 +113,12 @@ from .graphs import (
 )
 from .symmetry import (
     _apply_plan,
+    _block_size,
     _orbit_trees,
+    _packed_plan,
     _schreier_generators,
     _shift_plan,
+    _splitter,
     _vertex_zero_stabilizer,
     doob_symmetries,
 )
@@ -317,8 +325,8 @@ def _by_orbits(rows, sh, sub_masks, compat, perms, leaf, lift=None, prefix=()):
     choices, (trees, parent, via, images), plans = _orbit_step(sub_masks, allowed, perms)
     depth = 2 if sh else 1
     lifted = [lift(plan) for plan in plans] if lift else None
+    size = _block_size((), lifted) if lift else 0  # the product's masks are no wider
     out = [] if lift else 0
-    start = {}  # tree node -> index of its block's first mask in out
     for tree in trees:
         fixed = (*prefix, choices[tree[0]])
         if len(fixed) < depth:
@@ -329,12 +337,23 @@ def _by_orbits(rows, sh, sub_masks, compat, perms, leaf, lift=None, prefix=()):
         if not lift:
             out += len(tree) * block
             continue
-        start[tree[0]] = len(out)
         out += block
+        if len(tree) == 1:
+            continue
+        # Every node's block, packed: the root's from its masks, any other
+        # node's the image of its parent's under the lifted plan, which is
+        # repeated over the block's length once per generator used.
+        run = len(block)
+        root = b"".join([mask.to_bytes(size, "little") for mask in block])
+        packed = {tree[0]: int.from_bytes(root, "little")}
+        repeated = {}  # generator -> its lifted plan repeated over the block
+        split = _splitter(size, run)
         for j in tree[1:]:
-            plan, source = lifted[via[j]], start[parent[j]]
-            start[j] = len(out)
-            out += [_apply_plan(plan, mask) for mask in out[source : source + len(block)]]
+            k = via[j]
+            if k not in repeated:
+                repeated[k] = _packed_plan(lifted[k], size, run)
+            packed[j] = image = _apply_plan(repeated[k], packed[parent[j]])
+            out += map(int.from_bytes, split(image), repeat("little"))
     return out
 
 

@@ -19,11 +19,14 @@ bytes each, as wide as the widest mask or selector; the selector of each
 part is repeated in every block.  Then each part costs one AND, one shift
 and one OR per packed int, whatever the number of masks in it, and no bit
 crosses into the next block, since a permutation of the vertices moves every
-vertex to a vertex.  The image's bytes, split into blocks and read back as
-ints, are looked up among the masks, which gives the list position of every
-mask's image under every generator before the breadth-first search starts.
-The lookup is keyed by the masks themselves, not by their bytes, so that it
-holds no second copy of the list.
+vertex to a vertex.  The image's bytes, cut into blocks by one precompiled
+struct unpack per run length, are looked up among the masks' own blocks,
+which gives the list position of every mask's image under every generator
+before the breadth-first search starts.  The lookup is keyed by the masks'
+bytes, the blocks already made for packing, so no int is rebuilt from an
+image; the table holds one bytes copy of the list.  The search lifts its
+blocks of product codes by the same kernel (_block_size, _packed_plan and
+_splitter).
 
 The Schreier trees also give stabilizers (Seress, Permutation Group
 Algorithms, 2003).  The transversal t_x of an orbit, the product of the
@@ -37,11 +40,9 @@ as permutation tuples, and the search applies them as shift plans.
 from __future__ import annotations
 
 import struct
-from array import array
 from functools import lru_cache
 from itertools import repeat
 from math import factorial
-from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import ConsistencyError, ParameterMismatchError
@@ -205,37 +206,56 @@ def _apply_plan(plan, mask: int) -> int:
     return image
 
 
-def _image_positions(masks: Sequence[int], plans) -> array:
-    """Position in masks of the image of masks[i] under plans[k], at index
-    i * len(plans) + k, by the packed action; -1 for an image outside the
-    list.  A duplicate mask is an inconsistency."""
-    count = len(masks)
+def _block_size(masks: Sequence[int], plans) -> int:
+    """Bytes per block of the packed action: whole bytes, as wide as the
+    widest mask or selector, and at least one."""
     width = max(
         [1, *map(int.bit_length, masks), *(sel.bit_length() for plan in plans for sel, _ in plan)]
     )
-    size = -(-width // 8)
-    position = dict(zip(masks, range(count)))
+    return -(-width // 8)
+
+
+def _packed_plan(plan, size: int, run: int):
+    """plan with each selector repeated in run blocks of size bytes."""
+    total = 8 * size * run
+    return [(_repeat(sel, 8 * size, total), shift) for sel, shift in plan]
+
+
+def _splitter(size: int, run: int):
+    """The blocks of a packed int of run blocks of size bytes, as a tuple of
+    bytes, least significant first: one to_bytes and one precompiled unpack."""
+    unpack = struct.Struct(f"{size}s" * run).unpack
+    length = size * run
+    return lambda packed: unpack(packed.to_bytes(length, "little"))
+
+
+def _image_positions(masks: Sequence[int], plans) -> list[list[int]]:
+    """images[k][i], the position in masks of the image of masks[i] under
+    plans[k], by the packed action; -1 for an image outside the list.  A
+    duplicate mask is an inconsistency."""
+    count = len(masks)
+    size = _block_size(masks, plans)
+    keys = [mask.to_bytes(size, "little") for mask in masks]
+    position = dict(zip(keys, range(count)))
     if len(position) != count:
         raise ConsistencyError("duplicate codes in the list to classify")
-    # (length in bytes, packed int) of each run of up to _PACK masks; block i
-    # of a run is bits 8 * size * i and up.
+    # (packed int, split) of each run of up to _PACK masks; block i of a run
+    # is bits 8 * size * i and up.  Runs but the last are _PACK long.
+    splits = {}
     packed = []
     for start in range(0, count, _PACK):
-        data = b"".join([mask.to_bytes(size, "little") for mask in masks[start : start + _PACK]])
-        packed.append((len(data), int.from_bytes(data, "little")))
-    split = struct.Struct(f"{size}s").iter_unpack
-    first = itemgetter(0)
-    little, outside = repeat("little"), repeat(-1)
-    images = array("i", [-1]) * (count * len(plans))
-    total = 8 * size * min(count, _PACK)
-    for k, plan in enumerate(plans):
-        repeated = [(_repeat(sel, 8 * size, total), shift) for sel, shift in plan]
-        found = array("i")
-        for length, chunk in packed:
-            image = _apply_plan(repeated, chunk)
-            blocks = map(first, split(image.to_bytes(length, "little")))
-            found.extend(map(position.get, map(int.from_bytes, blocks, little), outside))
-        images[k :: len(plans)] = found
+        run = keys[start : start + _PACK]
+        if len(run) not in splits:
+            splits[len(run)] = _splitter(size, len(run))
+        packed.append((int.from_bytes(b"".join(run), "little"), splits[len(run)]))
+    outside = repeat(-1)
+    images = []
+    for plan in plans:
+        repeated = _packed_plan(plan, size, min(count, _PACK))
+        found = []
+        for chunk, split in packed:
+            found += map(position.get, split(_apply_plan(repeated, chunk)), outside)
+        images.append(found)
     return images
 
 
@@ -246,20 +266,21 @@ def _orbit_trees(masks: Sequence[int], plans):
     the order the search reached them, rooted at the least position not in
     an earlier tree; a non-root position j was reached as the image of
     masks[parent[j]] under plans[via[j]].  A root is its own parent.
-    images[i * len(plans) + k] is the position of the image of masks[i]
-    under plans[k].  A duplicate mask, or an image outside the list, is an
-    inconsistency.
+    images[k][i] is the position of the image of masks[i] under plans[k].
+    A duplicate mask, or an image outside the list, is an inconsistency.
 
     The plans are shift plans of permutations (_shift_plan).  Every mask's
     image under every plan is found before the search, by the packed action
     the module docstring describes.
     """
-    count, stride = len(masks), len(plans)
+    count = len(masks)
     images = _image_positions(masks, plans)
-    if -1 in images:
+    leaving = [column.index(-1) for column in images if -1 in column]
+    if leaving:
         raise ConsistencyError(
-            f"a group generator maps code {images.index(-1) // stride} outside the given list"
+            f"a group generator maps code {min(leaving)} outside the given list"
         )
+    columns = list(enumerate(images))
     parent = [-1] * count  # -1 until the position is reached
     via = [0] * count
     trees = []
@@ -269,7 +290,8 @@ def _orbit_trees(masks: Sequence[int], plans):
         parent[start] = start
         tree = [start]
         for i in tree:
-            for k, j in enumerate(images[i * stride : i * stride + stride]):
+            for k, column in columns:
+                j = column[i]
                 if parent[j] < 0:
                     parent[j] = i
                     via[j] = k
@@ -316,7 +338,7 @@ def _schreier_generators(tree, parent, via, images, perms) -> list[Perm]:
     found = {}
     for x in tree:
         for k, g in enumerate(perms):
-            y = images[x * len(perms) + k]
+            y = images[k][x]
             if parent[y] == x and via[y] == k and y != tree[0]:
                 continue  # a tree edge: t[y] is t[x] then g
             if y not in inverse:

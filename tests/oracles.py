@@ -24,9 +24,12 @@ fiber, and so checks the shortcut, not the assembly; and the count by
 orbit-weighted assembly that count_mds used before it counted latin
 colorings, the second method for its K4 split; the splits of a graph's
 coordinates into two sides of word length at least 2, and the codes
-reducible over a split, by the number of their distinct sections; and the
-Schreier trees of orbits built one mask and one generator at a time, the
-reference for the packed action of symmetry._orbit_trees.  The last section works on
+reducible over a split, by the number of their distinct sections; the
+images of masks and the Schreier trees of their orbits, made one mask and
+one generator at a time, the references for the packed action of
+symmetry._image_positions and _orbit_trees; and the listed masks with each
+lifted block imaged one mask at a time, the reference for the packed lift
+of search._member_tuples, in order.  The last section works on
 graphs as the package builds them, tuples of per-vertex neighbor masks: a
 graph from an adjacency predicate, the adjacency queries over those rows,
 graph invariants, permutation arithmetic, and an exhaustive backtracking
@@ -34,7 +37,6 @@ automorphism search, the reference for the closed-form generators of
 doob_symmetries.
 """
 
-import array
 import collections
 import functools
 import itertools
@@ -606,24 +608,39 @@ def reducible_masks(params, masks, part):
     return out
 
 
-def orbit_trees(masks, plans):
-    """symmetry._orbit_trees one mask and one plan at a time: the reference
-    for its packed action.
+def image_positions(masks, plans):
+    """symmetry._image_positions one mask and one plan at a time: the
+    reference for its packed action.
 
-    Breadth-first (Schreier) trees of the orbits of distinct masks under the
-    shift plans, as (trees, parent, via, images), with each image made by
-    symmetry._apply_plan and looked up by its int; images[i * len(plans) + k]
-    is the position of the image of masks[i] under plans[k].  Errors (a
-    duplicate mask, an image outside the list) have the packed version's
-    text.
+    images[k][i] is the position in masks of the image of masks[i] under
+    plans[k], made by symmetry._apply_plan and looked up by its int, or -1
+    if it is not in the list.  A duplicate mask has the packed version's
+    error.
     """
     position = {mask: i for i, mask in enumerate(masks)}
     if len(position) != len(masks):
         raise ConsistencyError("duplicate codes in the list to classify")
+    return [
+        [position.get(symmetry._apply_plan(plan, mask), -1) for mask in masks] for plan in plans
+    ]
+
+
+def orbit_trees(masks, plans):
+    """symmetry._orbit_trees one mask and one plan at a time.
+
+    Breadth-first (Schreier) trees of the orbits of distinct masks under the
+    shift plans, as (trees, parent, via, images), images by image_positions.
+    Errors (a duplicate mask, an image outside the list) have the packed
+    version's text.
+    """
+    images = image_positions(masks, plans)
+    outside = [i for i in range(len(masks)) if any(column[i] < 0 for column in images)]
+    if outside:
+        raise ConsistencyError(
+            f"a group generator maps code {outside[0]} outside the given list"
+        )
     parent = [-1] * len(masks)
     via = [0] * len(masks)
-    images = array.array("i", [-1]) * (len(masks) * len(plans))
-    outside = []
     trees = []
     for start in range(len(masks)):
         if parent[start] >= 0:
@@ -631,22 +648,71 @@ def orbit_trees(masks, plans):
         parent[start] = start
         tree = [start]
         for i in tree:
-            for k, plan in enumerate(plans):
-                j = position.get(symmetry._apply_plan(plan, masks[i]))
-                if j is None:
-                    outside.append(i)
-                    continue
-                images[i * len(plans) + k] = j
+            for k in range(len(plans)):
+                j = images[k][i]
                 if parent[j] < 0:
                     parent[j] = i
                     via[j] = k
                     tree.append(j)
         trees.append(tree)
-    if outside:
-        raise ConsistencyError(
-            f"a group generator maps code {min(outside)} outside the given list"
-        )
     return trees, parent, via, images
+
+
+def member_masks(params):
+    """search._member_tuples with each lifted block imaged one mask at a
+    time by symmetry._apply_plan: the reference for the packed lift, list
+    order included.  The searched blocks and the orbit steps are the
+    search's own; the rest's masks come from this function.
+    """
+    rest, sh, rows = search._decompose(params)
+    if rest is None:
+        return [
+            sum(1 << v for v in members)
+            for members in search.independent_sets_of_size(rows, params.code_size)
+        ]
+    sub_masks = member_masks(rest)
+    width = len(rows)
+    compat = search._compatibility(sub_masks)
+
+    def spread(mask):
+        return sum(1 << g * width for g in range(mask.bit_length()) if mask >> g & 1)
+
+    def lift(plan):
+        return [(spread(sel) * ((1 << width) - 1), shift * width) for sel, shift in plan]
+
+    spreads = [spread(mask) for mask in sub_masks]
+
+    def by_orbits(perms, prefix):
+        allowed = compat.full
+        for t, c in enumerate(prefix):
+            if rows[len(prefix)] >> t & 1:
+                allowed &= compat[c]
+        choices, (trees, parent, via, images), plans = search._orbit_step(
+            sub_masks, allowed, perms
+        )
+        lifted = [lift(plan) for plan in plans]
+        out = []
+        start = {}  # tree node -> index of its block's first mask in out
+        for tree in trees:
+            fixed = (*prefix, choices[tree[0]])
+            if len(fixed) < (2 if sh else 1):
+                stabilizer = symmetry._schreier_generators(tree, parent, via, images, perms)
+                block = by_orbits(stabilizer, fixed)
+            else:
+                block = [
+                    sum(spreads[c] << f for f, c in enumerate(assignment))
+                    for assignment in search._assemble(rows, compat, fixed)
+                ]
+            start[tree[0]] = len(out)
+            out += block
+            for j in tree[1:]:
+                plan, source = lifted[via[j]], start[parent[j]]
+                start[j] = len(out)
+                source_block = out[source : source + len(block)]
+                out += [symmetry._apply_plan(plan, mask) for mask in source_block]
+        return out
+
+    return by_orbits(symmetry.doob_symmetries(rest).generators, ())
 
 
 # ---------------------------------------------------------------------------

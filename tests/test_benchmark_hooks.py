@@ -95,6 +95,7 @@ def test_every_construction_path_runs_post_init(constructions):
     assert constructions[-1] is built
 
     source = enumerate_mds(DoobParams(2, 0)).codes[3]
+    reduction.derive_pairing()  # built and cached here, so its codes are counted before
     for order in (None, (0, 1)):
         before = len(constructions)
         reduced = reduce_sh_coordinates(source, order=order)

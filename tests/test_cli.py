@@ -23,6 +23,7 @@ from doobmds import (
     read_code,
 )
 from doobmds import codes as codes_module
+from doobmds import cli
 from doobmds.cli import cache_root, main
 
 
@@ -656,6 +657,38 @@ def test_classify_reads_the_files_a_code_glob_matches(tmp_path, capsys):
     code, _, err = run(capsys, "classify", str(directory) + "/")
     assert code == 3 and str(directory / "x.code") in err
     assert run(capsys, "classify", str(tmp_path / "missing"))[0] == 3
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 0), (1, 2)])
+def test_classify_report_reads_the_members_of_its_representatives_only(m, n, monkeypatch):
+    """Every code of D(m,n), in shuffled order, as classify lists files named
+    in shuffled order: each class's representative, chosen by the masks'
+    lexicographic key, is its code of least member tuple, and no other
+    code's members are read.  (The report's bytes through the CLI are pinned
+    on D(2,0) by the test below and on D(1,2) by CI.)"""
+    params = DoobParams(m, n)
+    listed = list(enumerate_mds(params).codes)
+    random.Random(m + 4 * n).shuffle(listed)
+    listed = [Code.from_mask(params, code.mask) for code in listed]  # no members kept
+    partition = orbits_of_codes(listed, doob_symmetries(params))
+    read = []
+    members = Code.members.fget
+    monkeypatch.setattr(Code, "members", property(lambda code: read.append(code) or members(code)))
+    report = cli._orbit_report(listed, partition)
+    monkeypatch.undo()
+
+    keyed = sorted(
+        (
+            (len(cls), min((listed[i] for i in cls), key=lambda c: c.members))
+            for cls in partition.classes
+        ),
+        key=lambda pair: (pair[0], pair[1].members),
+    )
+    assert report == {
+        "sizes": [size for size, _ in keyed],
+        "representatives": [code_to_obj(least) for _, least in keyed],
+    }
+    assert set(read) == {least for _, least in keyed}
 
 
 def test_classify_report_keeps_the_least_member_representatives(

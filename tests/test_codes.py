@@ -671,6 +671,64 @@ def test_read_code_decodes_utf8_with_universal_newlines(codes_by_params, tmp_pat
         read_code(path)
 
 
+def _read_outcome(path):
+    """What read_code makes of the file: the code's fields, or the error message."""
+    try:
+        code = read_code(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "code", code.params, code.mask, tuple(code.members)
+
+
+def test_lean_canonical_read_rejects_as_the_json_path(codes_by_params, tmp_path, monkeypatch):
+    """The fiber-layout read has no ASCII scan and no scan for "x": a K4
+    digit outside 0-3 fails int(), a Shrikhande fiber that is none of the 16
+    codes fails the table, and a byte that is not ASCII fails one of those or
+    the header or the template compare.  Each such file is rejected, and
+    read_code gives the JSON path's code or FormatError."""
+    k4 = dump_code(codes_by_params[(1, 1)][5]).encode()
+    sh = dump_code(codes_by_params[(2, 0)][7]).encode()
+    k4_digits = range(len(k4))[codes._fiber_layout(1, 1)[2][0]]
+    sh_digits = range(len(sh))[codes._fiber_layout(2, 0)[2][1]]
+
+    def put(data, at, new):
+        return data[:at] + new + data[at + len(new) :]
+
+    cases = [
+        put(k4, at, new)
+        for at in (k4_digits[0], k4_digits[7], k4_digits[-1])
+        for new in (b"4", b"_", b"x", b"\xb3", b" ")
+    ]
+    cases += [
+        put(data, at, new)
+        for data in (k4, sh)
+        for at in (1, 20, len(data) - 2)
+        for new in (b"\xe9", "\u00e9".encode())
+    ]
+    cases += [put(sh, at, b"%d" % ((sh[at] - 47) % 4)) for at in (sh_digits[0], sh_digits[5])]
+    cases += [put(sh, sh_digits[3], new) for new in (b"4", b"\xb3")]
+    cases += [
+        put(data, at, digit)
+        for data in (k4, sh)
+        for at in (5, len(data) - 3)
+        for digit in (b"0", b"1", b"2", b"9", b"x")
+        if data[at : at + 1] != digit
+    ]
+    cases += [k4[:-1], sh[:-1], k4[:-1] + b" ", sh + b"\n"]
+    paths = []
+    for i, data in enumerate(cases):
+        assert codes._load_canonical(data) is None, data
+        paths.append(tmp_path / f"case_{i:03d}.code")
+        paths[-1].write_bytes(data)
+    lean = [_read_outcome(path) for path in paths]
+    monkeypatch.setattr(codes, "_load_canonical", lambda data: None)
+    assert [_read_outcome(path) for path in paths] == lean
+    # Without its final newline, a dump is still the code's JSON.
+    assert lean[-4][:3] == ("code", DoobParams(1, 1), codes_by_params[(1, 1)][5].mask)
+    assert lean[-3][:3] == ("code", DoobParams(2, 0), codes_by_params[(2, 0)][7].mask)
+    assert sum(outcome[0] == "error" for outcome in lean) > len(lean) // 2
+
+
 def test_canonical_files_load_without_a_decode(codes_by_params, tmp_path, monkeypatch):
     """read_code tries the fiber layout on the file's bytes: a canonical file
     is neither decoded nor parsed as JSON, whatever type its path has."""

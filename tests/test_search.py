@@ -166,6 +166,13 @@ def test_member_masks_match_the_full_assembly(m, n):
     assert set(masks) == set(reference)
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 0), (1, 2), (0, 4)])
+def test_member_masks_match_the_per_mask_lift_in_order(m, n):
+    # Each lifted block is imaged packed, as one int; the reference images it
+    # one mask at a time, and the lists agree mask for mask.
+    assert search._member_tuples(DoobParams(m, n)) == oracles.member_masks(DoobParams(m, n))
+
+
 def _image(perm, mask):
     return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
 

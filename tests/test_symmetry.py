@@ -21,6 +21,7 @@ from doobmds.symmetry import (
     _PACK,
     _apply_plan,
     _compose,
+    _image_positions,
     _invert,
     _orbit_trees,
     _schreier_generators,
@@ -343,10 +344,10 @@ def test_orbit_trees_record_how_each_code_was_reached(codes_by_params):
         for j in tree[1:]:
             assert tree.index(parent[j]) < tree.index(j)
             assert _apply_plan(plans[via[j]], masks[parent[j]]) == masks[j]
-    assert len(images) == len(masks) * len(plans)
+    assert len(images) == len(plans) and all(len(column) == len(masks) for column in images)
     for i, mask in enumerate(masks):
         for k, plan in enumerate(plans):
-            assert masks[images[i * len(plans) + k]] == _apply_plan(plan, mask)
+            assert masks[images[k][i]] == _apply_plan(plan, mask)
 
 
 def test_compose_and_invert_match_the_oracle():
@@ -395,7 +396,7 @@ def _trees_or_error(orbit_trees, masks, plans):
 def test_packed_orbit_trees_match_the_per_mask_oracle(codes_by_params):
     """The packed action gives the per-mask search's (trees, parent, via,
     images), and its errors, for lists of every length around the packing
-    size."""
+    size; an error names the first code mapped outside, in any run."""
     cases = []
     for key, codes in codes_by_params.items():
         params = DoobParams(*key)
@@ -422,12 +423,43 @@ def test_packed_orbit_trees_match_the_per_mask_oracle(codes_by_params):
     cases.append((d11 + [mask | 1 << 300 for mask in d11], d11_aut))
     cases.append(([1 << 300 | mask for mask in d11], d11_aut))
     cases.append((d11 + d11[:1], d11_aut))  # a duplicate
+    # Past the first runs: a duplicate, and codes whose images leave the list
+    # (one wider than the rest), after a closed list's first 2 * _PACK + 7.
+    cut = 2 * _PACK + 7
+    cases.append((masks[:3] + masks[_PACK + 5 : _PACK + 6] + masks[3:], aut))
+    for extra in ([1], [1 << 1023, 3], [masks[0] ^ 1 << 255]):
+        cases.append((masks[:cut] + extra + masks[cut:], aut))
     outcomes = []
     for masks, plans in cases:
         outcomes.append(_trees_or_error(_orbit_trees, masks, plans))
         assert outcomes[-1] == _trees_or_error(oracles.orbit_trees, masks, plans)
-    assert "ConsistencyError: duplicate codes in the list to classify" in outcomes
-    assert sum(isinstance(outcome, str) and "outside" in outcome for outcome in outcomes) >= 6
+    assert outcomes.count("ConsistencyError: duplicate codes in the list to classify") == 2
+    assert sum(isinstance(outcome, str) and "outside" in outcome for outcome in outcomes) >= 9
+    outside = f"ConsistencyError: a group generator maps code {cut} outside the given list"
+    assert outcomes[-3:] == [outside] * 3
+
+
+def test_image_positions_of_masks_narrower_than_the_selectors():
+    """The lookup is keyed by each mask's bytes as wide as the widest
+    selector: masks of a few bits (the empty mask and single vertices)
+    find their images as the per-mask reference does, within one run and
+    across runs, and so do masks whose images are outside the list."""
+    rng = random.Random(34)
+    cases = []
+    for params in (DoobParams(1, 1), DoobParams(2, 1)):
+        vertices = [0] + [1 << v for v in range(params.vertex_count)]  # closed under every perm
+        rng.shuffle(vertices)
+        for perms in (doob_symmetries(params).generators, _vertex_zero_stabilizer(params)):
+            plans = [_shift_plan(perm) for perm in perms]
+            cases += [(vertices, plans), (sorted(vertices)[:5], plans), ([1, 2, 4, 8, 3], plans)]
+    assert len(cases[6][0]) > 2 * _PACK  # D(2,1)'s 1025 masks span three runs
+    for masks, plans in cases:
+        assert min(map(int.bit_length, masks)) < 8 < max(sel.bit_length() for sel, _ in plans[0])
+        assert _image_positions(masks, plans) == oracles.image_positions(masks, plans)
+    for masks, plans in cases[::3]:
+        assert all(-1 not in column for column in _image_positions(masks, plans))
+    for masks, plans in cases[2::3]:
+        assert any(-1 in column for column in _image_positions(masks, plans))
 
 
 def test_orbits_check_permutation_degree(codes_by_params):
