@@ -22,7 +22,6 @@ from typing import Iterator, Optional, Sequence
 from .codes import Code, _parse_json, _read_text, params_from_obj
 from .errors import DeskScaleError, FormatError
 from .graphs import MAX_WORD_LENGTH, DoobParams, _FrozenRecord, _vertex_digits, check_desk_scale
-from .search import count_mds
 
 # Most even-sum vectors a rule enumeration ranges over (2^16 representative rules).
 _RULE_ENUMERATION_LIMIT = 16
@@ -162,6 +161,8 @@ def bounds_report(params: DoobParams) -> BoundsReport:
     upper_exact = None
     actual = None
     if word <= 5:
+        from .search import count_mds
+
         upper_exact = count_mds(upper_params)
         actual = upper_exact if params == upper_params else count_mds(params)
     return BoundsReport(

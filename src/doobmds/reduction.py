@@ -27,14 +27,11 @@ K4 value is t.  Its table holds the 240 ordered quadruples of pairwise
 disjoint Shrikhande codes laid out that way, each mapped to its partners
 laid out the same way.  For k = 0 a fiber is a 16-bit word and a slice is
 two adjacent words, looked up among the 256 pairs of Shrikhande codes;
-D(1,0), a single word, is looked up among the 16 single codes in the same
-table.  Both words of a pair key are nonzero, so it is at least 2^16 and
-above every single key.  The k = 0 step of D(m,0), m >= 2, reads all its
-pair keys at once: the mask's bytes unpack, by one struct, to its 32-bit
-words, the words map through the table, and one pack writes the images
-back, so that step is linear in the mask.  All m steps of a full
-reduction run inline on the int, from one plan per (m, n) that binds each
-step's table, selector and offsets (or the word struct) and the K4 lines
+D(1,0), a single word, is the one slice at offset 0, looked up among the
+16 single codes in the same table.  Both words of a pair key are nonzero,
+so it is at least 2^16 and above every single key.  All m steps of a full
+reduction run inline on the int, by the one slice loop, from one plan per
+(m, n) that binds each step's table, selector and offsets and the K4 lines
 the input is checked on, and one Code is built at the end.  The pairing
 owns everything derived from it: its slice tables, one per k, and its
 plans, one per (m, n), are built on first use and kept on the
@@ -68,7 +65,6 @@ members.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from struct import Struct
 from typing import Optional, Sequence
 
 from .codes import Code, _line_cover, _mds_by_line_cover
@@ -132,17 +128,17 @@ class PairingTable(_FrozenRecord):
         """
         tables = self._slice_tables
         if k not in tables:
-            words = [(dom.mask, img.mask) for dom, img in zip(self.domain, self.image)]
+            partners = [(dom.mask, img.mask) for dom, img in zip(self.domain, self.image)]
             if k == 0:
-                table = dict(words)
+                table = dict(partners)
                 table.update(
                     (lo | hi << 16, low_image | high_image << 16)
-                    for lo, low_image in words
-                    for hi, high_image in words
+                    for lo, low_image in partners
+                    for hi, high_image in partners
                 )
             else:
                 stride = 4**k
-                spread = [(w, _spread(w, stride), _spread(img, stride)) for w, img in words]
+                spread = [(w, _spread(w, stride), _spread(img, stride)) for w, img in partners]
                 rows = [(0, 0, 0)]  # (vertices used, key, image) of the fibers so far
                 for t in range(4):
                     rows = [
@@ -156,50 +152,40 @@ class PairingTable(_FrozenRecord):
         return tables[k]
 
     def __reduce__(self):
-        # The slice tables and plans are derived, and a plan's struct does
-        # not pickle: a copy is the fields alone and builds its own.
+        # The slice tables and plans are derived and rebuilt on first use:
+        # a copy is the fields alone and builds its own.
         return type(self), (self.domain, self.image)
 
     def plan(self, m: int, n: int) -> tuple:
-        """(words, steps, lines, target) for reducing codes of D(m,n), m >= 1,
-        over this pairing's slice tables, resolved on first use and kept on
-        this pairing.
+        """(steps, lines, target) for reducing codes of D(m,n), m >= 1, over
+        this pairing's slice tables, resolved on first use and kept on this
+        pairing.
 
-        words is (layout, table) for the first step of D(m,0), m >= 2, whose
-        slices are the 32-bit words of the mask: layout is the struct of
-        those words, little-endian, and table the k = 0 slice table;
-        otherwise None.  Each remaining step from D(m-i, k), k = n + 2i, is
-        (table, selector, offsets): its slice table, the bits of a slice at
-        offset 0, and the offsets of the slices, which tile the index bits.
-        D(1,0)'s one word is one such slice.  lines is the line cover kernel
-        (codes._line_cover) of the K4 directions past the stride-1 one, with
-        no shifts: what a reduction checks of its input besides its lookups.
-        target is D(0, n + 2m), the parameters of the result.
+        Each step from D(m-i, k), k = n + 2i, is (table, selector, offsets):
+        its slice table, the bits of a slice at offset 0, and the offsets of
+        the slices, which tile the index bits.  At k = 0 a slice is 32 bits,
+        two adjacent fibers; D(1,0)'s one word is one such slice.  lines is
+        the line cover kernel (codes._line_cover) of the K4 directions past
+        the stride-1 one, with no shifts: what a reduction checks of its
+        input besides its lookups.  target is D(0, n + 2m), the parameters
+        of the result.
         """
         plan = self._plans.get((m, n))
         if plan is not None:
             return plan
         vertex_count = DoobParams(m, n).vertex_count
-        words, steps = None, []
+        steps = []
         for step in range(m):
             k = n + 2 * step
-            table = self.slice_table(k)
             if k:
                 stride = 4**k
                 selector = 0xF * _spread(0xFFFF, stride)
-                offsets = tuple(
-                    row + low
-                    for row in range(0, vertex_count, 16 * stride)
-                    for low in range(0, stride, 4)
-                )
-            elif m == 1:  # D(1,0): one word, looked up among the singles
-                selector, offsets = 0xFFFF, (0,)
+                offsets = tuple(o for o in range(0, vertex_count, 4) if o % (16 * stride) < stride)
             else:
-                words = (Struct(f"<{vertex_count // 32}I"), table)
-                continue
-            steps.append((table, selector, offsets))
+                selector, offsets = 0xFFFFFFFF, tuple(range(0, vertex_count, 32))
+            steps.append((self.slice_table(k), selector, offsets))
         lines = (_line_cover(m, n)[0][1:], ())
-        plan = self._plans[m, n] = (words, tuple(steps), lines, DoobParams(0, n + 2 * m))
+        plan = self._plans[m, n] = (tuple(steps), lines, DoobParams(0, n + 2 * m))
         return plan
 
 
@@ -303,12 +289,8 @@ def reduce_sh_coordinates(code: Code, order: Optional[Sequence[int]] = None) -> 
     if m == 0:
         code.assert_mds(context="reduction input")
         return code
-    words, steps, lines, target = derive_pairing().plan(m, params.n)
+    steps, lines, target = derive_pairing().plan(m, params.n)
     try:
-        if words is not None:
-            layout, table = words
-            keys = layout.unpack(mask.to_bytes(layout.size, "little"))
-            mask = int.from_bytes(layout.pack(*map(table.__getitem__, keys)), "little")
         for table, selector, offsets in steps:
             out = 0
             for offset in offsets:

@@ -804,6 +804,11 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
     assert "doobmds.codes" in names
     assert not names & {"doobmds.parity", "doobmds.reduction", "doobmds.search"}
 
+    out, names = cli_imports("lambda", "--inline", "1", "2", "c3a5", "--out", str(tmp_path / "l.code"))
+    assert out == ""
+    assert {"doobmds.parity", "doobmds.codes"} <= names
+    assert not names & {"doobmds.search", "doobmds.symmetry", "doobmds.reduction"}
+
     out, names = cli_imports("--version")
     assert out == doobmds.__version__ + "\n"
     package = {name for name in names if name.split(".")[0] == "doobmds"}

@@ -380,10 +380,11 @@ def test_a_later_step_catches_a_repeated_row():
     code = build_parity_code(rule_from_hex(params, "c3a5"))
     row0 = code.mask & 0xFFFF
     bad = Code.from_mask(params, code.mask & ~(0xFFFF << 16) | row0 << 16)
-    (layout, words_table), ((table, selector, offsets),), _, _ = derive_pairing().plan(2, 0)
-    keys = layout.unpack(bad.mask.to_bytes(layout.size, "little"))
-    assert all(key in words_table for key in keys)
-    after_first = int.from_bytes(layout.pack(*map(words_table.__getitem__, keys)), "little")
+    (pairs, word, places), (table, selector, offsets) = derive_pairing().plan(2, 0)[0]
+    assert (word, places) == (0xFFFFFFFF, tuple(range(0, params.vertex_count, 32)))
+    keys = [bad.mask >> place & word for place in places]
+    assert all(key in pairs for key in keys)
+    after_first = sum(pairs[key] << place for key, place in zip(keys, places))
     assert any(after_first >> offset & selector not in table for offset in offsets)
     for order in (None, (1, 0), (0, 1)):
         with pytest.raises(ConsistencyError, match=r"^reduction input: adjacent members 1 and 17$"):
@@ -421,6 +422,26 @@ def test_word_step_rejects_a_word_not_in_the_table(m):
             assert reduction_outcome(bad, order) == expected
 
 
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 4) for n in range(7 - 2 * m)])
+def test_every_plan_step_tiles_the_index_bits(m, n):
+    """The shifted selectors of each step, cut to the vertex bits, partition
+    them, and every key and image of the step's table lies inside its
+    selector, so the one slice loop reads each bit once and writes each
+    image back in place: D(1,0)'s one 16-bit word under the 32-bit selector
+    too."""
+    vertex_bits = (1 << DoobParams(m, n).vertex_count) - 1
+    steps, _, _ = derive_pairing().plan(m, n)
+    assert len(steps) == m
+    for table, selector, offsets in steps:
+        covered = 0
+        for offset in offsets:
+            part = selector << offset & vertex_bits
+            assert not covered & part
+            covered |= part
+        assert covered == vertex_bits
+        assert not any((key | image) & ~selector for key, image in table.items())
+
+
 def test_clearing_the_pairing_empties_the_plans(codes_by_params):
     # The resolved plans bind the pairing's slice tables and live on the
     # pairing, so clearing derive_pairing's cache drops them with it: a new
@@ -436,8 +457,8 @@ def test_clearing_the_pairing_empties_the_plans(codes_by_params):
     assert new._plans == {} and new._slice_tables == {}
     assert reduce_sh_coordinates(code) == expected
     assert derive_pairing() is new and set(new._plans) == {(2, 0)}
-    (_, words_table), ((table, _, _),), lines, target = new._plans[2, 0]
-    assert words_table is new.slice_table(0) and table is new.slice_table(2)
+    ((first, _, _), (second, _, _)), lines, target = new._plans[2, 0]
+    assert first is new.slice_table(0) and second is new.slice_table(2)
     assert new.plan(2, 0) is new._plans[2, 0]
     assert lines == ((), ()) and target == DoobParams(0, 4)
     for other in old._slice_tables.values():
@@ -450,7 +471,7 @@ def test_pairing_pickles_without_its_derived_tables(codes_by_params):
     assert pairing._plans
     copy = pickle.loads(pickle.dumps(pairing))
     assert copy == pairing and "_plans" not in vars(copy)
-    assert copy.plan(2, 0)[2:] == pairing.plan(2, 0)[2:]
+    assert copy.plan(2, 0)[1:] == pairing.plan(2, 0)[1:]
 
 
 def test_table_check_on_pure_k4_input():
